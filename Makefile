@@ -26,9 +26,9 @@ vet:
 
 # The serving subsystem (internal/server) and the public client/stream
 # layer (root package) must stay clean under the race detector, and so
-# must the alignment-dispatched transform kernels and the fused
-# single-pass kernels (the differential offset tests cover the unsafe
-# word-view, byte-reference, and fused-vs-reference paths).
+# must the transform kernels and the fused single-pass kernels (the
+# differential offset tests cover both the aliased word views and the
+# copy-in/copy-out scratch route, and fused-vs-reference).
 race:
 	$(GO) test -race -count=1 ./internal/server/...
 	$(GO) test -race -count=1 -run 'Client|Stream' .
@@ -115,9 +115,9 @@ bench-smoke:
 	$(GO) test ./internal/transforms/... -run '^$$' -bench . -benchtime 1x
 	$(GO) test . -run '^$$' -bench . -benchtime 1x
 
-# Cross-checks the purego build tag: every unsafe word-view falls back to
-# the byte-accessor reference paths and the fused kernels to their
-# stage-by-stage pipelines, so the whole suite must still pass.
+# Cross-checks the purego build tag: no unsafe word view is ever granted,
+# so every transform and fused kernel runs its one loop on copy-in/copy-out
+# scratch (encoding/binary), and the whole suite must still pass.
 purego:
 	$(GO) build -tags purego ./...
 	$(GO) test -tags purego -count=1 ./internal/wordio ./internal/transforms/... ./internal/core ./internal/selector .
@@ -125,7 +125,7 @@ purego:
 # Cross-checks the noasm build tag: the SIMD dispatch in internal/simd
 # compiles out (every kernel declines) and the transform suite must pass
 # on the pure-Go word kernels alone. Mirrors purego, which additionally
-# disables the unsafe word views.
+# disables the unsafe word views (so every buffer is copied in and out).
 noasm:
 	$(GO) build -tags noasm ./...
 	$(GO) test -tags noasm -count=1 ./internal/simd ./internal/transforms/... ./internal/core ./internal/selector .

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -322,17 +323,6 @@ func growExact(b []byte, n int) []byte {
 	return nb
 }
 
-// growCap ensures b has at least n bytes of spare capacity beyond its
-// current length, without changing its length or contents.
-func growCap(b []byte, n int) []byte {
-	if cap(b)-len(b) >= n {
-		return b
-	}
-	nb := make([]byte, len(b), len(b)+n)
-	copy(nb, b)
-	return nb
-}
-
 // engineState holds the per-call bookkeeping of CompressAppend and
 // DecompressAppend (chunk records, per-chunk CRCs, per-worker arenas),
 // recycled through a pool so the steady state allocates none of it.
@@ -514,7 +504,7 @@ func CompressAppend(dst, src []byte, algID byte, codec Codec, p Params) []byte {
 	// size table and the payload, and a v3 container the flags byte, the
 	// integrity tables, and a metadata CRC (see integrity.go).
 	start := len(dst)
-	dst = growCap(dst, total+len(st.parity)+len(st.sizes)*4+4*nChunks+4*len(st.pcrcs)+40)
+	dst = slices.Grow(dst, total+len(st.parity)+len(st.sizes)*4+4*nChunks+4*len(st.pcrcs)+40)
 	dst = append(dst, magic[:]...)
 	dst = append(dst, version, algID)
 	dst = append(dst, byte(crc), byte(crc>>8), byte(crc>>16), byte(crc>>24))

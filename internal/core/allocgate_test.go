@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"testing"
 
@@ -34,6 +35,11 @@ func gateChunk(word wordio.WordSize) []byte {
 	return b
 }
 
+// TestAllocGateChunkPipeline runs each chunk pipeline twice: on an aligned
+// chunk appending to empty buffers, and on a chunk at byte offset 1
+// appending after a 1-byte dst prefix, so the encoded input, the source
+// and both outputs are all misaligned and every kernel runs on
+// copy-in/copy-out scratch. Both must stay under the same ceiling.
 func TestAllocGateChunkPipeline(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -41,30 +47,36 @@ func TestAllocGateChunkPipeline(t *testing.T) {
 	const ceiling = 4.0 // allocs per compress+decompress chunk round-trip
 	for _, a := range AllExtended() {
 		t.Run(a.Name(), func(t *testing.T) {
-			chunk := gateChunk(a.Word)
-			p := a.Chunked
-			var fwd, dec []byte
-			var err error
-			// Warm the scratch pools before counting.
-			for i := 0; i < 4; i++ {
-				fwd = p.ForwardInto(fwd[:0], chunk)
-				if dec, err = p.InverseInto(dec[:0], fwd, len(chunk)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if !bytes.Equal(dec, chunk) {
-				t.Fatal("roundtrip mismatch")
-			}
-			avg := testing.AllocsPerRun(200, func() {
-				fwd = p.ForwardInto(fwd[:0], chunk)
-				dec, err = p.InverseInto(dec[:0], fwd, len(chunk))
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Logf("%s chunk round-trip: %.1f allocs/op (ceiling %.1f)", a.Name(), avg, ceiling)
-			if avg > ceiling {
-				t.Errorf("%s chunk round-trip: %.1f allocs/op, ceiling %.1f", a.Name(), avg, ceiling)
+			for _, off := range []int{0, 1} {
+				t.Run(fmt.Sprintf("offset%d", off), func(t *testing.T) {
+					aligned := gateChunk(a.Word)
+					chunk := make([]byte, off+len(aligned))[off:]
+					copy(chunk, aligned)
+					p := a.Chunked
+					fwd, dec := make([]byte, off), make([]byte, off)
+					var err error
+					roundTrip := func() {
+						fwd = p.ForwardInto(fwd[:off], chunk)
+						dec, err = p.InverseInto(dec[:off], fwd[off:], len(chunk))
+					}
+					// Warm the scratch pools before counting.
+					for i := 0; i < 4; i++ {
+						if roundTrip(); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if !bytes.Equal(dec[off:], chunk) {
+						t.Fatal("roundtrip mismatch")
+					}
+					avg := testing.AllocsPerRun(200, roundTrip)
+					if err != nil {
+						t.Fatal(err)
+					}
+					t.Logf("chunk round-trip: %.1f allocs/op (ceiling %.1f)", avg, ceiling)
+					if avg > ceiling {
+						t.Errorf("chunk round-trip: %.1f allocs/op, ceiling %.1f", avg, ceiling)
+					}
+				})
 			}
 		})
 	}

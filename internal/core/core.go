@@ -316,9 +316,8 @@ func (a *Algorithm) DecompressPartialAppend(dst, data []byte, p container.Params
 // interface, so the engine can hand each chunk its exact decoded size as
 // an allocation bound and encode/decode chunks without per-chunk buffers.
 // When the pipeline matches a known fusion, k carries the fused
-// single-pass kernel and every call routes through it (the kernel itself
-// falls back to the stage-by-stage pipeline on misaligned buffers or
-// purego builds).
+// single-pass kernel and every call routes through it, whatever the
+// buffers' alignment or the build.
 type chunkCodec struct {
 	p transforms.Pipeline
 	k fused.Kernel

@@ -38,10 +38,12 @@
 // error: if the winner's actual encoded size exceeds its prediction by more
 // than 25%, the runner-up is encoded too and the smaller result is kept.
 //
-// Everything runs allocation-free on the hot path: all scratch (the DIFFMS
-// stream, the tentative MPLG encoding, bitmaps, group ORs) lives in a
-// pooled per-call state, and selection happens inside the container's
-// parallel chunk workers.
+// Everything runs allocation-free on the hot path: all scratch (the
+// tentative MPLG encoding, bitmaps, the fused pass's gate statistics)
+// lives in a pooled per-call state, and selection happens inside the
+// container's parallel chunk workers. The DIFFMS stream itself is never
+// materialized: the fused speed kernel accumulates what pricing needs,
+// and the ratio candidates encode through their fused kernels.
 package selector
 
 import (
@@ -167,15 +169,10 @@ type Selector struct {
 	marginPct int
 	cands     [4]byte // candidate schemes, fastest first; first nc are valid
 	nc        int
-	windowed  bool // NewWindowed: the FCM candidate joins, priced exactly
-	diff      transforms.DiffMS
-	mplg      transforms.MPLG
-	ratioTail transforms.Pipeline             // W32: BIT→RZE, W64: RAZE→RARE (applied to the DIFFMS stream)
-	full      [NumSchemes]transforms.Pipeline // decode pipelines by scheme
+	windowed  bool                            // NewWindowed: the FCM candidate joins, priced exactly
+	full      [NumSchemes]transforms.Pipeline // stage-by-stage pipelines by scheme
 	fspeed    speedKernel                     // fused speed encoder (DIFFMS+MPLG with gate statistics)
-	fratio    *fused.Ratio64                  // windowed: fused DIFFMS64→RAZE→RARE encoder (exact pricing)
-	ffcm      *fused.FCMRatio64               // windowed: fused FCMW64 encoder (exact pricing)
-	fusedK    [NumSchemes]fused.Kernel        // fused decode kernels by scheme (nil where no fusion exists)
+	fusedK    [NumSchemes]fused.Kernel        // fused kernels by scheme (nil where no fusion exists)
 }
 
 // speedKernel is the fused speed-pipeline encoder the hot path runs: a
@@ -186,7 +183,7 @@ type Selector struct {
 // implement it.
 type speedKernel interface {
 	fused.Kernel
-	ForwardStatsInto(dst, src []byte, gs *fused.GateStats) ([]byte, bool)
+	ForwardStatsInto(dst, src []byte, gs *fused.GateStats) []byte
 }
 
 // New returns the selector for one word size.
@@ -194,23 +191,21 @@ func New(word wordio.WordSize) *Selector {
 	s := &Selector{
 		word:      word,
 		marginPct: marginPctFor(word),
-		diff:      transforms.DiffMS{Word: word},
-		mplg:      transforms.MPLG{Word: word},
 	}
+	diff := transforms.DiffMS{Word: word}
+	mplg := transforms.MPLG{Word: word}
 	s.nc = 3
 	if word == wordio.W32 {
 		s.cands = [4]byte{SchemeMPLG32, SchemeMPLGRZE32, SchemeBitRZE32}
-		s.ratioTail = transforms.Pipeline{transforms.Bit{Word: word}, transforms.RZE{}}
-		s.full[SchemeMPLG32] = transforms.Pipeline{s.diff, s.mplg}
-		s.full[SchemeMPLGRZE32] = transforms.Pipeline{s.diff, s.mplg, transforms.RZE{}}
-		s.full[SchemeBitRZE32] = transforms.Pipeline{s.diff, transforms.Bit{Word: word}, transforms.RZE{}}
+		s.full[SchemeMPLG32] = transforms.Pipeline{diff, mplg}
+		s.full[SchemeMPLGRZE32] = transforms.Pipeline{diff, mplg, transforms.RZE{}}
+		s.full[SchemeBitRZE32] = transforms.Pipeline{diff, transforms.Bit{Word: word}, transforms.RZE{}}
 		s.fspeed = fused.NewSpeed32()
 	} else {
 		s.cands = [4]byte{SchemeMPLG64, SchemeMPLGRZE64, SchemeRazeRare64}
-		s.ratioTail = transforms.Pipeline{transforms.RAZE{}, transforms.RARE{}}
-		s.full[SchemeMPLG64] = transforms.Pipeline{s.diff, s.mplg}
-		s.full[SchemeMPLGRZE64] = transforms.Pipeline{s.diff, s.mplg, transforms.RZE{}}
-		s.full[SchemeRazeRare64] = transforms.Pipeline{s.diff, transforms.RAZE{}, transforms.RARE{}}
+		s.full[SchemeMPLG64] = transforms.Pipeline{diff, mplg}
+		s.full[SchemeMPLGRZE64] = transforms.Pipeline{diff, mplg, transforms.RZE{}}
+		s.full[SchemeRazeRare64] = transforms.Pipeline{diff, transforms.RAZE{}, transforms.RARE{}}
 		// Decoding routes by the chunk's recorded scheme, so both selectors
 		// decode the windowed FCM scheme even though only the windowed one
 		// emits it.
@@ -243,8 +238,6 @@ func NewWindowed(word wordio.WordSize) *Selector {
 	s.windowed = true
 	s.cands[3] = SchemeFCMRazeRare64
 	s.nc = 4
-	s.fratio = fused.NewRatio64()
-	s.ffcm = fused.NewFCMRatio64()
 	return s
 }
 
@@ -260,64 +253,15 @@ func (s *Selector) Candidates() []byte { return s.cands[:s.nc] }
 // state is the pooled per-call scratch; every slice is reused across calls
 // so the hot path allocates only on first use or growth.
 type state struct {
-	diff     []byte   // DIFFMS output (chunk-sized)
-	mplg     []byte   // tentative MPLG encoding of diff
-	bm       []byte   // zero-bitmap scratch for RZE pricing
-	alt      []byte   // escape-hatch re-encode scratch
-	ratioEnc []byte   // windowed: the ratio candidate's exact encoding
-	fcmEnc   []byte   // windowed: the FCM candidate's exact encoding
-	ors      []uint32 // byte-swapped 8-word group ORs (BIT pricing)
-	w32      []uint32 // word-copy fallback when views are unavailable
-	w64      []uint64
+	mplg     []byte          // tentative MPLG encoding of the chunk
+	bm       []byte          // zero-bitmap scratch for RZE pricing
+	alt      []byte          // escape-hatch re-encode scratch
+	ratioEnc []byte          // windowed: the ratio candidate's exact encoding
+	fcmEnc   []byte          // windowed: the FCM candidate's exact encoding
 	gs       fused.GateStats // gate statistics from the fused speed encoder
 }
 
 var statePool = sync.Pool{New: func() any { return new(state) }}
-
-func needBytes(buf *[]byte, n int) []byte {
-	if cap(*buf) < n {
-		*buf = make([]byte, n, n+n/4+64)
-	}
-	*buf = (*buf)[:n]
-	return *buf
-}
-
-func needU32(buf *[]uint32, n int) []uint32 {
-	if cap(*buf) < n {
-		*buf = make([]uint32, n, n+n/4+16)
-	}
-	*buf = (*buf)[:n]
-	return *buf
-}
-
-// words32 aliases b's complete 32-bit words, copying through scratch only
-// when the platform refuses a direct view (never for pooled buffers).
-func (st *state) words32(b []byte) []uint32 {
-	if w, ok := wordio.View32(b); ok {
-		return w
-	}
-	n := len(b) / 4
-	w := needU32(&st.w32, n)
-	for i := range w {
-		w[i] = wordio.U32(b, i)
-	}
-	return w
-}
-
-func (st *state) words64(b []byte) []uint64 {
-	if w, ok := wordio.View64(b); ok {
-		return w
-	}
-	n := len(b) / 8
-	if cap(st.w64) < n {
-		st.w64 = make([]uint64, n, n+n/4+16)
-	}
-	st.w64 = st.w64[:n]
-	for i := range st.w64 {
-		st.w64[i] = wordio.U64(b, i)
-	}
-	return st.w64
-}
 
 // nonzeroCount returns the number of non-zero bytes of b at any alignment.
 // The gate prices encodings that alias the container arena at arbitrary
@@ -351,48 +295,23 @@ func nonzeroCount(b []byte) int {
 // rzeCost returns the exact size RZE would encode src to, by running only
 // its bitmap machinery: uvarint length + compressed bitmap + survivors.
 func (st *state) rzeCost(src []byte) int {
-	bm := needBytes(&st.bm, (len(src)+7)/8)
+	bm := wordio.Resize(&st.bm, (len(src)+7)/8)
 	nonzero := transforms.ZeroBitmap(bm, src)
 	return bitio.UvarintLen(uint64(len(src))) + transforms.RepeatBitmapLen(bm) + nonzero
 }
 
-// bitSurvivors32 fills st.ors with the byte-swapped 8-word group ORs of
-// diff's full 32-word blocks — the array that determines exactly which
-// bytes BIT32→RZE keeps: BIT lays full blocks out plane-major — output
-// word plane*nb+k holds bit (31-plane) of each of block k's 32 words, so
-// its little-endian byte b covers source words k*32+(3-b)*8 … +8, and a
-// group OR decides for every plane at once whether that output byte
-// survives. Words beyond the last full block and tail bytes are copied
-// verbatim by BIT and survive iff non-zero.
-func (st *state) bitSurvivors32(diff []byte) {
-	dw := st.words32(diff)
-	nb := len(dw) / 32
-	ors := needU32(&st.ors, nb*4)
-	for k := 0; k < nb; k++ {
-		base := k * 32
-		for b := 0; b < 4; b++ {
-			q := base + (3-b)*8
-			ors[k*4+b] = dw[q] | dw[q+1] | dw[q+2] | dw[q+3] |
-				dw[q+4] | dw[q+5] | dw[q+6] | dw[q+7]
-		}
-	}
-}
-
 // bitRZECost32 returns the exact size of BIT32→RZE over the DIFFMS stream
-// without running the transpose: the group ORs from bitSurvivors32 give
-// both RZE's surviving-byte count and its exact zero bitmap.
-func (st *state) bitRZECost32(diff []byte) int {
-	st.bitSurvivors32(diff)
-	nb := len(diff) / 4 / 32
-	return st.bitRZECost32From(st.ors[:nb*4], diff[nb*128:], len(diff))
-}
-
-// bitRZECost32From is bitRZECost32 over pre-computed inputs: the
-// byte-swapped group ORs of the DIFFMS stream's full 32-word blocks
-// (bitSurvivors32's layout), the stream's bytes past the last full block,
-// and its total length. The fused speed kernel hands these straight to
-// the gate, so pricing the ratio candidate costs no pass over the stream.
-func (st *state) bitRZECost32From(ors []uint32, tail []byte, diffLen int) int {
+// without running the transpose. Its inputs are what the fused speed pass
+// accumulates (fused.GateStats): the byte-swapped 8-word group ORs of the
+// stream's full 32-word blocks, the stream's bytes past the last full
+// block, and its total length. BIT lays full blocks out plane-major —
+// output word plane*nb+k holds bit (31-plane) of each of block k's 32
+// words, so its little-endian byte b covers source words k*32+(3-b)*8 …
+// +8, and a group OR decides for every plane at once whether that output
+// byte survives. So the ORs give both RZE's surviving-byte count and its
+// exact zero bitmap. Words beyond the last full block and tail bytes are
+// copied verbatim by BIT and survive iff non-zero.
+func (st *state) bitRZECost32(ors []uint32, tail []byte, diffLen int) int {
 	nonzero := 0
 	for _, or := range ors {
 		nonzero += bits.OnesCount32(or)
@@ -403,10 +322,9 @@ func (st *state) bitRZECost32From(ors []uint32, tail []byte, diffLen int) int {
 		}
 	}
 	ng := len(ors)
-	bm := needBytes(&st.bm, (diffLen+7)/8)
+	bm := wordio.Resize(&st.bm, (diffLen+7)/8)
 	pos := 0
-	bmw, viewOK := wordio.View32(bm[:4*ng])
-	if ng%32 == 0 && viewOK {
+	if ng%32 == 0 {
 		// The plane-major bitmap is the bit-transpose of the group-OR array:
 		// plane p's bits are bit (31-p) of each OR, groups MSB-first. Run the
 		// register-tile transpose over 32-OR tiles; transposed word p, with
@@ -414,14 +332,16 @@ func (st *state) bitRZECost32From(ors []uint32, tail []byte, diffLen int) int {
 		// bitmap bytes — one word store each, so only the verbatim tail
 		// region needs clearing.
 		nt := ng / 32 // tiles = bitmap words per plane
+		bmw := wordio.Out32(bm[:4*ng])
 		var blk [32]uint32
 		for t := 0; t < nt; t++ {
 			copy(blk[:], ors[t*32:t*32+32])
 			transforms.Transpose32(&blk)
 			for p := 0; p < 32; p++ {
-				bmw[p*nt+t] = bits.ReverseBytes32(blk[p])
+				bmw.W[p*nt+t] = bits.ReverseBytes32(blk[p])
 			}
 		}
+		bmw.Done()
 		clear(bm[4*ng:])
 		pos = 32 * ng
 	} else if ng%8 == 0 {
@@ -473,18 +393,17 @@ func razeRareCost64(hist *[65]int, n, chunkLen int) int {
 	return model*razeRareNum/razeRareDen + (chunkLen - n*8) + razeRareFloor
 }
 
-// analyze runs the shared DIFFMS stage plus the per-candidate pricing,
-// leaving the DIFFMS stream in st.diff and the speed candidate's real
-// encoding in st.mplg. preds is indexed like s.cands (fastest first);
+// analyze runs the fused speed pass — the speed candidate's real encoding
+// into st.mplg, plus the gate statistics into st.gs — and then the
+// per-candidate pricing. preds is indexed like s.cands (fastest first);
 // choice is the index of the winner under the speed-bias margin.
 func (s *Selector) analyze(st *state, chunk []byte) (preds [4]int, choice int) {
-	st.diff = s.diff.ForwardInto(st.diff[:0], chunk)
-	st.mplg = s.mplg.ForwardInto(st.mplg[:0], st.diff)
+	st.mplg = s.fspeed.ForwardStatsInto(st.mplg[:0], chunk, &st.gs)
 	return s.price(st, chunk)
 }
 
-// price runs the per-candidate pricing over an already-computed st.diff /
-// st.mplg pair (see analyze). The windowed selector prices its two ratio
+// price runs the per-candidate pricing over an already-computed st.mplg /
+// st.gs pair (see analyze). The windowed selector prices its two ratio
 // candidates exactly, by encoding them through the fused kernels into
 // pooled scratch (the winner's bytes are then appended, not recomputed);
 // the whole-input selectors keep the calibrated RAZE→RARE model.
@@ -493,19 +412,14 @@ func (s *Selector) price(st *state, chunk []byte) (preds [4]int, choice int) {
 	preds[1] = st.rzeCost(st.mplg) // balance: exact via RZE's own bitmap machinery
 	switch {
 	case s.word == wordio.W32:
-		preds[2] = st.bitRZECost32(st.diff)
+		preds[2] = st.bitRZECost32(st.gs.Ors, st.gs.Tail, len(chunk))
 	case s.windowed:
-		st.ratioEnc = s.fratio.ForwardInto(st.ratioEnc[:0], chunk)
+		st.ratioEnc = s.fusedK[SchemeRazeRare64].ForwardInto(st.ratioEnc[:0], chunk)
 		preds[2] = len(st.ratioEnc)
-		st.fcmEnc = s.ffcm.ForwardInto(st.fcmEnc[:0], chunk)
+		st.fcmEnc = s.fusedK[SchemeFCMRazeRare64].ForwardInto(st.fcmEnc[:0], chunk)
 		preds[3] = len(st.fcmEnc)
 	default:
-		dw := st.words64(st.diff)
-		var hist [65]int
-		for _, v := range dw {
-			hist[wordio.Clz64(v)]++
-		}
-		preds[2] = razeRareCost64(&hist, len(dw), len(chunk))
+		preds[2] = razeRareCost64(&st.gs.Hist, st.gs.Words, len(chunk))
 	}
 	best := preds[0]
 	for _, p := range preds[1:s.nc] {
@@ -525,21 +439,20 @@ func (s *Selector) price(st *state, chunk []byte) (preds [4]int, choice int) {
 }
 
 // encodeCandidate appends candidate i's encoding of the already-analyzed
-// chunk (st.diff, st.mplg, and for the windowed selector the ratio
-// encodings price already produced) to dst.
-func (s *Selector) encodeCandidate(st *state, dst []byte, i int) []byte {
-	switch i {
-	case 0: // speed: the tentative MPLG encoding is the output
+// chunk (st.mplg, and for the windowed selector the ratio encodings price
+// already produced) to dst.
+func (s *Selector) encodeCandidate(st *state, dst, chunk []byte, i int) []byte {
+	switch {
+	case i == 0: // speed: the tentative MPLG encoding is the output
 		return append(dst, st.mplg...)
-	case 1: // balance: RZE over the MPLG encoding
+	case i == 1: // balance: RZE over the MPLG encoding
 		return transforms.RZE{}.ForwardInto(dst, st.mplg)
-	case 3: // windowed FCM candidate: already encoded by price
+	case i == 3: // windowed FCM candidate: already encoded by price
 		return append(dst, st.fcmEnc...)
-	default: // ratio tail
-		if s.windowed {
-			return append(dst, st.ratioEnc...)
-		}
-		return s.ratioTail.ForwardInto(dst, st.diff)
+	case s.windowed: // windowed ratio candidate: already encoded by price
+		return append(dst, st.ratioEnc...)
+	default: // ratio: its fused kernel over the chunk
+		return s.fusedK[s.cands[i]].ForwardInto(dst, chunk)
 	}
 }
 
@@ -565,15 +478,16 @@ func (s *Selector) Predict(chunk []byte) ([]Prediction, int) {
 }
 
 // speedWins is the hot-path gate: it decides, from prices no costlier than
-// a few passes over the chunk, whether the exact pricing in price is
+// a pass over the speed encoding, whether the exact pricing in price is
 // guaranteed to choose the speed candidate. The balance candidate is
 // bounded from below — an RZE tail keeps every non-zero byte of its input,
 // so uvarint(len) + non-zero count elides only the (non-negative)
 // compressed bitmap — while the ratio leg is priced with the very same
-// expression price uses (exact for BIT32→RZE, the calibrated model for
-// RAZE→RARE). A true return therefore never changes the selection relative
-// to full pricing; a false return merely falls back to it. On homogeneous
-// data the gate passes for nearly every chunk, keeping auto mode near the
+// expression price uses, over the gate statistics the fused speed pass
+// accumulated (exact for BIT32→RZE, the calibrated model for RAZE→RARE).
+// A true return therefore never changes the selection relative to full
+// pricing; a false return merely falls back to it. On homogeneous data
+// the gate passes for nearly every chunk, keeping auto mode near the
 // speed pipeline's throughput.
 func (s *Selector) speedWins(st *state, chunk, mplgEnc []byte) bool {
 	thresh := len(mplgEnc) - len(chunk)*s.marginPct/100
@@ -592,41 +506,8 @@ func (s *Selector) speedWins(st *state, chunk, mplgEnc []byte) bool {
 		return false
 	}
 	if s.word == wordio.W32 {
-		// Ratio (BIT→RZE): the exact price — the transpose-tile bitmap
-		// build makes it cheap enough to run on every chunk.
-		return st.bitRZECost32(st.diff) >= thresh
-	}
-	// Ratio (RAZE→RARE): the same cheap model price uses, so the gate
-	// decision matches full pricing exactly.
-	dw := st.words64(st.diff)
-	var hist [65]int
-	for _, v := range dw {
-		hist[wordio.Clz64(v)]++
-	}
-	return razeRareCost64(&hist, len(dw), len(chunk)) >= thresh
-}
-
-// speedWinsStats is speedWins over the fused kernel's gate statistics:
-// the same three prices, with the ratio leg computed from the group ORs /
-// leading-zero histogram the fused pass accumulated instead of from a
-// materialized DIFFMS stream. Like speedWins, a true return never changes
-// the selection relative to full pricing.
-func (s *Selector) speedWinsStats(st *state, chunk, mplgEnc []byte) bool {
-	thresh := len(mplgEnc) - len(chunk)*s.marginPct/100
-	if thresh <= 0 {
-		return true // no candidate can beat speed by more than the margin
-	}
-	if s.windowed && len(mplgEnc) >= len(chunk)*7/8 {
-		// See speedWins: no cheap bound for the FCM candidate.
-		return false
-	}
-	// Balance (MPLG→RZE): survivors of the MPLG encoding.
-	if bitio.UvarintLen(uint64(len(mplgEnc)))+nonzeroCount(mplgEnc) < thresh {
-		return false
-	}
-	if s.word == wordio.W32 {
 		// Ratio (BIT→RZE): the exact price from the accumulated group ORs.
-		return st.bitRZECost32From(st.gs.Ors, st.gs.Tail, len(chunk)) >= thresh
+		return st.bitRZECost32(st.gs.Ors, st.gs.Tail, len(chunk)) >= thresh
 	}
 	// Ratio (RAZE→RARE): the model over the accumulated histogram.
 	return razeRareCost64(&st.gs.Hist, st.gs.Words, len(chunk)) >= thresh
@@ -646,27 +527,12 @@ func (s *Selector) ForwardSchemeInto(dst, chunk []byte) ([]byte, byte) {
 	// the gate fires (the common case on homogeneous data) it is already in
 	// place — no copy, no further pricing. The fused kernel does it in one
 	// pass over the chunk, accumulating the gate's statistics as it goes,
-	// so no DIFFMS stream is materialized at all on this path; when fusion
-	// is unavailable (purego, misaligned chunk) the stage-by-stage path
-	// prices the gate from the materialized stream as before.
+	// so no DIFFMS stream is materialized.
 	start := len(dst)
-	if ndst, ok := s.fspeed.ForwardStatsInto(dst, chunk, &st.gs); ok {
-		dst = ndst
-		if s.speedWinsStats(st, chunk, dst[start:]) {
-			schemeCounts[s.cands[0]].Add(1)
-			return dst, s.cands[0]
-		}
-		// A slow candidate might win (rare): materialize the DIFFMS stream
-		// after all — the exact pricing and the slow candidates' encoders
-		// consume it below.
-		st.diff = s.diff.ForwardInto(st.diff[:0], chunk)
-	} else {
-		st.diff = s.diff.ForwardInto(st.diff[:0], chunk)
-		dst = s.mplg.ForwardInto(dst, st.diff)
-		if s.speedWins(st, chunk, dst[start:]) {
-			schemeCounts[s.cands[0]].Add(1)
-			return dst, s.cands[0]
-		}
+	dst = s.fspeed.ForwardStatsInto(dst, chunk, &st.gs)
+	if s.speedWins(st, chunk, dst[start:]) {
+		schemeCounts[s.cands[0]].Add(1)
+		return dst, s.cands[0]
 	}
 
 	// A slow candidate might win: pull the tentative MPLG encoding out of
@@ -674,7 +540,7 @@ func (s *Selector) ForwardSchemeInto(dst, chunk []byte) ([]byte, byte) {
 	st.mplg = append(st.mplg[:0], dst[start:]...)
 	dst = dst[:start]
 	preds, choice := s.price(st, chunk)
-	dst = s.encodeCandidate(st, dst, choice)
+	dst = s.encodeCandidate(st, dst, chunk, choice)
 	scheme := s.cands[choice]
 
 	// Mis-prediction escape hatch: if the winner came in >25% over its
@@ -689,7 +555,7 @@ func (s *Selector) ForwardSchemeInto(dst, chunk []byte) ([]byte, byte) {
 				runner, runnerPred = i, p
 			}
 		}
-		st.alt = s.encodeCandidate(st, st.alt[:0], runner)
+		st.alt = s.encodeCandidate(st, st.alt[:0], chunk, runner)
 		if len(st.alt) < encLen {
 			reencodeKept.Add(1)
 			dst = append(dst[:start], st.alt...)

@@ -3,6 +3,7 @@ package transforms
 import (
 	"encoding/binary"
 	"math/bits"
+	"slices"
 
 	"fpcompress/internal/bitio"
 	"fpcompress/internal/simd"
@@ -29,51 +30,13 @@ import (
 // k*cnt[k] is computed from a prefix sum over the histogram bins — no need
 // to try all splits against the data.
 
-// leadZeros is RAZE's criterion: leading zero bits of each word. It is the
-// reference model for computeLead (which fills a scratch slice straight
-// from the chunk bytes) and is exercised directly by the split-model tests.
-func leadZeros(words []uint64) []int {
-	lead := make([]int, len(words))
-	for i, v := range words {
-		lead[i] = wordio.Clz64(v)
-	}
-	return lead
-}
-
-// leadCommon is RARE's criterion: leading bits shared with the prior word
-// (the first word is compared against zero).
-func leadCommon(words []uint64) []int {
-	lead := make([]int, len(words))
-	prev := uint64(0)
-	for i, v := range words {
-		lead[i] = wordio.Clz64(v ^ prev)
-		prev = v
-	}
-	return lead
-}
-
-// computeLead fills lead (length n) with each word's eliminable-leading-bit
-// count, reading the words straight out of src. common selects RARE's
-// shared-with-predecessor criterion over RAZE's leading-zeros one.
-func computeLead(lead []int, src []byte, n int, common bool) {
-	if common {
-		prev := uint64(0)
-		for i := 0; i < n; i++ {
-			v := wordio.U64(src, i)
-			lead[i] = wordio.Clz64(v ^ prev)
-			prev = v
-		}
-		return
-	}
-	for i := 0; i < n; i++ {
-		lead[i] = wordio.Clz64(wordio.U64(src, i))
-	}
-}
-
-// computeLeadWords is computeLead over an aliased word slice, accumulating
-// the split-model histogram in the same pass so the encoder never rescans
-// lead just to bin it (bestSplitHist consumes hist directly).
-func computeLeadWords(lead []int, hist *[65]int, sw []uint64, common bool) {
+// computeLead fills lead with each word's eliminable-leading-bit
+// count — leading zeros for RAZE, leading bits shared with the previous
+// word (the first compared against zero) for RARE, selected by common —
+// accumulating the split-model histogram in the same pass so the encoder
+// never rescans lead just to bin it (bestSplitHist consumes hist
+// directly).
+func computeLead(lead []int, hist *[65]int, sw []uint64, common bool) {
 	lead = lead[:len(sw)]
 	if common {
 		prev := uint64(0)
@@ -92,19 +55,9 @@ func computeLeadWords(lead []int, hist *[65]int, sw []uint64, common bool) {
 	}
 }
 
-// bestSplit returns the k in [0,64] minimizing the modeled encoded size.
-func bestSplit(lead []int) int {
-	var hist [65]int
-	for _, l := range lead {
-		hist[l]++
-	}
-	k, _ := bestSplitHist(&hist, len(lead))
-	return k
-}
-
-// bestSplitHist is bestSplit over a precomputed histogram (hist[l] = words
-// with exactly l eliminable leading bits, n = total words). It returns the
-// chosen k and the modeled gain k*cnt[k] in bits.
+// bestSplitHist returns the k in [0,64] minimizing the modeled encoded
+// size, given the histogram hist[l] = words with exactly l eliminable
+// leading bits over n words, plus the modeled gain k*cnt[k] in bits.
 func bestSplitHist(hist *[65]int, n int) (bestK, bestGain int) {
 	// cnt[k] = number of words with lead >= k (suffix sum).
 	cnt := 0
@@ -123,7 +76,7 @@ func bestSplitHist(hist *[65]int, n int) (bestK, bestGain int) {
 // SplitModelBits exposes the adaptive transforms' size model for the
 // auto-mode selector: given the leading-eliminable-bit histogram of an
 // n-word chunk it returns the modeled encoded size in bits, 65n - k*cnt[k]
-// for the same k bestSplit would choose (the model RAZE and RARE minimize).
+// for the same k the encoders choose (the model RAZE and RARE minimize).
 func SplitModelBits(hist *[65]int, n int) int {
 	_, gain := bestSplitHist(hist, n)
 	return 65*n - gain
@@ -134,90 +87,47 @@ func SplitModelBits(hist *[65]int, n int) int {
 // elimination bitmap) is pooled, and the kept/bottom pieces are bit-packed
 // directly into dst.
 func adaptiveForwardInto(dst, src []byte, common bool) []byte {
-	n := len(src) / 8
-	tail := src[n*8:]
-	if sw, ok := wordio.View64(src); ok {
-		return adaptiveForwardWords(dst, sw, tail, common)
-	}
-	lp := intPool.Get().(*[]int)
-	defer intPool.Put(lp)
-	lead := growInts(lp, n)
-	computeLead(lead, src, n, common)
-	k := bestSplit(lead)
-
-	dst = growCap(dst, len(src)+len(src)/8+32)
-	dst = bitio.AppendUvarint(dst, uint64(len(src)))
-	dst = append(dst, byte(k))
-	if k == 0 {
-		dst = append(dst, src[:n*8]...)
-		return append(dst, tail...)
-	}
-	bp := getBuf()
-	defer putBuf(bp)
-	bm := pooledBytes(bp, (n+7)/8)
-	clear(bm)
-	nKept := 0
-	for i := 0; i < n; i++ {
-		if lead[i] < k { // top piece must be emitted
-			bm[i>>3] |= 0x80 >> (i & 7)
-			nKept++
-		}
-	}
-	dst = appendRepeatBitmap(dst, bm)
-	w := bitio.NewWriterBuf(dst)
-	kw := uint(k)
-	for i := 0; i < n; i++ {
-		if lead[i] < k {
-			w.WriteBits(wordio.U64(src, i)>>(64-kw), kw)
-		}
-	}
-	w.Align()
-	bw := uint(64 - k)
-	for i := 0; i < n; i++ {
-		w.WriteBits(wordio.U64(src, i), bw) // WriteBits keeps the low bw bits
-	}
-	dst = w.Bytes()
-	return append(dst, tail...)
+	sw := wordio.In64(src)
+	defer sw.Done()
+	return AdaptiveEncodeWords(dst, sw.W, src[len(sw.W)*8:], common)
 }
 
-// adaptiveForwardWords is adaptiveForwardInto over an already-materialized
-// word stream plus its verbatim tail: the word-view hot path, and the entry
-// point the fused ratio kernels use to encode a diff stream that never
-// existed as bytes. Byte-identical to the byte path above.
-func adaptiveForwardWords(dst []byte, sw []uint64, tail []byte, common bool) []byte {
+// AdaptiveEncodeWords appends the RAZE (common=false) or RARE (common=true)
+// encoding of the word stream sw followed by the verbatim tail — exactly
+// the bytes ForwardInto produces for the equivalent byte stream. The fused
+// ratio kernels call it with their register-resident diff stream.
+func AdaptiveEncodeWords(dst []byte, sw []uint64, tail []byte, common bool) []byte {
 	n := len(sw)
 	lp := intPool.Get().(*[]int)
 	defer intPool.Put(lp)
-	lead := growInts(lp, n)
+	lead := wordio.Resize(lp, n)
 	var hist [65]int
-	computeLeadWords(lead, &hist, sw, common)
+	computeLead(lead, &hist, sw, common)
 	k, _ := bestSplitHist(&hist, n)
 
-	dst = growCap(dst, n*8+len(tail)+n+32)
+	dst = slices.Grow(dst, n*8+len(tail)+n+32)
 	dst = bitio.AppendUvarint(dst, uint64(n*8+len(tail)))
 	dst = append(dst, byte(k))
 	if k == 0 {
 		base := len(dst)
-		dst = grow(dst, n*8)
-		raw := dst[base:]
-		for i, v := range sw {
-			binary.LittleEndian.PutUint64(raw[i*8:], v)
-		}
+		dst = Grow(dst, n*8)
+		raw := wordio.Out64(dst[base:])
+		copy(raw.W, sw)
+		raw.Done()
 		return append(dst, tail...)
 	}
-	bp := getBuf()
-	defer putBuf(bp)
-	bm := pooledBytes(bp, (n+7)/8)
+	bp := GetBuf()
+	defer PutBuf(bp)
+	bm := wordio.Resize(bp, (n+7)/8)
 	clear(bm)
-	wp := fcmWordPool.Get().(*[]uint64)
-	defer fcmWordPool.Put(wp)
-	scratch := pooledWords(wp, n)
+	scratch := wordio.Scratch64(n)
+	defer scratch.Done()
 	bw := uint(64 - k)
 	nKept := 0
 	for i, v := range sw {
 		if lead[i] < k { // top piece must be emitted
 			bm[i>>3] |= 0x80 >> (i & 7)
-			scratch[nKept] = v >> bw
+			scratch.W[nKept] = v >> bw
 			nKept++
 		}
 	}
@@ -225,23 +135,14 @@ func adaptiveForwardWords(dst []byte, sw []uint64, tail []byte, common bool) []b
 	// Kept top pieces then bottom pieces, each padded to a byte boundary —
 	// the same layout PackWidth64 produces, without the intermediate
 	// []uint64 slices.
-	dst = adaptivePackFast(dst, sw, scratch, k, nKept)
+	dst = adaptivePackFast(dst, sw, scratch.W, k, nKept)
 	return append(dst, tail...)
-}
-
-// AdaptiveEncodeWords appends the RAZE (common=false) or RARE (common=true)
-// encoding of the word stream sw followed by the verbatim tail — exactly
-// the bytes ForwardInto would produce for the equivalent byte stream. The
-// fused ratio kernels call it with their register-resident diff stream.
-func AdaptiveEncodeWords(dst []byte, sw []uint64, tail []byte, common bool) []byte {
-	return adaptiveForwardWords(dst, sw, tail, common)
 }
 
 // adaptivePackFast emits the kept-then-bottom bit layout with a
 // register-resident accumulator flushed 32 bits at a time into pre-grown
 // dst (see mplg.go for the nacc < 32 invariant); fields wider than 32 bits
-// are written as two sub-32-bit halves. Byte-identical to the
-// bitio.Writer reference path above.
+// are written as two sub-32-bit halves.
 //
 // Both regions run through a dense word slice — kept top pieces already
 // shifted down to their k-bit fields by the caller's bitmap pass (scratch,
@@ -253,7 +154,7 @@ func adaptivePackFast(dst []byte, sw, scratch []uint64, k, nKept int) []byte {
 	kw := uint(k)
 	bw := uint(64 - k)
 	start := len(dst)
-	dst = grow(dst, (nKept*k+7)/8+(len(sw)*int(bw)+7)/8+8)
+	dst = Grow(dst, (nKept*k+7)/8+(len(sw)*int(bw)+7)/8+8)
 	buf := dst
 	bp := start
 	bp = packDense(buf, bp, scratch[:nKept], kw)
@@ -275,7 +176,7 @@ func packDense(buf []byte, bp int, vals []uint64, width uint) int {
 	var acc uint64
 	var nacc uint
 	if nbp, a, na, ok := simd.Pack64(buf, bp, acc, nacc, vals, width, false); ok {
-		return bitFinish(buf, nbp, a, na)
+		return BitFinish(buf, nbp, a, na)
 	}
 	if width <= 32 {
 		for _, v := range vals {
@@ -307,7 +208,7 @@ func packDense(buf []byte, bp int, vals []uint64, width uint) int {
 			acc &= 1<<nacc - 1
 		}
 	}
-	return bitFinish(buf, bp, acc, nacc)
+	return BitFinish(buf, bp, acc, nacc)
 }
 
 // adaptiveInverseInto decodes the common RAZE/RARE layout appending to dst;
@@ -317,7 +218,7 @@ func packDense(buf []byte, bp int, vals []uint64, width uint) int {
 func adaptiveInverseInto(dst, enc []byte, repeat bool, maxDecoded int) ([]byte, error) {
 	declen64, hn := bitio.Uvarint(enc)
 	if hn == 0 || hn >= len(enc) {
-		return nil, corruptf("RAZE/RARE: bad length prefix")
+		return nil, Corruptf("RAZE/RARE: bad length prefix")
 	}
 	if err := checkDecodedLen("RAZE/RARE", declen64, maxDecoded); err != nil {
 		return nil, err
@@ -325,7 +226,7 @@ func adaptiveInverseInto(dst, enc []byte, repeat bool, maxDecoded int) ([]byte, 
 	declen := int(declen64)
 	k := int(enc[hn])
 	if k > 64 {
-		return nil, corruptf("RAZE/RARE: split k=%d out of range", k)
+		return nil, Corruptf("RAZE/RARE: split k=%d out of range", k)
 	}
 	body := enc[hn+1:]
 	n := declen / 8
@@ -333,13 +234,13 @@ func adaptiveInverseInto(dst, enc []byte, repeat bool, maxDecoded int) ([]byte, 
 
 	if k == 0 {
 		if len(body) < declen {
-			return nil, corruptf("RAZE/RARE: truncated raw body")
+			return nil, Corruptf("RAZE/RARE: truncated raw body")
 		}
 		return append(dst, body[:declen]...), nil
 	}
 
-	bp := getBuf()
-	defer putBuf(bp)
+	bp := GetBuf()
+	defer PutBuf(bp)
 	bm, consumed, err := decodeRepeatBitmapScratch(bp, body, (n+7)/8)
 	if err != nil {
 		return nil, err
@@ -357,64 +258,43 @@ func adaptiveInverseInto(dst, enc []byte, repeat bool, maxDecoded int) ([]byte, 
 	}
 	keptBytes := (nKept*k + 7) / 8
 	if len(body) < keptBytes {
-		return nil, corruptf("RAZE/RARE: truncated kept pieces")
+		return nil, Corruptf("RAZE/RARE: truncated kept pieces")
 	}
 	kept := body[:keptBytes]
 	body = body[keptBytes:]
 	bw := uint(64 - k)
 	botBytes := (n*int(bw) + 7) / 8
 	if len(body) < botBytes {
-		return nil, corruptf("RAZE/RARE: truncated bottom pieces")
+		return nil, Corruptf("RAZE/RARE: truncated bottom pieces")
 	}
 	bot := body[:botBytes]
 	body = body[botBytes:]
 
 	base := len(dst)
-	dst = grow(dst, declen)
+	dst = Grow(dst, declen)
 	out := dst[base:]
-	// Both bit regions are exactly sized, so the reads below cannot run
-	// short: no per-read truncation handling on either path.
-	if ow, ok := wordio.View64(out); ok {
-		adaptiveUnpackFast(ow, bm, kept, bot, k, repeat)
-	} else {
-		keptR := bitio.NewReader(kept)
-		botR := bitio.NewReader(bot)
-		prevTop := uint64(0)
-		kw := uint(k)
-		for i := 0; i < n; i++ {
-			var top uint64
-			if bm[i>>3]&(0x80>>(i&7)) != 0 {
-				top, _ = keptR.ReadBits(kw)
-			} else if repeat {
-				top = prevTop // RARE: identical to the prior word's top piece
-			} else {
-				top = 0 // RAZE: eliminated pieces were all-zero
-			}
-			b := uint64(0)
-			if bw > 0 {
-				b, _ = botR.ReadBits(bw)
-			}
-			wordio.PutU64(out, i, top<<bw|b)
-			prevTop = top
-		}
-	}
+	// Both bit regions are exactly sized, so the reads cannot run short: no
+	// per-read truncation handling.
+	ow := wordio.Out64(out)
+	adaptiveUnpack(ow.W, bm, kept, bot, k, repeat)
+	ow.Done()
 	if tailLen > 0 {
 		if len(body) < tailLen {
-			return nil, corruptf("RAZE/RARE: truncated tail")
+			return nil, Corruptf("RAZE/RARE: truncated tail")
 		}
 		copy(out[n*8:], body[:tailLen])
 	}
 	return dst, nil
 }
 
-// adaptiveUnpackFast reassembles the words through a 64-bit load window
+// adaptiveUnpack reassembles the words through a 64-bit load window
 // over a zero-padded pooled copy of the kept and bottom regions (two bit
 // cursors, every read one load plus shifts). The regions' exact sizing is
 // the caller's responsibility.
-func adaptiveUnpackFast(ow []uint64, bm, kept, bot []byte, k int, repeat bool) {
-	sp := getBuf()
-	defer putBuf(sp)
-	pad := pooledBytes(sp, len(kept)+len(bot)+8)
+func adaptiveUnpack(ow []uint64, bm, kept, bot []byte, k int, repeat bool) {
+	sp := GetBuf()
+	defer PutBuf(sp)
+	pad := wordio.Resize(sp, len(kept)+len(bot)+8)
 	copy(pad, kept)
 	copy(pad[len(kept):], bot)
 	clear(pad[len(kept)+len(bot):])
@@ -426,14 +306,14 @@ func adaptiveUnpackFast(ow []uint64, bm, kept, bot []byte, k int, repeat bool) {
 	for i := range ow {
 		var top uint64
 		if bm[i>>3]&(0x80>>(i&7)) != 0 {
-			top = loadBits(pad, kpos, kw)
+			top = LoadBits(pad, kpos, kw)
 			kpos += kw
 		} else if repeat {
 			top = prevTop
 		}
 		var b uint64
 		if bw > 0 {
-			b = loadBits(pad, bpos, bw)
+			b = LoadBits(pad, bpos, bw)
 			bpos += bw
 		}
 		ow[i] = top<<bw | b

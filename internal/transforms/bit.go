@@ -132,52 +132,27 @@ func bitInverse64(ow, ew []uint64, nb int) {
 // ownership contract).
 func (b Bit) ForwardInto(dst, src []byte) []byte {
 	base := len(dst)
-	dst = grow(dst, len(src))
+	dst = Grow(dst, len(src))
 	out := dst[base:]
-	switch b.Word {
-	case wordio.W32:
-		n := len(src) / 4
-		nb := n / 32 // full blocks
-		if sw, ok := wordio.View32(src); ok {
-			if ow, ok := wordio.View32(out); ok {
-				bitForward32(ow, sw, nb)
-				copy(out[nb*32*4:], src[nb*32*4:])
-				return dst
-			}
-		}
-		var blk [32]uint32
-		for k := 0; k < nb; k++ {
-			for j := 0; j < 32; j++ {
-				blk[j] = wordio.U32(src, k*32+j)
-			}
-			Transpose32(&blk)
-			for plane := 0; plane < 32; plane++ {
-				wordio.PutU32(out, plane*nb+k, blk[plane])
-			}
-		}
-		copy(out[nb*32*4:], src[nb*32*4:])
-	default:
-		n := len(src) / 8
-		nb := n / 64
-		if sw, ok := wordio.View64(src); ok {
-			if ow, ok := wordio.View64(out); ok {
-				bitForward64(ow, sw, nb)
-				copy(out[nb*64*8:], src[nb*64*8:])
-				return dst
-			}
-		}
-		var blk [64]uint64
-		for k := 0; k < nb; k++ {
-			for j := 0; j < 64; j++ {
-				blk[j] = wordio.U64(src, k*64+j)
-			}
-			transpose64(&blk)
-			for plane := 0; plane < 64; plane++ {
-				wordio.PutU64(out, plane*nb+k, blk[plane])
-			}
-		}
-		copy(out[nb*64*8:], src[nb*64*8:])
+	n := 0 // bytes covered by full blocks; the rest is copied verbatim
+	if b.Word == wordio.W32 {
+		sw := wordio.In32(src)
+		nb := len(sw.W) / 32
+		n = nb * 32 * 4
+		ow := wordio.Out32(out[:n])
+		bitForward32(ow.W, sw.W, nb)
+		ow.Done()
+		sw.Done()
+	} else {
+		sw := wordio.In64(src)
+		nb := len(sw.W) / 64
+		n = nb * 64 * 8
+		ow := wordio.Out64(out[:n])
+		bitForward64(ow.W, sw.W, nb)
+		ow.Done()
+		sw.Done()
 	}
+	copy(out[n:], src[n:])
 	return dst
 }
 
@@ -196,54 +171,29 @@ func (b Bit) Inverse(enc []byte) ([]byte, error) {
 // ownership contract).
 func (b Bit) InverseInto(dst, enc []byte, maxDecoded int) ([]byte, error) {
 	if maxDecoded >= 0 && len(enc) > maxDecoded {
-		return nil, corruptf("BIT: %d bytes exceed decode budget %d", len(enc), maxDecoded)
+		return nil, Corruptf("BIT: %d bytes exceed decode budget %d", len(enc), maxDecoded)
 	}
 	base := len(dst)
-	dst = grow(dst, len(enc))
+	dst = Grow(dst, len(enc))
 	out := dst[base:]
-	switch b.Word {
-	case wordio.W32:
-		n := len(enc) / 4
-		nb := n / 32
-		if ew, ok := wordio.View32(enc); ok {
-			if ow, ok := wordio.View32(out); ok {
-				bitInverse32(ow, ew, nb)
-				copy(out[nb*32*4:], enc[nb*32*4:])
-				return dst, nil
-			}
-		}
-		var blk [32]uint32
-		for k := 0; k < nb; k++ {
-			for plane := 0; plane < 32; plane++ {
-				blk[plane] = wordio.U32(enc, plane*nb+k)
-			}
-			Transpose32(&blk)
-			for j := 0; j < 32; j++ {
-				wordio.PutU32(out, k*32+j, blk[j])
-			}
-		}
-		copy(out[nb*32*4:], enc[nb*32*4:])
-	default:
-		n := len(enc) / 8
-		nb := n / 64
-		if ew, ok := wordio.View64(enc); ok {
-			if ow, ok := wordio.View64(out); ok {
-				bitInverse64(ow, ew, nb)
-				copy(out[nb*64*8:], enc[nb*64*8:])
-				return dst, nil
-			}
-		}
-		var blk [64]uint64
-		for k := 0; k < nb; k++ {
-			for plane := 0; plane < 64; plane++ {
-				blk[plane] = wordio.U64(enc, plane*nb+k)
-			}
-			transpose64(&blk)
-			for j := 0; j < 64; j++ {
-				wordio.PutU64(out, k*64+j, blk[j])
-			}
-		}
-		copy(out[nb*64*8:], enc[nb*64*8:])
+	n := 0
+	if b.Word == wordio.W32 {
+		ew := wordio.In32(enc)
+		nb := len(ew.W) / 32
+		n = nb * 32 * 4
+		ow := wordio.Out32(out[:n])
+		bitInverse32(ow.W, ew.W, nb)
+		ow.Done()
+		ew.Done()
+	} else {
+		ew := wordio.In64(enc)
+		nb := len(ew.W) / 64
+		n = nb * 64 * 8
+		ow := wordio.Out64(out[:n])
+		bitInverse64(ow.W, ew.W, nb)
+		ow.Done()
+		ew.Done()
 	}
+	copy(out[n:], enc[n:])
 	return dst, nil
 }

@@ -18,10 +18,9 @@ import (
 // DIFFMS is size-preserving. Trailing bytes of a chunk that do not fill a
 // whole word are copied verbatim.
 //
-// The hot path runs the fused difference + magnitude-sign pass unrolled
-// over word views of both buffers (wordio.View32/View64); when either
-// buffer is misaligned it falls back to the byte-accessor reference loop,
-// which produces identical bytes.
+// Both directions run one unrolled pass over the words of the input and
+// output buffers, taken through wordio's copy-in/copy-out (In/Out), so
+// the same loop serves every buffer alignment and build.
 type DiffMS struct {
 	// Word selects 32-bit (single precision) or 64-bit (double precision)
 	// granularity.
@@ -92,53 +91,24 @@ func diffMSForward64(out, src []uint64) {
 // ownership contract).
 func (d DiffMS) ForwardInto(dst, src []byte) []byte {
 	base := len(dst)
-	dst = grow(dst, len(src))
+	dst = Grow(dst, len(src))
 	out := dst[base:]
-	switch d.Word {
-	case wordio.W32:
-		n := len(src) / 4
-		if sw, ok := wordio.View32(src); ok {
-			if ow, ok := wordio.View32(out); ok {
-				diffMSForward32(ow, sw)
-				copy(out[n*4:], src[n*4:])
-				return dst
-			}
-		}
-		d.forwardRef32(out, src, n)
-	default:
-		n := len(src) / 8
-		if sw, ok := wordio.View64(src); ok {
-			if ow, ok := wordio.View64(out); ok {
-				diffMSForward64(ow, sw)
-				copy(out[n*8:], src[n*8:])
-				return dst
-			}
-		}
-		d.forwardRef64(out, src, n)
+	n := 0
+	if d.Word == wordio.W32 {
+		sw, ow := wordio.In32(src), wordio.Out32(out)
+		diffMSForward32(ow.W, sw.W)
+		n = len(sw.W) * 4
+		ow.Done()
+		sw.Done()
+	} else {
+		sw, ow := wordio.In64(src), wordio.Out64(out)
+		diffMSForward64(ow.W, sw.W)
+		n = len(sw.W) * 8
+		ow.Done()
+		sw.Done()
 	}
+	copy(out[n:], src[n:])
 	return dst
-}
-
-// forwardRef32 is the byte-accessor reference path (and the fallback for
-// misaligned buffers); the view kernel must match it byte for byte.
-func (d DiffMS) forwardRef32(out, src []byte, n int) {
-	prev := uint32(0)
-	for i := 0; i < n; i++ {
-		v := wordio.U32(src, i)
-		wordio.PutU32(out, i, wordio.ZigZag32(v-prev))
-		prev = v
-	}
-	copy(out[n*4:], src[n*4:])
-}
-
-func (d DiffMS) forwardRef64(out, src []byte, n int) {
-	prev := uint64(0)
-	for i := 0; i < n; i++ {
-		v := wordio.U64(src, i)
-		wordio.PutU64(out, i, wordio.ZigZag64(v-prev))
-		prev = v
-	}
-	copy(out[n*8:], src[n*8:])
 }
 
 // InverseLimit implements Transform. DIFFMS is size-preserving, so the
@@ -207,50 +177,25 @@ func diffMSInverse64(out, enc []uint64) {
 // ownership contract).
 func (d DiffMS) InverseInto(dst, enc []byte, maxDecoded int) ([]byte, error) {
 	if maxDecoded >= 0 && len(enc) > maxDecoded {
-		return nil, corruptf("DIFFMS: %d bytes exceed decode budget %d", len(enc), maxDecoded)
+		return nil, Corruptf("DIFFMS: %d bytes exceed decode budget %d", len(enc), maxDecoded)
 	}
 	base := len(dst)
-	dst = grow(dst, len(enc))
+	dst = Grow(dst, len(enc))
 	out := dst[base:]
-	switch d.Word {
-	case wordio.W32:
-		n := len(enc) / 4
-		if ew, ok := wordio.View32(enc); ok {
-			if ow, ok := wordio.View32(out); ok {
-				diffMSInverse32(ow, ew)
-				copy(out[n*4:], enc[n*4:])
-				return dst, nil
-			}
-		}
-		d.inverseRef32(out, enc, n)
-	default:
-		n := len(enc) / 8
-		if ew, ok := wordio.View64(enc); ok {
-			if ow, ok := wordio.View64(out); ok {
-				diffMSInverse64(ow, ew)
-				copy(out[n*8:], enc[n*8:])
-				return dst, nil
-			}
-		}
-		d.inverseRef64(out, enc, n)
+	n := 0
+	if d.Word == wordio.W32 {
+		ew, ow := wordio.In32(enc), wordio.Out32(out)
+		diffMSInverse32(ow.W, ew.W)
+		n = len(ew.W) * 4
+		ow.Done()
+		ew.Done()
+	} else {
+		ew, ow := wordio.In64(enc), wordio.Out64(out)
+		diffMSInverse64(ow.W, ew.W)
+		n = len(ew.W) * 8
+		ow.Done()
+		ew.Done()
 	}
+	copy(out[n:], enc[n:])
 	return dst, nil
-}
-
-func (d DiffMS) inverseRef32(out, enc []byte, n int) {
-	prev := uint32(0)
-	for i := 0; i < n; i++ {
-		prev += wordio.UnZigZag32(wordio.U32(enc, i))
-		wordio.PutU32(out, i, prev)
-	}
-	copy(out[n*4:], enc[n*4:])
-}
-
-func (d DiffMS) inverseRef64(out, enc []byte, n int) {
-	prev := uint64(0)
-	for i := 0; i < n; i++ {
-		prev += wordio.UnZigZag64(wordio.U64(enc, i))
-		wordio.PutU64(out, i, prev)
-	}
-	copy(out[n*8:], enc[n*8:])
 }

@@ -129,28 +129,6 @@ type fcmPair struct {
 // double buffer.
 var fcmPairPool = sync.Pool{New: func() any { return new([]fcmPair) }}
 
-func pooledPairs(p *[]fcmPair, n int) []fcmPair {
-	s := *p
-	if cap(s) < n {
-		s = make([]fcmPair, n)
-		*p = s
-	}
-	return s[:n]
-}
-
-// fcmWordPool recycles the parallel decoder's mutable value/distance
-// copies.
-var fcmWordPool = sync.Pool{New: func() any { return new([]uint64) }}
-
-func pooledWords(p *[]uint64, n int) []uint64 {
-	s := *p
-	if cap(s) < n {
-		s = make([]uint64, n)
-		*p = s
-	}
-	return s[:n]
-}
-
 // radixSortPairs sorts pairs by hash (stably, so equal hashes keep ascending
 // index order) using an LSD radix sort with 8-bit digits; tmp is the
 // caller-supplied double buffer (same length as pairs).
@@ -201,175 +179,112 @@ func (f FCM) Forward(src []byte) []byte {
 // into the output region; the (hash, index) pairs and the radix-sort double
 // buffer are pooled.
 func (f FCM) ForwardInto(dst, src []byte) []byte {
-	if f.Table {
-		return f.forwardTable(dst, src)
-	}
-	window := f.window()
-	n := len(src) / 8
-	tail := src[n*8:]
-
-	pp, tp := fcmPairPool.Get().(*[]fcmPair), fcmPairPool.Get().(*[]fcmPair)
-	defer fcmPairPool.Put(pp)
-	defer fcmPairPool.Put(tp)
-	pairs := pooledPairs(pp, n)
-	sw, swOK := wordio.View64(src)
-	if swOK {
-		var v1, v2, v3 uint64
-		head := n
-		if head > 3 {
-			head = 3
-		}
-		for i := 0; i < head; i++ {
-			pairs[i] = fcmPair{hash: fcmHash(v1, v2, v3), idx: uint32(i)}
-			v1, v2, v3 = sw[i], v1, v2
-		}
-		// Positions >= 3 have three real predecessors; hash them in
-		// cache-resident blocks through the batch kernel.
-		hp := fcmWordPool.Get().(*[]uint64)
-		hw := pooledWords(hp, fcmHashBlockLen)
-		for off := 3; off < n; off += fcmHashBlockLen {
-			m := n - off
-			if m > fcmHashBlockLen {
-				m = fcmHashBlockLen
-			}
-			fcmHashBlock(hw[:m], sw, off)
-			for j := 0; j < m; j++ {
-				pairs[off+j] = fcmPair{hash: hw[j], idx: uint32(off + j)}
-			}
-		}
-		fcmWordPool.Put(hp)
-	} else {
-		var v1, v2, v3 uint64
-		for i := 0; i < n; i++ {
-			pairs[i] = fcmPair{hash: fcmHash(v1, v2, v3), idx: uint32(i)}
-			v1, v2, v3 = wordio.U64(src, i), v1, v2
-		}
-	}
-	radixSortPairs(pairs, pooledPairs(tp, n))
-
 	base := len(dst)
-	dst = grow(dst, fcmHeaderLen+2*n*8+len(tail))
+	n := len(src) / 8
+	dst = Grow(dst, fcmHeaderLen+2*n*8+len(src)-n*8)
 	out := dst[base:]
 	wordio.PutU64(out, 0, uint64(len(src)))
-	vals := out[fcmHeaderLen : fcmHeaderLen+n*8]
-	dists := out[fcmHeaderLen+n*8 : fcmHeaderLen+2*n*8]
+	sw := wordio.In64(src)
+	vw := wordio.Out64(out[fcmHeaderLen : fcmHeaderLen+n*8])
+	dw := wordio.Out64(out[fcmHeaderLen+n*8 : fcmHeaderLen+2*n*8])
 	// Each input word writes exactly one of the two arrays; the other entry
 	// must read as zero, so clear both first.
-	clear(vals)
-	clear(dists)
-	vw, okV := wordio.View64(vals)
-	dw, okD := wordio.View64(dists)
-	if swOK && okV && okD {
-		for p := 0; p < n; p++ {
-			cur := pairs[p]
-			curv := sw[cur.idx]
-			matched := false
-			for q := p - 1; q >= 0 && q >= p-window; q-- {
-				prev := pairs[q]
-				if prev.hash != cur.hash {
-					break // sorted: earlier pairs cannot match either
-				}
-				if sw[prev.idx] == curv {
-					dw[cur.idx] = uint64(cur.idx - prev.idx)
-					matched = true
-					break
-				}
-			}
-			if !matched {
-				vw[cur.idx] = curv
-			}
-		}
+	clear(vw.W)
+	clear(dw.W)
+	if f.Table {
+		fcmForwardTable(vw.W, dw.W, sw.W)
 	} else {
-		for p := 0; p < n; p++ {
-			cur := pairs[p]
-			matched := false
-			for q := p - 1; q >= 0 && q >= p-window; q-- {
-				prev := pairs[q]
-				if prev.hash != cur.hash {
-					break // sorted: earlier pairs cannot match either
-				}
-				if wordio.U64(src, int(prev.idx)) == wordio.U64(src, int(cur.idx)) {
-					wordio.PutU64(dists, int(cur.idx), uint64(cur.idx-prev.idx))
-					matched = true
-					break
-				}
-			}
-			if !matched {
-				wordio.PutU64(vals, int(cur.idx), wordio.U64(src, int(cur.idx)))
-			}
-		}
+		fcmForwardSorted(vw.W, dw.W, sw.W, f.window())
 	}
-	copy(out[fcmHeaderLen+2*n*8:], tail)
+	dw.Done()
+	vw.Done()
+	sw.Done()
+	copy(out[fcmHeaderLen+2*n*8:], src[n*8:])
 	return dst
 }
 
-// forwardTable is the Table-mode encoder: a direct-mapped last-occurrence
-// table indexed by the top hash bits, probed and updated once per word. A
-// slot holds index+1 (0 = empty) so the per-encode reset is a memclr. Any
-// equal-value backward reference is a legal distance under the format, so
-// the collision check is just value equality.
-func (f FCM) forwardTable(dst, src []byte) []byte {
-	n := len(src) / 8
-	tail := src[n*8:]
-	base := len(dst)
-	dst = grow(dst, fcmHeaderLen+2*n*8+len(tail))
-	out := dst[base:]
-	wordio.PutU64(out, 0, uint64(len(src)))
-	vals := out[fcmHeaderLen : fcmHeaderLen+n*8]
-	dists := out[fcmHeaderLen+n*8 : fcmHeaderLen+2*n*8]
-	// Each input word writes exactly one of the two arrays; the other entry
-	// must read as zero, so clear both first.
-	clear(vals)
-	clear(dists)
+// fcmContextHashes fills hw (len(sw) entries) with every position's
+// context hash. Positions >= 3 have three real predecessors and are
+// hashed through the batch kernel.
+func fcmContextHashes(hw, sw []uint64) {
+	var v1, v2, v3 uint64
+	for i := 0; i < min(len(sw), 3); i++ {
+		hw[i] = fcmHash(v1, v2, v3)
+		v1, v2, v3 = sw[i], v1, v2
+	}
+	if len(sw) > 3 {
+		fcmHashBlock(hw[3:], sw, 3)
+	}
+}
 
+// fcmForwardSorted is the sorted-pairs encoder: the (hash, index) pairs
+// are radix-sorted by hash, and each word looks back up to window pairs
+// in sorted order for an equal earlier value in the same context.
+func fcmForwardSorted(vw, dw, sw []uint64, window int) {
+	n := len(sw)
+	pp, tp := fcmPairPool.Get().(*[]fcmPair), fcmPairPool.Get().(*[]fcmPair)
+	defer fcmPairPool.Put(pp)
+	defer fcmPairPool.Put(tp)
+	pairs := wordio.Resize(pp, n)
+	// Hash in cache-resident blocks so the hash scratch stays small even
+	// for whole-input encodes.
+	hw := wordio.Scratch64(fcmHashBlockLen)
+	for off := 0; off < n; off += fcmHashBlockLen {
+		m := min(n-off, fcmHashBlockLen)
+		if off == 0 {
+			fcmContextHashes(hw.W[:m], sw[:m])
+		} else {
+			fcmHashBlock(hw.W[:m], sw, off)
+		}
+		for j := 0; j < m; j++ {
+			pairs[off+j] = fcmPair{hash: hw.W[j], idx: uint32(off + j)}
+		}
+	}
+	hw.Done()
+	radixSortPairs(pairs, wordio.Resize(tp, n))
+	for p := 0; p < n; p++ {
+		cur := pairs[p]
+		curv := sw[cur.idx]
+		matched := false
+		for q := p - 1; q >= 0 && q >= p-window; q-- {
+			prev := pairs[q]
+			if prev.hash != cur.hash {
+				break // sorted: earlier pairs cannot match either
+			}
+			if sw[prev.idx] == curv {
+				dw[cur.idx] = uint64(cur.idx - prev.idx)
+				matched = true
+				break
+			}
+		}
+		if !matched {
+			vw[cur.idx] = curv
+		}
+	}
+}
+
+// fcmForwardTable is the Table-mode encoder: a direct-mapped
+// last-occurrence table indexed by the top hash bits, probed and updated
+// once per word. A slot holds index+1 (0 = empty) so the per-encode reset
+// is a memclr. Any equal-value backward reference is a legal distance
+// under the format, so the collision check is just value equality.
+func fcmForwardTable(vw, dw, sw []uint64) {
 	tp := fcmTablePool.Get().(*[]int32)
 	defer fcmTablePool.Put(tp)
 	table := *tp
 	clear(table)
-	hp := fcmWordPool.Get().(*[]uint64)
-	defer fcmWordPool.Put(hp)
-	hw := pooledWords(hp, n)
-	sw, swOK := wordio.View64(src)
-	vw, okV := wordio.View64(vals)
-	dw, okD := wordio.View64(dists)
-	if swOK && okV && okD {
-		var v1, v2, v3 uint64
-		head := n
-		if head > 3 {
-			head = 3
+	hw := wordio.Scratch64(len(sw))
+	defer hw.Done()
+	fcmContextHashes(hw.W, sw)
+	for i, v := range sw {
+		slot := hw.W[i] >> (64 - fcmTableBits)
+		if j := table[slot]; j != 0 && sw[j-1] == v {
+			dw[i] = uint64(i + 1 - int(j))
+		} else {
+			vw[i] = v
 		}
-		for i := 0; i < head; i++ {
-			hw[i] = fcmHash(v1, v2, v3)
-			v1, v2, v3 = sw[i], v1, v2
-		}
-		if n > 3 {
-			fcmHashBlock(hw[3:], sw, 3)
-		}
-		for i, v := range sw {
-			slot := hw[i] >> (64 - fcmTableBits)
-			if j := table[slot]; j != 0 && sw[j-1] == v {
-				dw[i] = uint64(i + 1 - int(j))
-			} else {
-				vw[i] = v
-			}
-			table[slot] = int32(i + 1)
-		}
-	} else {
-		var v1, v2, v3 uint64
-		for i := 0; i < n; i++ {
-			v := wordio.U64(src, i)
-			slot := fcmHash(v1, v2, v3) >> (64 - fcmTableBits)
-			if j := table[slot]; j != 0 && wordio.U64(src, int(j-1)) == v {
-				wordio.PutU64(dists, i, uint64(i+1-int(j)))
-			} else {
-				wordio.PutU64(vals, i, v)
-			}
-			table[slot] = int32(i + 1)
-			v1, v2, v3 = v, v1, v2
-		}
+		table[slot] = int32(i + 1)
 	}
-	copy(out[fcmHeaderLen+2*n*8:], tail)
-	return dst
 }
 
 // Inverse implements Transform. FCM runs over the whole input (no chunk
@@ -385,150 +300,88 @@ func (f FCM) InverseLimit(enc []byte, maxDecoded int) ([]byte, error) {
 }
 
 // InverseInto implements Transform (see the package comment for the dst
-// ownership contract). The sequential path decodes straight from enc into
-// dst with no intermediate word slices; the parallel path needs mutable
-// value/distance arrays, which come from a pool.
+// ownership contract). The sequential path resolves straight from the
+// encoded arrays into dst; the parallel path needs mutable value/distance
+// arrays, which come from a pool.
 func (FCM) InverseInto(dst, enc []byte, maxDecoded int) ([]byte, error) {
 	if len(enc) < fcmHeaderLen {
-		return nil, corruptf("FCM: missing length prefix")
+		return nil, Corruptf("FCM: missing length prefix")
 	}
 	declen64 := wordio.U64(enc, 0)
 	hn := fcmHeaderLen
 	// FCM doubles the data, so the decoded length can never exceed the
 	// encoded length; this also keeps the arithmetic below overflow-free.
 	if declen64 > uint64(len(enc)) {
-		return nil, corruptf("FCM: decoded length %d exceeds encoded length %d", declen64, len(enc))
+		return nil, Corruptf("FCM: decoded length %d exceeds encoded length %d", declen64, len(enc))
 	}
 	if maxDecoded >= 0 && declen64 > uint64(maxDecoded) {
-		return nil, corruptf("FCM: decoded length %d exceeds budget %d", declen64, maxDecoded)
+		return nil, Corruptf("FCM: decoded length %d exceeds budget %d", declen64, maxDecoded)
 	}
 	declen := int(declen64)
 	n := declen / 8
 	tailLen := declen - n*8
 	if len(enc) < hn+2*n*8+tailLen {
-		return nil, corruptf("FCM: truncated arrays")
+		return nil, Corruptf("FCM: truncated arrays")
 	}
-	valsB := enc[hn : hn+n*8]
-	distsB := enc[hn+n*8 : hn+2*n*8]
 
 	base := len(dst)
-	dst = grow(dst, declen)
+	dst = Grow(dst, declen)
 	out := dst[base:]
+	ow := wordio.Out64(out[:n*8])
+	vw := wordio.In64(enc[hn : hn+n*8])
+	dw := wordio.In64(enc[hn+n*8 : hn+2*n*8])
+	var err error
 	if n >= fcmParallelMin && runtime.GOMAXPROCS(0) > 1 {
-		vp, dp := fcmWordPool.Get().(*[]uint64), fcmWordPool.Get().(*[]uint64)
-		defer fcmWordPool.Put(vp)
-		defer fcmWordPool.Put(dp)
-		vals := pooledWords(vp, n)
-		dists := pooledWords(dp, n)
-		if vB, ok := wordio.View64(valsB); ok {
-			copy(vals, vB)
-		} else {
-			for i := 0; i < n; i++ {
-				vals[i] = wordio.U64(valsB, i)
-			}
-		}
-		if dB, ok := wordio.View64(distsB); ok {
-			copy(dists, dB)
-		} else {
-			for i := 0; i < n; i++ {
-				dists[i] = wordio.U64(distsB, i)
-			}
-		}
-		if err := fcmDecodeParallelBytes(out, vals, dists); err != nil {
-			return nil, err
-		}
-	} else if err := fcmInverseSeq(out, valsB, distsB, n); err != nil {
+		// The parallel resolver clobbers its value and distance arrays.
+		vals, dists := wordio.Scratch64(n), wordio.Scratch64(n)
+		copy(vals.W, vw.W)
+		copy(dists.W, dw.W)
+		err = fcmResolveParallel(ow.W, vals.W, dists.W)
+		dists.Done()
+		vals.Done()
+	} else {
+		err = fcmResolveSeq(ow.W, vw.W, dw.W)
+	}
+	dw.Done()
+	vw.Done()
+	ow.Done()
+	if err != nil {
 		return nil, err
 	}
 	copy(out[n*8:], enc[hn+2*n*8:hn+2*n*8+tailLen])
 	return dst, nil
 }
 
-// fcmInverseSeq resolves distances in index order; every referenced word
-// is already final in out when reached. When all three buffers can be
-// aliased as words the chase runs entirely on uint64 slices; otherwise it
-// falls back to the byte accessors.
-func fcmInverseSeq(out, valsB, distsB []byte, n int) error {
-	ow, okO := wordio.View64(out)
-	vw, okV := wordio.View64(valsB)
-	dw, okD := wordio.View64(distsB)
-	if okO && okV && okD {
-		for i := 0; i < n; i++ {
-			d := dw[i]
-			if d == 0 {
-				ow[i] = vw[i]
-				continue
-			}
-			if d > uint64(i) {
-				return corruptf("FCM: distance %d exceeds index %d", d, i)
-			}
-			ow[i] = ow[i-int(d)]
-		}
-		return nil
-	}
-	for i := 0; i < n; i++ {
-		d := wordio.U64(distsB, i)
-		if d == 0 {
-			wordio.PutU64(out, i, wordio.U64(valsB, i))
-			continue
-		}
-		if d > uint64(i) {
-			return corruptf("FCM: distance %d exceeds index %d", d, i)
-		}
-		wordio.PutU64(out, i, wordio.U64(out, i-int(d)))
-	}
-	return nil
-}
-
-// fcmDecodeSequential resolves distances in index order; every referenced
-// value is already final when reached. (Reference implementation — the
-// production sequential path in InverseInto decodes byte-to-byte; the
-// equivalence tests compare the two.)
-func fcmDecodeSequential(vals, dists []uint64) ([]uint64, error) {
-	n := len(vals)
-	out := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		d := dists[i]
+// fcmResolveSeq resolves distances in index order into out; every
+// referenced word is already final when reached.
+func fcmResolveSeq(out, vals, dists []uint64) error {
+	for i, d := range dists {
 		if d == 0 {
 			out[i] = vals[i]
 			continue
 		}
 		if d > uint64(i) {
-			return nil, corruptf("FCM: distance %d exceeds index %d", d, i)
+			return Corruptf("FCM: distance %d exceeds index %d", d, i)
 		}
 		out[i] = out[i-int(d)]
 	}
-	return out, nil
+	return nil
 }
 
-// fcmDecodeParallel runs the parallel reconstruction over word slices and
-// returns the decoded words (kept for the sequential/parallel equivalence
-// tests; the production path writes bytes via fcmDecodeParallelBytes).
-// vals and dists are clobbered.
-func fcmDecodeParallel(vals, dists []uint64) ([]uint64, error) {
-	outB := make([]byte, len(vals)*8)
-	if err := fcmDecodeParallelBytes(outB, vals, dists); err != nil {
-		return nil, err
-	}
-	return wordio.Words64(outB, false), nil
-}
-
-// fcmDecodeParallelBytes is the paper's parallel "find" (union-find style)
-// reconstruction: each worker follows non-zero distances until it reaches a
-// resolved slot, then publishes its own value and clears its distance so
-// other chains can stop there. The atomic store on the distance array is
-// the release barrier making the preceding value write visible. Decoded
-// words are written little-endian into outB (len >= 8*len(vals)); vals and
-// dists are clobbered.
-func fcmDecodeParallelBytes(outB []byte, vals, dists []uint64) error {
+// fcmResolveParallel is the paper's parallel "find" (union-find style)
+// reconstruction into out: each worker follows non-zero distances until
+// it reaches a resolved slot, then publishes its own value and clears its
+// distance so other chains can stop there. The atomic store on the
+// distance array is the release barrier making the preceding value write
+// visible. vals and dists are clobbered.
+func fcmResolveParallel(out, vals, dists []uint64) error {
 	n := len(vals)
 	// Validate up front; workers then cannot walk out of bounds.
 	for i, d := range dists {
 		if d > uint64(i) {
-			return corruptf("FCM: distance %d exceeds index %d", d, i)
+			return Corruptf("FCM: distance %d exceeds index %d", d, i)
 		}
 	}
-	ow, owOK := wordio.View64(outB)
 	workers := runtime.GOMAXPROCS(0)
 	var next atomic.Int64
 	const grain = 4096
@@ -542,18 +395,11 @@ func fcmDecodeParallelBytes(outB []byte, vals, dists []uint64) error {
 				if lo >= n {
 					return
 				}
-				hi := lo + grain
-				if hi > n {
-					hi = n
-				}
+				hi := min(lo+grain, n)
 				for i := lo; i < hi; i++ {
 					d := atomic.LoadUint64(&dists[i])
 					if d == 0 {
-						if owOK {
-							ow[i] = vals[i]
-						} else {
-							wordio.PutU64(outB, i, vals[i])
-						}
+						out[i] = vals[i]
 						continue
 					}
 					j := i - int(d)
@@ -565,11 +411,7 @@ func fcmDecodeParallelBytes(outB []byte, vals, dists []uint64) error {
 						j -= int(dj)
 					}
 					v := vals[j]
-					if owOK {
-						ow[i] = v
-					} else {
-						wordio.PutU64(outB, i, v)
-					}
+					out[i] = v
 					vals[i] = v
 					atomic.StoreUint64(&dists[i], 0)
 				}

@@ -2,7 +2,6 @@ package transforms
 
 import (
 	"encoding/binary"
-	"math"
 
 	"fpcompress/internal/bitio"
 	"fpcompress/internal/wordio"
@@ -42,13 +41,13 @@ func (t FCMW) Forward(src []byte) []byte { return t.ForwardInto(nil, src) }
 
 // ForwardInto implements Transform.
 func (t FCMW) ForwardInto(dst, src []byte) []byte {
-	fp := getBuf()
-	defer putBuf(fp)
+	fp := GetBuf()
+	defer PutBuf(fp)
 	stream := FCM{Table: true}.ForwardInto((*fp)[:0], src)
 	*fp = stream
 	split := FCMWSplit(len(src))
-	ap := getBuf()
-	defer putBuf(ap)
+	ap := GetBuf()
+	defer PutBuf(ap)
 	encA := fcmwRatio.ForwardInto((*ap)[:0], stream[:split])
 	*ap = encA
 	dst = bitio.AppendUvarint(dst, uint64(len(encA)))
@@ -72,25 +71,18 @@ func (t FCMW) InverseLimit(enc []byte, maxDecoded int) ([]byte, error) {
 func (t FCMW) InverseInto(dst, enc []byte, maxDecoded int) ([]byte, error) {
 	lenA, m := binary.Uvarint(enc)
 	if m <= 0 || lenA > uint64(len(enc)-m) {
-		return nil, corruptf("fcmw: bad segment length")
+		return nil, Corruptf("fcmw: bad segment length")
 	}
-	sb := maxDecoded
-	if maxDecoded >= 0 {
-		if maxDecoded < (math.MaxInt-64)/2 {
-			sb = 2*maxDecoded + 64
-		} else {
-			sb = NoLimit
-		}
-	}
-	sp := getBuf()
-	defer putBuf(sp)
+	sb := StageBudget(maxDecoded)
+	sp := GetBuf()
+	defer PutBuf(sp)
 	stream, err := fcmwRatio.InverseInto((*sp)[:0], enc[m:m+int(lenA)], sb)
 	if err != nil {
-		return nil, corruptf("fcmw: value segment: %v", err)
+		return nil, Corruptf("fcmw: value segment: %v", err)
 	}
 	stream, err = fcmwRatio.InverseInto(stream, enc[m+int(lenA):], sb)
 	if err != nil {
-		return nil, corruptf("fcmw: distance segment: %v", err)
+		return nil, Corruptf("fcmw: distance segment: %v", err)
 	}
 	*sp = stream
 	out, err := FCM{Table: true}.InverseInto(dst, stream, sb)
@@ -98,7 +90,7 @@ func (t FCMW) InverseInto(dst, enc []byte, maxDecoded int) ([]byte, error) {
 		return nil, err
 	}
 	if maxDecoded >= 0 && len(out)-len(dst) > maxDecoded {
-		return nil, corruptf("fcmw: decoded length %d exceeds budget %d", len(out)-len(dst), maxDecoded)
+		return nil, Corruptf("fcmw: decoded length %d exceeds budget %d", len(out)-len(dst), maxDecoded)
 	}
 	return out, nil
 }

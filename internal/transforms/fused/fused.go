@@ -26,12 +26,13 @@
 // per-subchunk width fields, same MSB-first accumulator packing, same
 // plane-major layout, same RZE byte format — so its output is
 // byte-identical to the stage-by-stage pipeline and its decoder accepts
-// exactly the same encodings. Each kernel keeps the original pipeline as
-// its reference fallback: when a required word view is unavailable
-// (misaligned buffer, purego build, big-endian target) the call transparently
-// runs the unfused stages instead, which the kernels_test.go differential
-// harness (offsets 0-7, odd lengths, -race) and FuzzFusedKernels pin to
-// the same bytes and the same corrupt-input error behavior.
+// exactly the same encodings. The single pass is the only path: it takes
+// its words through wordio's copy-in/copy-out, so misaligned buffers and
+// purego or big-endian builds run the same loop on pooled scratch.
+// Pipeline() returns the stage-by-stage composition purely as the test
+// oracle: fused_test.go (offsets 0-7, odd lengths, -race) and
+// FuzzFusedKernels pin the kernels to its bytes and its corrupt-input
+// error behavior.
 //
 // # Ownership and budgets
 //
@@ -45,10 +46,6 @@
 package fused
 
 import (
-	"encoding/binary"
-	"fmt"
-	"sync"
-
 	"fpcompress/internal/transforms"
 	"fpcompress/internal/wordio"
 )
@@ -65,8 +62,8 @@ type Kernel interface {
 	// budget rules (see the package comment) and returns the extended
 	// slice. On error the returned slice is nil.
 	InverseInto(dst, enc []byte, maxDecoded int) ([]byte, error)
-	// Pipeline returns the equivalent stage-by-stage pipeline (the
-	// reference/fallback path).
+	// Pipeline returns the equivalent stage-by-stage pipeline, the oracle
+	// the kernel's tests compare against.
 	Pipeline() transforms.Pipeline
 }
 
@@ -121,7 +118,7 @@ func Match(p transforms.Pipeline) (Kernel, bool) {
 	return nil, false
 }
 
-// Shared immutable kernel instances (the kernels hold only their reference
+// Shared immutable kernel instances (the kernels hold only their oracle
 // pipelines, so one instance serves every caller).
 var (
 	sharedSpeed32    = NewSpeed32()
@@ -136,89 +133,6 @@ const (
 	mplgSubchunkWords32 = 512 / 4
 	mplgSubchunkWords64 = 512 / 8
 )
-
-// stageBudget mirrors transforms.Pipeline.inverseInto's interior-stage
-// headroom: 2*maxDecoded+64, saturating to NoLimit.
-func stageBudget(maxDecoded int) int {
-	if maxDecoded < 0 {
-		return transforms.NoLimit
-	}
-	const maxInt = int(^uint(0) >> 1)
-	if maxDecoded >= (maxInt-64)/2 {
-		return transforms.NoLimit
-	}
-	return 2*maxDecoded + 64
-}
-
-// corruptf builds a transforms.ErrCorrupt-wrapped error, so fused decode
-// failures satisfy the same errors.Is checks as the unfused stages.
-func corruptf(format string, args ...any) error {
-	return fmt.Errorf("%w: %s", transforms.ErrCorrupt, fmt.Sprintf(format, args...))
-}
-
-// grow extends b by n bytes (contents of the new tail are unspecified),
-// reallocating only when capacity is short (same as transforms' grow).
-func grow(b []byte, n int) []byte {
-	l := len(b)
-	if cap(b)-l >= n {
-		return b[: l+n : cap(b)]
-	}
-	nb := make([]byte, l+n, (l+n)*3/2+64)
-	copy(nb, b)
-	return nb
-}
-
-// bufPool holds the ratio kernel's plane-major intermediate buffers.
-var bufPool = sync.Pool{New: func() any { return new([]byte) }}
-
-func getBuf() *[]byte  { return bufPool.Get().(*[]byte) }
-func putBuf(p *[]byte) { bufPool.Put(p) }
-
-// pooledBytes resizes the pooled buffer *p to exactly n bytes (contents
-// unspecified), retaining grown capacity in the pool.
-func pooledBytes(p *[]byte, n int) []byte {
-	b := *p
-	if cap(b) < n {
-		b = make([]byte, n)
-		*p = b
-	}
-	return b[:n]
-}
-
-// bitFinish spills an accumulator's remaining pending bits zero-padded to
-// a byte boundary (identical to the transforms kernels' flush) and returns
-// the new write cursor.
-func bitFinish(buf []byte, bp int, acc uint64, nacc uint) int {
-	for nacc >= 8 {
-		nacc -= 8
-		buf[bp] = byte(acc >> nacc)
-		bp++
-	}
-	if nacc > 0 {
-		buf[bp] = byte(acc << (8 - nacc))
-		bp++
-	}
-	return bp
-}
-
-// loadBits reads width bits (1 <= width <= 64) MSB-first at bit offset pos
-// of pad, which must have 8 readable bytes past the byte holding the last
-// addressed bit (the decoders copy bit regions into padded pooled scratch
-// for exactly this). Identical to the transforms decoders' load window.
-func loadBits(pad []byte, pos, width uint) uint64 {
-	off := pos & 7
-	x := binary.BigEndian.Uint64(pad[pos>>3:])
-	avail := 64 - off
-	if width <= avail {
-		v := x >> (avail - width)
-		if width < 64 {
-			v &= 1<<width - 1
-		}
-		return v
-	}
-	spill := width - avail // 1..7
-	return (x&(1<<avail-1))<<spill | uint64(pad[pos>>3+8])>>(8-spill)
-}
 
 // GateStats carries the per-chunk statistics the auto-mode selector's
 // speed-wins gate needs, accumulated for free during a fused speed-kernel

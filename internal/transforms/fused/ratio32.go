@@ -36,17 +36,14 @@ func (k *Ratio32) Pipeline() transforms.Pipeline { return k.ref }
 // buffer; diff words past the last full block and trailing bytes are
 // copied verbatim (BIT32's layout), then RZE encodes the buffer into dst.
 func (k *Ratio32) ForwardInto(dst, src []byte) []byte {
-	sw, ok := wordio.View32(src)
-	if !ok {
-		return k.ref.ForwardInto(dst, src)
-	}
-	sp := getBuf()
-	defer putBuf(sp)
-	scratch := pooledBytes(sp, len(src))
-	ow, ok := wordio.View32(scratch)
-	if !ok {
-		return k.ref.ForwardInto(dst, src)
-	}
+	in := wordio.In32(src)
+	defer in.Done()
+	sw := in.W
+	sp := transforms.GetBuf()
+	defer transforms.PutBuf(sp)
+	scratch := wordio.Resize(sp, len(src))
+	planes := wordio.Out32(scratch)
+	ow := planes.W
 	nWords := len(sw)
 	nb := nWords / 32
 	var blk [32]uint32
@@ -54,41 +51,39 @@ func (k *Ratio32) ForwardInto(dst, src []byte) []byte {
 	// strided block transpose runs over it in one call. The extra stream
 	// buffer is the price of the wide transpose kernel; both paths emit the
 	// same scratch bytes.
-	dp := getBuf()
-	defer putBuf(dp)
-	if dw, okv := wordio.View32(pooledBytes(dp, nWords*4)); okv {
-		if _, okd := simd.DiffZigOr32(dw, sw, 0); okd {
-			if nb > 0 && !simd.BitFwd32(ow, dw, nb) {
-				for b := 0; b < nb; b++ {
-					copy(blk[:], dw[b*32:b*32+32])
-					transforms.Transpose32(&blk)
-					for plane := 0; plane < 32; plane++ {
-						ow[plane*nb+b] = blk[plane]
-					}
+	diff := wordio.Scratch32(nWords)
+	defer diff.Done()
+	dw := diff.W
+	if _, ok := simd.DiffZigOr32(dw, sw, 0); ok {
+		if nb > 0 && !simd.BitFwd32(ow, dw, nb) {
+			for b := 0; b < nb; b++ {
+				copy(blk[:], dw[b*32:b*32+32])
+				transforms.Transpose32(&blk)
+				for plane := 0; plane < 32; plane++ {
+					ow[plane*nb+b] = blk[plane]
 				}
 			}
-			copy(ow[nb*32:nWords], dw[nb*32:nWords])
-			copy(scratch[nWords*4:], src[nWords*4:])
-			return transforms.RZE{}.ForwardInto(dst, scratch)
 		}
-	}
-	prev := uint32(0)
-	for b := 0; b < nb; b++ {
-		sub := sw[b*32 : b*32+32]
-		for j, v := range sub {
-			blk[j] = wordio.ZigZag32(v - prev)
+		copy(ow[nb*32:], dw[nb*32:])
+	} else {
+		prev := uint32(0)
+		for b := 0; b < nb; b++ {
+			for j, v := range sw[b*32 : b*32+32] {
+				blk[j] = wordio.ZigZag32(v - prev)
+				prev = v
+			}
+			transforms.Transpose32(&blk)
+			for plane := 0; plane < 32; plane++ {
+				ow[plane*nb+b] = blk[plane]
+			}
+		}
+		for i := nb * 32; i < nWords; i++ {
+			v := sw[i]
+			ow[i] = wordio.ZigZag32(v - prev)
 			prev = v
 		}
-		transforms.Transpose32(&blk)
-		for plane := 0; plane < 32; plane++ {
-			ow[plane*nb+b] = blk[plane]
-		}
 	}
-	for i := nb * 32; i < nWords; i++ {
-		v := sw[i]
-		ow[i] = wordio.ZigZag32(v - prev)
-		prev = v
-	}
+	planes.Done()
 	copy(scratch[nWords*4:], src[nWords*4:])
 	return transforms.RZE{}.ForwardInto(dst, scratch)
 }
@@ -98,62 +93,54 @@ func (k *Ratio32) ForwardInto(dst, src []byte) []byte {
 // stage budget), then each block is gathered, transposed, and
 // un-zigzag+prefix-summed straight into dst in one pass.
 func (k *Ratio32) InverseInto(dst, enc []byte, maxDecoded int) ([]byte, error) {
-	sp := getBuf()
-	defer putBuf(sp)
-	bitted, err := transforms.RZE{}.InverseInto((*sp)[:0], enc, stageBudget(maxDecoded))
+	sp := transforms.GetBuf()
+	defer transforms.PutBuf(sp)
+	bitted, err := transforms.RZE{}.InverseInto((*sp)[:0], enc, transforms.StageBudget(maxDecoded))
 	if err != nil {
 		return nil, err
 	}
 	*sp = bitted
 	declen := len(bitted)
 	if maxDecoded >= 0 && declen > maxDecoded {
-		return nil, corruptf("pipeline: decoded length %d exceeds budget %d", declen, maxDecoded)
+		return nil, transforms.Corruptf("pipeline: decoded length %d exceeds budget %d", declen, maxDecoded)
 	}
-	ew, ok := wordio.View32(bitted)
-	if !ok {
-		return transforms.Pipeline{k.ref[0], k.ref[1]}.InverseInto(dst, bitted, maxDecoded)
-	}
-	ndst := grow(dst, declen)
+	in := wordio.In32(bitted)
+	defer in.Done()
+	ew := in.W
+	ndst := transforms.Grow(dst, declen)
 	out := ndst[len(ndst)-declen:]
-	ow, ok := wordio.View32(out)
-	if !ok {
-		return transforms.Pipeline{k.ref[0], k.ref[1]}.InverseInto(dst, bitted, maxDecoded)
-	}
-	nWords := declen / 4
+	words := wordio.Out32(out)
+	defer words.Done()
+	ow := words.W
+	nWords := len(ew)
 	nb := nWords / 32
 	var blk [32]uint32
 	prev := uint32(0)
 	// SIMD path: gathered block transposes reconstruct the DIFFMS stream
 	// into a pooled buffer, then one un-zigzag + prefix-sum pass fills dst.
-	if nb > 0 {
-		dp := getBuf()
-		defer putBuf(dp)
-		if dw, okv := wordio.View32(pooledBytes(dp, nb*32*4)); okv && simd.BitInv32(dw, ew, nb) {
-			if p2, okz := simd.UnDiffZig32(ow[:nb*32], dw, 0); okz {
-				prev = p2
-			} else {
-				for i, z := range dw[:nb*32] {
-					prev += wordio.UnZigZag32(z)
-					ow[i] = prev
-				}
-			}
-			for i := nb * 32; i < nWords; i++ {
-				prev += wordio.UnZigZag32(ew[i])
+	diff := wordio.Scratch32(nb * 32)
+	defer diff.Done()
+	dw := diff.W
+	if nb > 0 && simd.BitInv32(dw, ew, nb) {
+		if p2, okz := simd.UnDiffZig32(ow[:nb*32], dw, 0); okz {
+			prev = p2
+		} else {
+			for i, z := range dw {
+				prev += wordio.UnZigZag32(z)
 				ow[i] = prev
 			}
-			copy(out[nWords*4:], bitted[nWords*4:])
-			return ndst, nil
 		}
-	}
-	for b := 0; b < nb; b++ {
-		for plane := 0; plane < 32; plane++ {
-			blk[plane] = ew[plane*nb+b]
-		}
-		transforms.Transpose32(&blk)
-		sub := ow[b*32 : b*32+32]
-		for j, z := range blk {
-			prev += wordio.UnZigZag32(z)
-			sub[j] = prev
+	} else {
+		for b := 0; b < nb; b++ {
+			for plane := 0; plane < 32; plane++ {
+				blk[plane] = ew[plane*nb+b]
+			}
+			transforms.Transpose32(&blk)
+			sub := ow[b*32 : b*32+32]
+			for j, z := range blk {
+				prev += wordio.UnZigZag32(z)
+				sub[j] = prev
+			}
 		}
 	}
 	for i := nb * 32; i < nWords; i++ {

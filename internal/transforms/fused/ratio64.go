@@ -37,24 +37,17 @@ func (k *Ratio64) Pipeline() transforms.Pipeline { return k.ref }
 
 // ForwardInto implements Kernel.
 func (k *Ratio64) ForwardInto(dst, src []byte) []byte {
-	sw, ok := wordio.View64(src)
-	if !ok {
-		return k.ref.ForwardInto(dst, src)
-	}
-	return ratio64Forward(dst, sw, src[len(sw)*8:], nil)
+	return k.ForwardStatsInto(dst, src, nil)
 }
 
 // ForwardStatsInto is ForwardInto plus the selector gate's leading-zero
 // histogram of the diff stream (the RAZE→RARE cost-model input),
 // accumulated over the pooled diff words the fused pass materializes
-// anyway. ok is false — with dst untouched — when the fused path is
-// unavailable.
-func (k *Ratio64) ForwardStatsInto(dst, src []byte, gs *GateStats) ([]byte, bool) {
-	sw, ok := wordio.View64(src)
-	if !ok {
-		return nil, false
-	}
-	return ratio64Forward(dst, sw, src[len(sw)*8:], gs), true
+// anyway. gs may be nil.
+func (k *Ratio64) ForwardStatsInto(dst, src []byte, gs *GateStats) []byte {
+	in := wordio.In64(src)
+	defer in.Done()
+	return ratio64Forward(dst, in.W, src[len(in.W)*8:], gs)
 }
 
 // ratio64Forward is the shared fused core: diff+zigzag sw into pooled
@@ -62,15 +55,9 @@ func (k *Ratio64) ForwardStatsInto(dst, src []byte, gs *GateStats) ([]byte, bool
 // RARE-encode that stream into dst. Byte-identical to the stage-by-stage
 // DIFFMS64→RAZE→RARE pipeline.
 func ratio64Forward(dst []byte, sw []uint64, tail []byte, gs *GateStats) []byte {
-	dp := getBuf()
-	defer putBuf(dp)
-	dw, ok := wordio.View64(pooledBytes(dp, len(sw)*8))
-	if !ok {
-		// Pooled scratch is always 8-aligned in practice; reference math
-		// for the never-taken case.
-		dw = make([]uint64, len(sw))
-	}
-	dw = dw[:len(sw)]
+	diff := wordio.Scratch64(len(sw))
+	defer diff.Done()
+	dw := diff.W
 	if _, okd := simd.DiffZigOr64(dw, sw, 0); !okd {
 		prev := uint64(0)
 		for i, v := range sw {
@@ -85,8 +72,8 @@ func ratio64Forward(dst []byte, sw []uint64, tail []byte, gs *GateStats) []byte 
 			gs.Hist[bits.LeadingZeros64(z)]++
 		}
 	}
-	rp := getBuf()
-	defer putBuf(rp)
+	rp := transforms.GetBuf()
+	defer transforms.PutBuf(rp)
 	razed := transforms.AdaptiveEncodeWords((*rp)[:0], dw, tail, false)
 	*rp = razed
 	return transforms.RARE{}.ForwardInto(dst, razed)
@@ -98,23 +85,23 @@ func ratio64Forward(dst []byte, sw []uint64, tail []byte, gs *GateStats) []byte 
 // dst; the decoded length is then checked against maxDecoded exactly, as
 // Pipeline.InverseInto does.
 func (k *Ratio64) InverseInto(dst, enc []byte, maxDecoded int) ([]byte, error) {
-	sb := stageBudget(maxDecoded)
-	rp := getBuf()
-	defer putBuf(rp)
+	sb := transforms.StageBudget(maxDecoded)
+	rp := transforms.GetBuf()
+	defer transforms.PutBuf(rp)
 	bitted, err := transforms.RARE{}.InverseInto((*rp)[:0], enc, sb)
 	if err != nil {
 		return nil, err
 	}
 	*rp = bitted
-	zp := getBuf()
-	defer putBuf(zp)
+	zp := transforms.GetBuf()
+	defer transforms.PutBuf(zp)
 	diffed, err := transforms.RAZE{}.InverseInto((*zp)[:0], bitted, sb)
 	if err != nil {
 		return nil, err
 	}
 	*zp = diffed
 	if maxDecoded >= 0 && len(diffed) > maxDecoded {
-		return nil, corruptf("pipeline: decoded length %d exceeds budget %d", len(diffed), maxDecoded)
+		return nil, transforms.Corruptf("pipeline: decoded length %d exceeds budget %d", len(diffed), maxDecoded)
 	}
 	out, err := transforms.DiffMS{Word: wordio.W64}.InverseInto(dst, diffed, maxDecoded)
 	if err != nil {
@@ -153,21 +140,18 @@ func (k *FCMRatio64) Pipeline() transforms.Pipeline { return k.ref }
 
 // ForwardInto implements Kernel.
 func (k *FCMRatio64) ForwardInto(dst, src []byte) []byte {
-	fp := getBuf()
-	defer putBuf(fp)
+	fp := transforms.GetBuf()
+	defer transforms.PutBuf(fp)
 	fcmOut := k.fcm.ForwardInto((*fp)[:0], src)
 	*fp = fcmOut
-	fw, ok := wordio.View64(fcmOut)
-	if !ok {
-		// Pooled scratch is misaligned (never in practice): the composed
-		// reference produces the same bytes.
-		return k.ref.ForwardInto(dst, src)
-	}
+	in := wordio.In64(fcmOut)
+	defer in.Done()
+	fw := in.W
 	// Segment A: FCM header + value array (always whole words). Segment B:
 	// distance array + the chunk's verbatim tail.
 	splitW := transforms.FCMWSplit(len(src)) / 8
-	ap := getBuf()
-	defer putBuf(ap)
+	ap := transforms.GetBuf()
+	defer transforms.PutBuf(ap)
 	encA := ratio64Forward((*ap)[:0], fw[:splitW], nil, nil)
 	*ap = encA
 	dst = bitio.AppendUvarint(dst, uint64(len(encA)))
@@ -183,27 +167,27 @@ func (k *FCMRatio64) ForwardInto(dst, src []byte) []byte {
 func (k *FCMRatio64) InverseInto(dst, enc []byte, maxDecoded int) ([]byte, error) {
 	lenA, m := bitio.Uvarint(enc)
 	if m <= 0 || lenA > uint64(len(enc)-m) {
-		return nil, corruptf("fcmw: bad segment length")
+		return nil, transforms.Corruptf("fcmw: bad segment length")
 	}
-	sb := stageBudget(maxDecoded)
-	sp := getBuf()
-	defer putBuf(sp)
+	sb := transforms.StageBudget(maxDecoded)
+	sp := transforms.GetBuf()
+	defer transforms.PutBuf(sp)
 	stream, err := fcmwSegInverse((*sp)[:0], enc[m:m+int(lenA)], sb)
 	if err != nil {
 		*sp = stream
-		return nil, corruptf("fcmw: value segment: %v", err)
+		return nil, transforms.Corruptf("fcmw: value segment: %v", err)
 	}
 	stream, err = fcmwSegInverse(stream, enc[m+int(lenA):], sb)
 	*sp = stream
 	if err != nil {
-		return nil, corruptf("fcmw: distance segment: %v", err)
+		return nil, transforms.Corruptf("fcmw: distance segment: %v", err)
 	}
 	out, err := k.fcm.InverseInto(dst, stream, sb)
 	if err != nil {
 		return nil, err
 	}
 	if maxDecoded >= 0 && len(out)-len(dst) > maxDecoded {
-		return nil, corruptf("pipeline: decoded length %d exceeds budget %d", len(out)-len(dst), maxDecoded)
+		return nil, transforms.Corruptf("pipeline: decoded length %d exceeds budget %d", len(out)-len(dst), maxDecoded)
 	}
 	return out, nil
 }
@@ -211,15 +195,15 @@ func (k *FCMRatio64) InverseInto(dst, enc []byte, maxDecoded int) ([]byte, error
 // fcmwSegInverse appends one FCMW segment's decode (RARE → RAZE →
 // DIFFMS64) to dst under the stage budget.
 func fcmwSegInverse(dst, enc []byte, sb int) ([]byte, error) {
-	rp := getBuf()
-	defer putBuf(rp)
+	rp := transforms.GetBuf()
+	defer transforms.PutBuf(rp)
 	bitted, err := transforms.RARE{}.InverseInto((*rp)[:0], enc, sb)
 	if err != nil {
 		return dst, err
 	}
 	*rp = bitted
-	zp := getBuf()
-	defer putBuf(zp)
+	zp := transforms.GetBuf()
+	defer transforms.PutBuf(zp)
 	diffed, err := transforms.RAZE{}.InverseInto((*zp)[:0], bitted, sb)
 	if err != nil {
 		return dst, err

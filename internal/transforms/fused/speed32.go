@@ -36,34 +36,24 @@ func (k *Speed32) Pipeline() transforms.Pipeline { return k.ref }
 
 // ForwardInto implements Kernel.
 func (k *Speed32) ForwardInto(dst, src []byte) []byte {
-	out, ok := k.forward(dst, src, nil)
-	if !ok {
-		return k.ref.ForwardInto(dst, src)
-	}
-	return out
+	return k.ForwardStatsInto(dst, src, nil)
 }
 
-// ForwardStatsInto is ForwardInto plus speed-wins gate statistics: the
-// group ORs and diff tail the selector's exact BIT32→RZE pricing needs,
-// accumulated inside the fused pass. ok is false — with dst untouched and
-// gs unspecified — when the fused path is unavailable (misaligned src,
-// purego build); the caller then owns the fallback.
-func (k *Speed32) ForwardStatsInto(dst, src []byte, gs *GateStats) ([]byte, bool) {
-	return k.forward(dst, src, gs)
-}
-
-// forward is the fused encode: per 128-word subchunk, difference+zigzag
+// ForwardStatsInto is ForwardInto plus speed-wins gate statistics (gs may
+// be nil): the group ORs and diff tail the selector's exact BIT32→RZE
+// pricing needs, accumulated inside the fused pass.
+//
+// The fused encode: per 128-word subchunk, difference+zigzag
 // into a stack tile while OR-accumulating the width scan (the OR shares
 // its top bit with the max, so keep and the fallback flag come out
 // identically), then pack the tile with the register-resident accumulator.
-// The emitted bytes match transforms.MPLG.forwardFast32 over the DIFFMS
+// The emitted bytes match transforms.MPLG's encoder over the DIFFMS
 // stream exactly: same uvarint prefix, same 7-bit subchunk headers, same
 // MSB-first packing, same verbatim tail.
-func (k *Speed32) forward(dst, src []byte, gs *GateStats) ([]byte, bool) {
-	sw, ok := wordio.View32(src)
-	if !ok {
-		return nil, false
-	}
+func (k *Speed32) ForwardStatsInto(dst, src []byte, gs *GateStats) []byte {
+	in := wordio.In32(src)
+	defer in.Done()
+	sw := in.W
 	nWords := len(sw)
 	tail := src[nWords*4:]
 	nsub := (nWords + mplgSubchunkWords32 - 1) / mplgSubchunkWords32
@@ -74,7 +64,7 @@ func (k *Speed32) forward(dst, src []byte, gs *GateStats) ([]byte, bool) {
 	}
 	dst = bitio.AppendUvarint(dst, uint64(len(src)))
 	start0 := len(dst)
-	dst = grow(dst, (nsub*7+nWords*32+7)/8+8)
+	dst = transforms.Grow(dst, (nsub*7+nWords*32+7)/8+8)
 	buf := dst
 	bp := start0
 	var acc uint64
@@ -167,11 +157,11 @@ func (k *Speed32) forward(dst, src []byte, gs *GateStats) ([]byte, bool) {
 			}
 		}
 	}
-	bp = bitFinish(buf, bp, acc, nacc)
+	bp = transforms.BitFinish(buf, bp, acc, nacc)
 	if gs != nil {
 		gs.Tail = append(gs.Tail, tail...)
 	}
-	return append(dst[:bp], tail...), true
+	return append(dst[:bp], tail...)
 }
 
 // InverseInto implements Kernel: unpack each subchunk's words from the bit
@@ -180,34 +170,33 @@ func (k *Speed32) forward(dst, src []byte, gs *GateStats) ([]byte, bool) {
 func (k *Speed32) InverseInto(dst, enc []byte, maxDecoded int) ([]byte, error) {
 	declen64, n := bitio.Uvarint(enc)
 	if n == 0 {
-		return nil, corruptf("MPLG: bad length prefix")
+		return nil, transforms.Corruptf("MPLG: bad length prefix")
 	}
 	// The same acceptance set as the unfused chain: MPLG's intrinsic
 	// MaxDecoded cap and plausibility bound, plus the pipeline's exact
 	// final-length check against the caller budget.
 	if declen64 > transforms.MaxDecoded {
-		return nil, corruptf("MPLG: decoded length %d exceeds budget %d", declen64, transforms.MaxDecoded)
+		return nil, transforms.Corruptf("MPLG: decoded length %d exceeds budget %d", declen64, transforms.MaxDecoded)
 	}
 	if maxDecoded >= 0 && declen64 > uint64(maxDecoded) {
-		return nil, corruptf("pipeline: decoded length %d exceeds budget %d", declen64, maxDecoded)
+		return nil, transforms.Corruptf("pipeline: decoded length %d exceeds budget %d", declen64, maxDecoded)
 	}
 	declen := int(declen64)
 	if declen > (len(enc)+2)*8*512 {
-		return nil, corruptf("MPLG: decoded length %d implausible for %d encoded bytes", declen, len(enc))
+		return nil, transforms.Corruptf("MPLG: decoded length %d implausible for %d encoded bytes", declen, len(enc))
 	}
 	nWords := declen / 4
 	tailLen := declen - nWords*4
 	body := enc[n:]
-	ndst := grow(dst, declen)
+	ndst := transforms.Grow(dst, declen)
 	out := ndst[len(ndst)-declen:]
-	ow, ok := wordio.View32(out)
-	if !ok {
-		return k.ref.InverseInto(dst, enc, maxDecoded)
-	}
+	words := wordio.Out32(out)
+	defer words.Done()
+	ow := words.W
 
-	bpool := getBuf()
-	defer putBuf(bpool)
-	pad := pooledBytes(bpool, len(body)+8)
+	bpool := transforms.GetBuf()
+	defer transforms.PutBuf(bpool)
+	pad := wordio.Resize(bpool, len(body)+8)
 	copy(pad, body)
 	clear(pad[len(body):])
 	totalBits := uint(len(body)) * 8
@@ -220,13 +209,13 @@ func (k *Speed32) InverseInto(dst, enc []byte, maxDecoded int) ([]byte, error) {
 			end = nWords
 		}
 		if pos+7 > totalBits {
-			return nil, corruptf("MPLG: truncated header")
+			return nil, transforms.Corruptf("MPLG: truncated header")
 		}
 		hdr := uint32(binary.BigEndian.Uint64(pad[pos>>3:])>>(57-(pos&7))) & 0x7f
 		pos += 7
 		keep := uint(hdr & 0x3f)
 		if keep > 32 {
-			return nil, corruptf("MPLG: kept bits %d > word size", keep)
+			return nil, transforms.Corruptf("MPLG: kept bits %d > word size", keep)
 		}
 		sub := ow[start:end]
 		if keep == 0 {
@@ -237,7 +226,7 @@ func (k *Speed32) InverseInto(dst, enc []byte, maxDecoded int) ([]byte, error) {
 			continue
 		}
 		if pos+keep*uint(len(sub)) > totalBits {
-			return nil, corruptf("MPLG: truncated values")
+			return nil, transforms.Corruptf("MPLG: truncated values")
 		}
 		// SIMD: recover the DIFFMS stream words into the tile, then run
 		// the un-zigzag + prefix-sum reconstruction over them.
@@ -275,7 +264,7 @@ func (k *Speed32) InverseInto(dst, enc []byte, maxDecoded int) ([]byte, error) {
 	}
 	rest := int((pos + 7) / 8)
 	if len(body)-rest < tailLen {
-		return nil, corruptf("MPLG: truncated tail")
+		return nil, transforms.Corruptf("MPLG: truncated tail")
 	}
 	copy(out[nWords*4:], body[rest:rest+tailLen])
 	return ndst, nil

@@ -34,28 +34,18 @@ func (k *Speed64) Pipeline() transforms.Pipeline { return k.ref }
 
 // ForwardInto implements Kernel.
 func (k *Speed64) ForwardInto(dst, src []byte) []byte {
-	out, ok := k.forward(dst, src, nil)
-	if !ok {
-		return k.ref.ForwardInto(dst, src)
-	}
-	return out
+	return k.ForwardStatsInto(dst, src, nil)
 }
 
 // ForwardStatsInto is ForwardInto plus the selector gate's leading-zero
 // histogram of the diff stream (the RAZE→RARE cost-model input),
-// accumulated inside the fused pass. ok is false — with dst untouched —
-// when the fused path is unavailable.
-func (k *Speed64) ForwardStatsInto(dst, src []byte, gs *GateStats) ([]byte, bool) {
-	return k.forward(dst, src, gs)
-}
-
-// forward mirrors transforms.MPLG.forwardFast64 over the DIFFMS64 stream,
-// with the difference+zigzag fused into the subchunk tile fill.
-func (k *Speed64) forward(dst, src []byte, gs *GateStats) ([]byte, bool) {
-	sw, ok := wordio.View64(src)
-	if !ok {
-		return nil, false
-	}
+// accumulated inside the fused pass (gs may be nil). It mirrors
+// transforms.MPLG's 64-bit encoder over the DIFFMS64 stream, with the
+// difference+zigzag fused into the subchunk tile fill.
+func (k *Speed64) ForwardStatsInto(dst, src []byte, gs *GateStats) []byte {
+	in := wordio.In64(src)
+	defer in.Done()
+	sw := in.W
 	nWords := len(sw)
 	tail := src[nWords*8:]
 	nsub := (nWords + mplgSubchunkWords64 - 1) / mplgSubchunkWords64
@@ -65,7 +55,7 @@ func (k *Speed64) forward(dst, src []byte, gs *GateStats) ([]byte, bool) {
 	}
 	dst = bitio.AppendUvarint(dst, uint64(len(src)))
 	start0 := len(dst)
-	dst = grow(dst, (nsub*8+nWords*64+7)/8+8)
+	dst = transforms.Grow(dst, (nsub*8+nWords*64+7)/8+8)
 	buf := dst
 	bp := start0
 	var acc uint64
@@ -167,41 +157,40 @@ func (k *Speed64) forward(dst, src []byte, gs *GateStats) ([]byte, bool) {
 			}
 		}
 	}
-	bp = bitFinish(buf, bp, acc, nacc)
-	return append(dst[:bp], tail...), true
+	bp = transforms.BitFinish(buf, bp, acc, nacc)
+	return append(dst[:bp], tail...)
 }
 
 // InverseInto implements Kernel: MPLG64 unpack and DIFFMS64 prefix-sum
-// reconstruction fused into one pass, mirroring
-// transforms.MPLG.inverseFast64's bit stream handling exactly.
+// reconstruction fused into one pass, mirroring transforms.MPLG's 64-bit
+// decoder's bit stream handling exactly.
 func (k *Speed64) InverseInto(dst, enc []byte, maxDecoded int) ([]byte, error) {
 	declen64, n := bitio.Uvarint(enc)
 	if n == 0 {
-		return nil, corruptf("MPLG: bad length prefix")
+		return nil, transforms.Corruptf("MPLG: bad length prefix")
 	}
 	if declen64 > transforms.MaxDecoded {
-		return nil, corruptf("MPLG: decoded length %d exceeds budget %d", declen64, transforms.MaxDecoded)
+		return nil, transforms.Corruptf("MPLG: decoded length %d exceeds budget %d", declen64, transforms.MaxDecoded)
 	}
 	if maxDecoded >= 0 && declen64 > uint64(maxDecoded) {
-		return nil, corruptf("pipeline: decoded length %d exceeds budget %d", declen64, maxDecoded)
+		return nil, transforms.Corruptf("pipeline: decoded length %d exceeds budget %d", declen64, maxDecoded)
 	}
 	declen := int(declen64)
 	if declen > (len(enc)+2)*8*512 {
-		return nil, corruptf("MPLG: decoded length %d implausible for %d encoded bytes", declen, len(enc))
+		return nil, transforms.Corruptf("MPLG: decoded length %d implausible for %d encoded bytes", declen, len(enc))
 	}
 	nWords := declen / 8
 	tailLen := declen - nWords*8
 	body := enc[n:]
-	ndst := grow(dst, declen)
+	ndst := transforms.Grow(dst, declen)
 	out := ndst[len(ndst)-declen:]
-	ow, ok := wordio.View64(out)
-	if !ok {
-		return k.ref.InverseInto(dst, enc, maxDecoded)
-	}
+	words := wordio.Out64(out)
+	defer words.Done()
+	ow := words.W
 
-	bpool := getBuf()
-	defer putBuf(bpool)
-	pad := pooledBytes(bpool, len(body)+8)
+	bpool := transforms.GetBuf()
+	defer transforms.PutBuf(bpool)
+	pad := wordio.Resize(bpool, len(body)+8)
 	copy(pad, body)
 	clear(pad[len(body):])
 	totalBits := uint(len(body)) * 8
@@ -214,13 +203,13 @@ func (k *Speed64) InverseInto(dst, enc []byte, maxDecoded int) ([]byte, error) {
 			end = nWords
 		}
 		if pos+8 > totalBits {
-			return nil, corruptf("MPLG: truncated header")
+			return nil, transforms.Corruptf("MPLG: truncated header")
 		}
 		hdr := uint32(binary.BigEndian.Uint64(pad[pos>>3:])>>(56-(pos&7))) & 0xff
 		pos += 8
 		keep := uint(hdr & 0x7f)
 		if keep > 64 {
-			return nil, corruptf("MPLG: kept bits %d > word size", keep)
+			return nil, transforms.Corruptf("MPLG: kept bits %d > word size", keep)
 		}
 		sub := ow[start:end]
 		if keep == 0 {
@@ -230,7 +219,7 @@ func (k *Speed64) InverseInto(dst, enc []byte, maxDecoded int) ([]byte, error) {
 			continue
 		}
 		if pos+keep*uint(len(sub)) > totalBits {
-			return nil, corruptf("MPLG: truncated values")
+			return nil, transforms.Corruptf("MPLG: truncated values")
 		}
 		// SIMD: recover the DIFFMS stream words into the tile, then run
 		// the un-zigzag + prefix-sum reconstruction over them.
@@ -249,14 +238,14 @@ func (k *Speed64) InverseInto(dst, enc []byte, maxDecoded int) ([]byte, error) {
 		}
 		if hdr>>7 == 1 {
 			for j := range sub {
-				z := wordio.UnZigZag64(loadBits(pad, pos, keep))
+				z := wordio.UnZigZag64(transforms.LoadBits(pad, pos, keep))
 				prev += wordio.UnZigZag64(z)
 				sub[j] = prev
 				pos += keep
 			}
 		} else {
 			for j := range sub {
-				prev += wordio.UnZigZag64(loadBits(pad, pos, keep))
+				prev += wordio.UnZigZag64(transforms.LoadBits(pad, pos, keep))
 				sub[j] = prev
 				pos += keep
 			}
@@ -264,7 +253,7 @@ func (k *Speed64) InverseInto(dst, enc []byte, maxDecoded int) ([]byte, error) {
 	}
 	rest := int((pos + 7) / 8)
 	if len(body)-rest < tailLen {
-		return nil, corruptf("MPLG: truncated tail")
+		return nil, transforms.Corruptf("MPLG: truncated tail")
 	}
 	copy(out[nWords*8:], body[rest:rest+tailLen])
 	return ndst, nil

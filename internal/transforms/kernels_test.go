@@ -9,15 +9,16 @@ import (
 	"fpcompress/internal/wordio"
 )
 
-// The word-level kernels dispatch on runtime alignment: aligned buffers
-// take the unsafe word-view fast paths, misaligned ones the byte-accessor
-// reference paths. These differential tests pin the two paths to the same
-// bytes by sliding the same input across every offset 0..7 of an aligned
-// backing array — offset 0 hits the fast path, 1..7 force progressively
-// misaligned views (offset 4 is aligned for 32-bit words but not 64-bit).
+// Every word kernel takes its words through wordio's copy-in/copy-out:
+// aligned buffers are aliased, misaligned ones copied into pooled
+// scratch (and purego builds always copy). These differential tests pin
+// the two routes to the same bytes by sliding the same input across every
+// offset 0..7 of an aligned backing array — offset 0 aliases, 1..7 force
+// progressively misaligned buffers (offset 4 is aligned for 32-bit words
+// but not 64-bit).
 
-// kernelTransforms is every transform whose ForwardInto/InverseInto has an
-// alignment-dispatched kernel, at both word sizes where applicable.
+// kernelTransforms is every transform whose ForwardInto/InverseInto runs a
+// word kernel, at both word sizes where applicable.
 func kernelTransforms() []Transform {
 	return []Transform{
 		DiffMS{Word: wordio.W32},
@@ -30,6 +31,7 @@ func kernelTransforms() []Transform {
 		RAZE{},
 		RARE{},
 		FCM{},
+		FCMW{},
 	}
 }
 
@@ -71,7 +73,7 @@ func atOffset(data []byte, off int) []byte {
 
 // TestKernelForwardOffsets: the encoding must not depend on src alignment,
 // so every offset's ForwardInto output must be byte-identical to offset
-// 0's (which exercises the word-view fast path).
+// 0's (which aliases the source words).
 func TestKernelForwardOffsets(t *testing.T) {
 	for _, tr := range kernelTransforms() {
 		t.Run(tr.Name(), func(t *testing.T) {
@@ -94,8 +96,8 @@ func TestKernelForwardOffsets(t *testing.T) {
 // the encoded input or of the append position in dst. A dst of length p
 // (with capacity already sufficient, so no reallocation re-aligns it)
 // places the decode region at offset p of an aligned array, forcing the
-// reference inverse for p not a multiple of the word size; the decoded
-// bytes and the preserved prefix must be exact either way.
+// copy-out path for p not a multiple of the word size; the decoded bytes
+// and the preserved prefix must be exact either way.
 func TestKernelInverseOffsets(t *testing.T) {
 	for _, tr := range kernelTransforms() {
 		t.Run(tr.Name(), func(t *testing.T) {

@@ -28,12 +28,11 @@ const mplgSubchunk = 512
 // 32-bit words, 7 bits for 64-bit words), and the kept low bits of each
 // word. Trailing bytes that do not fill a word follow byte-aligned.
 //
-// The hot paths run over word views (wordio.View32/View64) with a local
-// 64-bit bit-packing accumulator flushed 32 bits at a time straight into
-// the output buffer (encode) and a 64-bit sliding load window over a
-// zero-padded copy of the bit stream (decode). Misaligned buffers fall
-// back to the bitio reference loops; both paths emit/accept identical
-// bytes.
+// Both directions run on the words of the decoded buffer, taken through
+// wordio's copy-in/copy-out: the encoder packs with a local 64-bit
+// accumulator flushed 32 bits at a time straight into the output buffer,
+// and the decoder reads through a 64-bit sliding load window over a
+// zero-padded copy of the bit stream.
 type MPLG struct {
 	Word wordio.WordSize
 	// Subchunk overrides the 512-byte subchunk size for ablation
@@ -65,13 +64,6 @@ func (m MPLG) Name() string {
 	return "MPLG64"
 }
 
-func (m MPLG) keepFieldBits() uint {
-	if m.Word == wordio.W32 {
-		return 6 // keep in 0..32
-	}
-	return 7 // keep in 0..64
-}
-
 // Forward implements Transform.
 func (m MPLG) Forward(src []byte) []byte {
 	return m.ForwardInto(nil, src)
@@ -81,22 +73,20 @@ func (m MPLG) Forward(src []byte) []byte {
 // ownership contract).
 func (m MPLG) ForwardInto(dst, src []byte) []byte {
 	if m.Word == wordio.W32 {
-		if sw, ok := wordio.View32(src); ok {
-			return m.forwardFast32(dst, src, sw)
-		}
-	} else {
-		if sw, ok := wordio.View64(src); ok {
-			return m.forwardFast64(dst, src, sw)
-		}
+		sw := wordio.In32(src)
+		defer sw.Done()
+		return m.forward32(dst, src, sw.W)
 	}
-	return m.forwardRef(dst, src)
+	sw := wordio.In64(src)
+	defer sw.Done()
+	return m.forward64(dst, src, sw.W)
 }
 
-// forwardFast32 packs the bit stream with a register-resident accumulator:
+// forward32 packs the bit stream with a register-resident accumulator:
 // every write is at most 32 bits, so keeping fewer than 32 pending bits
 // guarantees a write never straddles the 64-bit accumulator, and each
 // flush is a single big-endian 32-bit store into the pre-grown output.
-func (m MPLG) forwardFast32(dst, src []byte, sw []uint32) []byte {
+func (m MPLG) forward32(dst, src []byte, sw []uint32) []byte {
 	nWords := len(src) / 4
 	tail := src[nWords*4:]
 	wordsPer := m.wordsPerSubchunk(4)
@@ -106,7 +96,7 @@ func (m MPLG) forwardFast32(dst, src []byte, sw []uint32) []byte {
 	}
 	dst = bitio.AppendUvarint(dst, uint64(len(src)))
 	start0 := len(dst)
-	dst = grow(dst, (nsub*7+nWords*32+7)/8+8)
+	dst = Grow(dst, (nsub*7+nWords*32+7)/8+8)
 	buf := dst
 	bp := start0
 	var acc uint64
@@ -178,13 +168,13 @@ func (m MPLG) forwardFast32(dst, src []byte, sw []uint32) []byte {
 			}
 		}
 	}
-	bp = bitFinish(buf, bp, acc, nacc)
+	bp = BitFinish(buf, bp, acc, nacc)
 	return append(dst[:bp], tail...)
 }
 
-// forwardFast64 is the 64-bit variant: kept widths above 32 bits are
+// forward64 is the 64-bit variant: kept widths above 32 bits are
 // written as two sub-32-bit fields so the accumulator invariant holds.
-func (m MPLG) forwardFast64(dst, src []byte, sw []uint64) []byte {
+func (m MPLG) forward64(dst, src []byte, sw []uint64) []byte {
 	nWords := len(src) / 8
 	tail := src[nWords*8:]
 	wordsPer := m.wordsPerSubchunk(8)
@@ -194,7 +184,7 @@ func (m MPLG) forwardFast64(dst, src []byte, sw []uint64) []byte {
 	}
 	dst = bitio.AppendUvarint(dst, uint64(len(src)))
 	start0 := len(dst)
-	dst = grow(dst, (nsub*8+nWords*64+7)/8+8)
+	dst = Grow(dst, (nsub*8+nWords*64+7)/8+8)
 	buf := dst
 	bp := start0
 	var acc uint64
@@ -205,7 +195,7 @@ func (m MPLG) forwardFast64(dst, src []byte, sw []uint64) []byte {
 			end = nWords
 		}
 		sub := sw[start:end]
-		// OR width scan; see forwardFast32 for the OR/max equivalence.
+		// OR width scan; see forward32 for the OR/max equivalence.
 		orv, ok := simd.Or64(sub)
 		if !ok {
 			for _, v := range sub {
@@ -277,109 +267,8 @@ func (m MPLG) forwardFast64(dst, src []byte, sw []uint64) []byte {
 			}
 		}
 	}
-	bp = bitFinish(buf, bp, acc, nacc)
+	bp = BitFinish(buf, bp, acc, nacc)
 	return append(dst[:bp], tail...)
-}
-
-// bitFinish spills an accumulator's remaining pending bits, zero-padded to
-// a byte boundary exactly like bitio.Writer.Align, and returns the new
-// write cursor.
-func bitFinish(buf []byte, bp int, acc uint64, nacc uint) int {
-	for nacc >= 8 {
-		nacc -= 8
-		buf[bp] = byte(acc >> nacc)
-		bp++
-	}
-	if nacc > 0 {
-		buf[bp] = byte(acc << (8 - nacc))
-		bp++
-	}
-	return bp
-}
-
-// forwardRef is the bitio.Writer reference path (and the fallback for
-// misaligned buffers); the accumulator kernels must match it byte for
-// byte.
-func (m MPLG) forwardRef(dst, src []byte) []byte {
-	wsize := int(m.Word)
-	wbits := m.Word.Bits()
-	nWords := len(src) / wsize
-	tail := src[nWords*wsize:]
-
-	dst = growCap(dst, len(src)+len(src)/8+16)
-	header := bitio.AppendUvarint(dst, uint64(len(src)))
-	w := bitio.NewWriterBuf(header)
-	wordsPer := m.wordsPerSubchunk(wsize)
-	keepBits := m.keepFieldBits()
-
-	for start := 0; start < nWords; start += wordsPer {
-		end := start + wordsPer
-		if end > nWords {
-			end = nWords
-		}
-		// Pass 1: the subchunk maximum determines the kept width.
-		maxv := uint64(0)
-		if m.Word == wordio.W32 {
-			for i := start; i < end; i++ {
-				if v := uint64(wordio.U32(src, i)); v > maxv {
-					maxv = v
-				}
-			}
-		} else {
-			for i := start; i < end; i++ {
-				if v := wordio.U64(src, i); v > maxv {
-					maxv = v
-				}
-			}
-		}
-		flag := uint(0)
-		lz := leadingZeros(maxv, wbits)
-		if lz == 0 {
-			// Enhancement: one more magnitude-sign conversion, then retry.
-			flag = 1
-			maxv = 0
-			if m.Word == wordio.W32 {
-				for i := start; i < end; i++ {
-					if v := uint64(wordio.ZigZag32(wordio.U32(src, i))); v > maxv {
-						maxv = v
-					}
-				}
-			} else {
-				for i := start; i < end; i++ {
-					if v := wordio.ZigZag64(wordio.U64(src, i)); v > maxv {
-						maxv = v
-					}
-				}
-			}
-			lz = leadingZeros(maxv, wbits)
-		}
-		keep := uint(wbits - lz)
-		w.WriteBit(flag)
-		w.WriteBits(uint64(keep), keepBits)
-		// Pass 2: emit the kept low bits of every word.
-		if m.Word == wordio.W32 {
-			if flag == 1 {
-				for i := start; i < end; i++ {
-					w.WriteBits(uint64(wordio.ZigZag32(wordio.U32(src, i))), keep)
-				}
-			} else {
-				for i := start; i < end; i++ {
-					w.WriteBits(uint64(wordio.U32(src, i)), keep)
-				}
-			}
-		} else {
-			if flag == 1 {
-				for i := start; i < end; i++ {
-					w.WriteBits(wordio.ZigZag64(wordio.U64(src, i)), keep)
-				}
-			} else {
-				for i := start; i < end; i++ {
-					w.WriteBits(wordio.U64(src, i), keep)
-				}
-			}
-		}
-	}
-	return append(w.Bytes(), tail...)
 }
 
 // Inverse implements Transform.
@@ -397,7 +286,7 @@ func (m MPLG) InverseLimit(enc []byte, maxDecoded int) ([]byte, error) {
 func (m MPLG) InverseInto(dst, enc []byte, maxDecoded int) ([]byte, error) {
 	declen64, n := bitio.Uvarint(enc)
 	if n == 0 {
-		return nil, corruptf("MPLG: bad length prefix")
+		return nil, Corruptf("MPLG: bad length prefix")
 	}
 	if err := checkDecodedLen("MPLG", declen64, maxDecoded); err != nil {
 		return nil, err
@@ -407,7 +296,7 @@ func (m MPLG) InverseInto(dst, enc []byte, maxDecoded int) ([]byte, error) {
 	// plausible decoded size for a given encoded size (using the
 	// configured subchunk size, which the encoder must have agreed on).
 	if declen > (len(enc)+2)*8*m.subchunk() {
-		return nil, corruptf("MPLG: decoded length %d implausible for %d encoded bytes", declen, len(enc))
+		return nil, Corruptf("MPLG: decoded length %d implausible for %d encoded bytes", declen, len(enc))
 	}
 	wsize := int(m.Word)
 	nWords := declen / wsize
@@ -416,21 +305,17 @@ func (m MPLG) InverseInto(dst, enc []byte, maxDecoded int) ([]byte, error) {
 
 	body := enc[n:]
 	base := len(dst)
-	dst = grow(dst, declen)
+	dst = Grow(dst, declen)
 	out := dst[base:]
 	var err error
 	if m.Word == wordio.W32 {
-		if ow, ok := wordio.View32(out); ok {
-			err = m.inverseFast32(ow, out, body, nWords, wordsPer, tailLen)
-		} else {
-			err = m.inverseRef(out, body, nWords, wordsPer, tailLen)
-		}
+		ow := wordio.Out32(out)
+		err = m.inverse32(ow.W, out, body, nWords, wordsPer, tailLen)
+		ow.Done()
 	} else {
-		if ow, ok := wordio.View64(out); ok {
-			err = m.inverseFast64(ow, out, body, nWords, wordsPer, tailLen)
-		} else {
-			err = m.inverseRef(out, body, nWords, wordsPer, tailLen)
-		}
+		ow := wordio.Out64(out)
+		err = m.inverse64(ow.W, out, body, nWords, wordsPer, tailLen)
+		ow.Done()
 	}
 	if err != nil {
 		return nil, err
@@ -438,15 +323,15 @@ func (m MPLG) InverseInto(dst, enc []byte, maxDecoded int) ([]byte, error) {
 	return dst, nil
 }
 
-// inverseFast32 unpacks the bit stream through a 64-bit load window over a
+// inverse32 unpacks the bit stream through a 64-bit load window over a
 // zero-padded pooled copy of body, so every read is one big-endian load
 // plus shifts with no per-read bounds handling. Truncation is checked once
-// per subchunk (the reads are sequential, so the first out-of-bounds read
-// the reference would hit trips the same batched check).
-func (m MPLG) inverseFast32(ow []uint32, out, body []byte, nWords, wordsPer, tailLen int) error {
-	bp := getBuf()
-	defer putBuf(bp)
-	pad := pooledBytes(bp, len(body)+8)
+// per subchunk, before any of its reads: the reads are sequential, so a
+// stream too short for any one read is too short for the batch.
+func (m MPLG) inverse32(ow []uint32, out, body []byte, nWords, wordsPer, tailLen int) error {
+	bp := GetBuf()
+	defer PutBuf(bp)
+	pad := wordio.Resize(bp, len(body)+8)
 	copy(pad, body)
 	clear(pad[len(body):])
 	totalBits := uint(len(body)) * 8
@@ -457,13 +342,13 @@ func (m MPLG) inverseFast32(ow []uint32, out, body []byte, nWords, wordsPer, tai
 			end = nWords
 		}
 		if pos+7 > totalBits {
-			return corruptf("MPLG: truncated header")
+			return Corruptf("MPLG: truncated header")
 		}
 		hdr := uint32(binary.BigEndian.Uint64(pad[pos>>3:])>>(57-(pos&7))) & 0x7f
 		pos += 7
 		keep := uint(hdr & 0x3f)
 		if keep > 32 {
-			return corruptf("MPLG: kept bits %d > word size", keep)
+			return Corruptf("MPLG: kept bits %d > word size", keep)
 		}
 		sub := ow[start:end]
 		if keep == 0 {
@@ -472,7 +357,7 @@ func (m MPLG) inverseFast32(ow []uint32, out, body []byte, nWords, wordsPer, tai
 			continue
 		}
 		if pos+keep*uint(len(sub)) > totalBits {
-			return corruptf("MPLG: truncated values")
+			return Corruptf("MPLG: truncated values")
 		}
 		if np, ok := simd.Unpack32(sub, pad, uint64(pos), keep, hdr>>6 == 1); ok {
 			pos = uint(np)
@@ -496,18 +381,18 @@ func (m MPLG) inverseFast32(ow []uint32, out, body []byte, nWords, wordsPer, tai
 	}
 	rest := int((pos + 7) / 8)
 	if len(body)-rest < tailLen {
-		return corruptf("MPLG: truncated tail")
+		return Corruptf("MPLG: truncated tail")
 	}
 	copy(out[nWords*4:], body[rest:rest+tailLen])
 	return nil
 }
 
-// inverseFast64 is the 64-bit variant; kept widths above 57 bits can
+// inverse64 is the 64-bit variant; kept widths above 57 bits can
 // straddle the load window by up to 7 bits, handled with one spill byte.
-func (m MPLG) inverseFast64(ow []uint64, out, body []byte, nWords, wordsPer, tailLen int) error {
-	bp := getBuf()
-	defer putBuf(bp)
-	pad := pooledBytes(bp, len(body)+8)
+func (m MPLG) inverse64(ow []uint64, out, body []byte, nWords, wordsPer, tailLen int) error {
+	bp := GetBuf()
+	defer PutBuf(bp)
+	pad := wordio.Resize(bp, len(body)+8)
 	copy(pad, body)
 	clear(pad[len(body):])
 	totalBits := uint(len(body)) * 8
@@ -518,13 +403,13 @@ func (m MPLG) inverseFast64(ow []uint64, out, body []byte, nWords, wordsPer, tai
 			end = nWords
 		}
 		if pos+8 > totalBits {
-			return corruptf("MPLG: truncated header")
+			return Corruptf("MPLG: truncated header")
 		}
 		hdr := uint32(binary.BigEndian.Uint64(pad[pos>>3:])>>(56-(pos&7))) & 0xff
 		pos += 8
 		keep := uint(hdr & 0x7f)
 		if keep > 64 {
-			return corruptf("MPLG: kept bits %d > word size", keep)
+			return Corruptf("MPLG: kept bits %d > word size", keep)
 		}
 		sub := ow[start:end]
 		if keep == 0 {
@@ -532,7 +417,7 @@ func (m MPLG) inverseFast64(ow []uint64, out, body []byte, nWords, wordsPer, tai
 			continue
 		}
 		if pos+keep*uint(len(sub)) > totalBits {
-			return corruptf("MPLG: truncated values")
+			return Corruptf("MPLG: truncated values")
 		}
 		if np, ok := simd.Unpack64(sub, pad, uint64(pos), keep, hdr>>7 == 1); ok {
 			pos = uint(np)
@@ -540,84 +425,20 @@ func (m MPLG) inverseFast64(ow []uint64, out, body []byte, nWords, wordsPer, tai
 		}
 		if hdr>>7 == 1 {
 			for j := range sub {
-				sub[j] = wordio.UnZigZag64(loadBits(pad, pos, keep))
+				sub[j] = wordio.UnZigZag64(LoadBits(pad, pos, keep))
 				pos += keep
 			}
 		} else {
 			for j := range sub {
-				sub[j] = loadBits(pad, pos, keep)
+				sub[j] = LoadBits(pad, pos, keep)
 				pos += keep
 			}
 		}
 	}
 	rest := int((pos + 7) / 8)
 	if len(body)-rest < tailLen {
-		return corruptf("MPLG: truncated tail")
+		return Corruptf("MPLG: truncated tail")
 	}
 	copy(out[nWords*8:], body[rest:rest+tailLen])
 	return nil
-}
-
-// inverseRef is the bitio.Reader reference path (and the fallback for
-// misaligned output buffers).
-func (m MPLG) inverseRef(out, body []byte, nWords, wordsPer, tailLen int) error {
-	wsize := int(m.Word)
-	wbits := m.Word.Bits()
-	r := bitio.NewReader(body)
-	for start := 0; start < nWords; start += wordsPer {
-		end := start + wordsPer
-		if end > nWords {
-			end = nWords
-		}
-		flag, err := r.ReadBit()
-		if err != nil {
-			return corruptf("MPLG: truncated header")
-		}
-		keep64, err := r.ReadBits(m.keepFieldBits())
-		if err != nil {
-			return corruptf("MPLG: truncated header")
-		}
-		keep := uint(keep64)
-		if keep > uint(wbits) {
-			return corruptf("MPLG: kept bits %d > word size", keep)
-		}
-		if m.Word == wordio.W32 {
-			for i := start; i < end; i++ {
-				v, err := r.ReadBits(keep)
-				if err != nil {
-					return corruptf("MPLG: truncated values")
-				}
-				if flag == 1 {
-					v = uint64(wordio.UnZigZag32(uint32(v)))
-				}
-				wordio.PutU32(out, i, uint32(v))
-			}
-		} else {
-			for i := start; i < end; i++ {
-				v, err := r.ReadBits(keep)
-				if err != nil {
-					return corruptf("MPLG: truncated values")
-				}
-				if flag == 1 {
-					v = wordio.UnZigZag64(v)
-				}
-				wordio.PutU64(out, i, v)
-			}
-		}
-	}
-	rest := r.Rest()
-	if len(rest) < tailLen {
-		return corruptf("MPLG: truncated tail")
-	}
-	copy(out[nWords*wsize:], rest[:tailLen])
-	return nil
-}
-
-// leadingZeros counts leading zeros of v interpreted as a wbits-wide word.
-func leadingZeros(v uint64, wbits int) int {
-	lz := wordio.Clz64(v) - (64 - wbits)
-	if lz < 0 {
-		lz = 0
-	}
-	return lz
 }

@@ -3,6 +3,7 @@ package transforms
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"fpcompress/internal/bitio"
 	"fpcompress/internal/simd"
@@ -26,10 +27,11 @@ const rzeBitmapFloor = 4
 // Encoded form: uvarint decoded length, recursively compressed bitmap,
 // then the non-zero data bytes.
 //
-// The byte-granularity hot paths scan eight bytes at a time: a uint64 word
-// view plus a SWAR non-zero/changed-byte movemask classifies each 8-byte
-// group as all-skip, all-emit, or mixed, so the dominant all-zero and
-// all-nonzero runs of post-BIT data move at word speed.
+// The byte-granularity paths scan eight bytes at a time: the buffer's
+// uint64 words (wordio.In64) plus a SWAR non-zero/changed-byte movemask
+// classify each 8-byte group as all-skip, all-emit, or mixed, so the
+// dominant all-zero and all-nonzero runs of post-BIT data move at word
+// speed.
 //
 // Granularity exists for the ablation benchmarks: the paper chose byte
 // granularity "to increase the chance of finding zero values" over, say,
@@ -90,18 +92,17 @@ func ZeroBitmap(bm, src []byte) int {
 	}
 	clear(bm)
 	nonzero := 0
-	i := 0
-	if sw, ok := wordio.View64(src); ok {
-		for g, v := range sw {
-			if v == 0 {
-				continue
-			}
-			m := nonzeroMask8(v)
-			bm[g] = m
-			nonzero += bits.OnesCount8(m)
+	sw := wordio.In64(src)
+	for g, v := range sw.W {
+		if v == 0 {
+			continue
 		}
-		i = len(sw) * 8
+		m := nonzeroMask8(v)
+		bm[g] = m
+		nonzero += bits.OnesCount8(m)
 	}
+	i := len(sw.W) * 8
+	sw.Done()
 	for ; i < len(src); i++ {
 		if src[i] != 0 {
 			bm[i>>3] |= 0x80 >> (i & 7)
@@ -114,23 +115,21 @@ func ZeroBitmap(bm, src []byte) int {
 // buildChangeBitmap fills bm (one bit per byte of cur, MSB-first) with the
 // changed-byte bitmap: bit set when the byte differs from its predecessor
 // (the byte before cur[0] is taken as zero). Full 8-byte groups use the
-// SWAR mask over a word view; the tail — and misaligned buffers — go byte
-// by byte.
+// SWAR mask over the buffer's words; the tail goes byte by byte.
 func buildChangeBitmap(bm, cur []byte) {
 	if simd.ChangeBM(bm, cur) {
 		return
 	}
 	clear(bm)
 	prev := byte(0)
-	i := 0
-	if cw, ok := wordio.View64(cur); ok {
-		for g, v := range cw {
-			// Byte j of v<<8|prev is byte j's predecessor.
-			bm[g] = nonzeroMask8(v ^ (v<<8 | uint64(prev)))
-			prev = byte(v >> 56)
-		}
-		i = len(cw) * 8
+	cw := wordio.In64(cur)
+	for g, v := range cw.W {
+		// Byte j of v<<8|prev is byte j's predecessor.
+		bm[g] = nonzeroMask8(v ^ (v<<8 | uint64(prev)))
+		prev = byte(v >> 56)
 	}
+	i := len(cw.W) * 8
+	cw.Done()
 	for ; i < len(cur); i++ {
 		if cur[i] != prev {
 			bm[i>>3] |= 0x80 >> (i & 7)
@@ -144,28 +143,27 @@ func buildChangeBitmap(bm, cur []byte) {
 // 8-byte groups with the SWAR changed mask.
 func appendNonRepeats(out, lvl []byte) []byte {
 	prev := byte(0)
-	i := 0
-	if lw, ok := wordio.View64(lvl); ok {
-		for g, v := range lw {
-			x := v ^ (v<<8 | uint64(prev))
-			prev = byte(v >> 56)
-			if x == 0 {
-				continue
-			}
-			base := g * 8
-			m := nonzeroMask8(x)
-			if m == 0xff {
-				out = append(out, lvl[base:base+8]...)
-				continue
-			}
-			for j := 0; j < 8; j++ {
-				if m&(0x80>>j) != 0 {
-					out = append(out, lvl[base+j])
-				}
+	lw := wordio.In64(lvl)
+	for g, v := range lw.W {
+		x := v ^ (v<<8 | uint64(prev))
+		prev = byte(v >> 56)
+		if x == 0 {
+			continue
+		}
+		base := g * 8
+		m := nonzeroMask8(x)
+		if m == 0xff {
+			out = append(out, lvl[base:base+8]...)
+			continue
+		}
+		for j := 0; j < 8; j++ {
+			if m&(0x80>>j) != 0 {
+				out = append(out, lvl[base+j])
 			}
 		}
-		i = len(lw) * 8
 	}
+	i := len(lw.W) * 8
+	lw.Done()
 	for ; i < len(lvl); i++ {
 		if lvl[i] != prev {
 			out = append(out, lvl[i])
@@ -186,10 +184,10 @@ func appendRepeatBitmap(out, b []byte) []byte {
 	if len(b) <= rzeBitmapFloor {
 		return append(out, b...)
 	}
-	sp := getBuf()
-	defer putBuf(sp)
+	sp := GetBuf()
+	defer PutBuf(sp)
 	// The level chain totals ~len(b)/7 bytes plus alignment pads.
-	scratch := growCap((*sp)[:0], len(b)/7+128)
+	scratch := slices.Grow((*sp)[:0], len(b)/7+128)
 	// Level k of the chain (level 0 being b itself) has its bitmap — level
 	// k+1 — at scratch[starts[k]:starts[k]+lens[k]]. Depth is log8-bounded,
 	// ~9 levels for the 64 MiB MaxDecoded cap, so the tables live on the
@@ -200,7 +198,7 @@ func appendRepeatBitmap(out, b []byte) []byte {
 	for len(cur) > rzeBitmapFloor {
 		bmLen := (len(cur) + 7) / 8
 		start := (len(scratch) + 7) &^ 7
-		scratch = grow(scratch, start-len(scratch)+bmLen)
+		scratch = Grow(scratch, start-len(scratch)+bmLen)
 		bm := scratch[start : start+bmLen]
 		buildChangeBitmap(bm, cur)
 		starts = append(starts, start)
@@ -231,15 +229,15 @@ func RepeatBitmapLen(b []byte) int {
 	if len(b) <= rzeBitmapFloor {
 		return len(b)
 	}
-	sp := getBuf()
-	defer putBuf(sp)
-	scratch := growCap((*sp)[:0], len(b)/7+128)
+	sp := GetBuf()
+	defer PutBuf(sp)
+	scratch := slices.Grow((*sp)[:0], len(b)/7+128)
 	total := 0
 	cur := b
 	for len(cur) > rzeBitmapFloor {
 		bmLen := (len(cur) + 7) / 8
 		start := (len(scratch) + 7) &^ 7
-		scratch = grow(scratch, start-len(scratch)+bmLen)
+		scratch = Grow(scratch, start-len(scratch)+bmLen)
 		bm := scratch[start : start+bmLen]
 		buildChangeBitmap(bm, cur)
 		total += popcountBytes(bm)
@@ -251,13 +249,13 @@ func RepeatBitmapLen(b []byte) int {
 
 // popcountBytes counts the set bits of b, a word at a time.
 func popcountBytes(b []byte) int {
-	n, i := 0, 0
-	if w, ok := wordio.View64(b); ok {
-		for _, v := range w {
-			n += bits.OnesCount64(v)
-		}
-		i = len(w) * 8
+	n := 0
+	w := wordio.In64(b)
+	for _, v := range w.W {
+		n += bits.OnesCount64(v)
 	}
+	i := len(w.W) * 8
+	w.Done()
 	for ; i < len(b); i++ {
 		n += bits.OnesCount8(b[i])
 	}
@@ -281,14 +279,14 @@ func expandRepeatLevel(out, bm, src []byte, consumed int) (int, error) {
 			o[4], o[5], o[6], o[7] = prev, prev, prev, prev
 		case m == 0xff:
 			if consumed+8 > len(src) {
-				return 0, corruptf("RZE: truncated bitmap level")
+				return 0, Corruptf("RZE: truncated bitmap level")
 			}
 			copy(o, src[consumed:consumed+8])
 			consumed += 8
 			prev = o[7]
 		default:
 			if consumed+bits.OnesCount8(m) > len(src) {
-				return 0, corruptf("RZE: truncated bitmap level")
+				return 0, Corruptf("RZE: truncated bitmap level")
 			}
 			for j := 0; j < 8; j++ {
 				if m&(0x80>>j) != 0 {
@@ -302,7 +300,7 @@ func expandRepeatLevel(out, bm, src []byte, consumed int) (int, error) {
 	for i := groups * 8; i < len(out); i++ {
 		if bm[i>>3]&(0x80>>(i&7)) != 0 {
 			if consumed >= len(src) {
-				return 0, corruptf("RZE: truncated bitmap level")
+				return 0, Corruptf("RZE: truncated bitmap level")
 			}
 			prev = src[consumed]
 			consumed++
@@ -320,7 +318,7 @@ func expandRepeatLevel(out, bm, src []byte, consumed int) (int, error) {
 func decodeRepeatBitmapScratch(bp *[]byte, src []byte, l int) ([]byte, int, error) {
 	if l <= rzeBitmapFloor {
 		if len(src) < l {
-			return nil, 0, corruptf("RZE: truncated bitmap floor")
+			return nil, 0, Corruptf("RZE: truncated bitmap floor")
 		}
 		return src[:l:l], l, nil
 	}
@@ -336,7 +334,7 @@ func decodeRepeatBitmapScratch(bp *[]byte, src []byte, l int) ([]byte, int, erro
 	for _, n := range lens {
 		total += n
 	}
-	scratch := pooledBytes(bp, total)
+	scratch := wordio.Resize(bp, total)
 	// Level k occupies scratch[off[k] : off[k]+lens[k]], deepest first.
 	var off []int
 	if len(lens) <= len(offA) {
@@ -350,7 +348,7 @@ func decodeRepeatBitmapScratch(bp *[]byte, src []byte, l int) ([]byte, int, erro
 		pos += lens[k]
 	}
 	if len(src) < lens[d] {
-		return nil, 0, corruptf("RZE: truncated bitmap floor")
+		return nil, 0, Corruptf("RZE: truncated bitmap floor")
 	}
 	copy(scratch[off[d]:], src[:lens[d]])
 	consumed := lens[d]
@@ -373,124 +371,71 @@ func (z RZE) Forward(src []byte) []byte {
 
 // ForwardInto implements Transform (see the package comment for the dst
 // ownership contract). The zero bitmap lives in pooled scratch and the
-// surviving bytes are appended in a second pass over src, so nothing is
-// allocated beyond dst growth.
+// surviving bytes are appended in a second pass over src, driven by the
+// bitmap a byte (8 source bytes) at a time: all-zero groups are skipped
+// and all-nonzero ones bulk-copied. Nothing is allocated beyond dst
+// growth.
 func (z RZE) ForwardInto(dst, src []byte) []byte {
-	g := z.unit()
-	if g == 1 {
-		if sw, ok := wordio.View64(src); ok {
-			return z.forwardFast(dst, src, sw)
-		}
+	if z.unit() > 1 {
+		return z.forwardUnits(dst, src)
 	}
-	return z.forwardRef(dst, src)
-}
-
-// forwardFast is the byte-granularity hot path: the zero bitmap comes one
-// whole byte at a time from the SWAR mask of each word, and the survivor
-// pass skips all-zero words and bulk-copies all-nonzero ones.
-func (z RZE) forwardFast(dst, src []byte, sw []uint64) []byte {
-	bp := getBuf()
-	defer putBuf(bp)
-	bm := pooledBytes(bp, (len(src)+7)/8)
-	clear(bm)
-	nonzero := 0
-	for g, v := range sw {
-		if v == 0 {
-			continue
-		}
-		m := nonzeroMask8(v)
-		bm[g] = m
-		nonzero += bits.OnesCount8(m)
-	}
-	for i := len(sw) * 8; i < len(src); i++ {
-		if src[i] != 0 {
-			bm[i>>3] |= 0x80 >> (i & 7)
-			nonzero++
-		}
-	}
-	dst = growCap(dst, bitio.UvarintLen(uint64(len(src)))+len(bm)+len(bm)/4+nonzero+16)
+	bp := GetBuf()
+	defer PutBuf(bp)
+	bm := wordio.Resize(bp, (len(src)+7)/8)
+	nonzero := ZeroBitmap(bm, src)
+	dst = slices.Grow(dst, bitio.UvarintLen(uint64(len(src)))+len(bm)+len(bm)/4+nonzero+16)
 	dst = bitio.AppendUvarint(dst, uint64(len(src)))
 	dst = appendRepeatBitmap(dst, bm)
-	for g, v := range sw {
-		if v == 0 {
-			continue
-		}
+	groups := len(src) / 8
+	for g, m := range bm[:groups] {
 		base := g * 8
-		if m := bm[g]; m != 0xff {
+		switch m {
+		case 0:
+		case 0xff:
+			dst = append(dst, src[base:base+8]...)
+		default:
 			for j := 0; j < 8; j++ {
 				if m&(0x80>>j) != 0 {
 					dst = append(dst, src[base+j])
 				}
 			}
-			continue
 		}
-		dst = append(dst, src[base:base+8]...)
 	}
-	for i := len(sw) * 8; i < len(src); i++ {
-		if c := src[i]; c != 0 {
+	for _, c := range src[groups*8:] {
+		if c != 0 {
 			dst = append(dst, c)
 		}
 	}
 	return dst
 }
 
-// forwardRef is the byte-at-a-time reference path (all granularities, and
-// the fallback for misaligned buffers at byte granularity); the SWAR path
-// must match it byte for byte.
-func (z RZE) forwardRef(dst, src []byte) []byte {
+// forwardUnits is the Granularity > 1 ablation encoder: the bitmap marks
+// whole non-zero units, and every byte of a marked unit survives.
+func (z RZE) forwardUnits(dst, src []byte) []byte {
 	g := z.unit()
 	units := (len(src) + g - 1) / g
-	bp := getBuf()
-	defer putBuf(bp)
-	bm := pooledBytes(bp, (units+7)/8)
+	bp := GetBuf()
+	defer PutBuf(bp)
+	bm := wordio.Resize(bp, (units+7)/8)
 	clear(bm)
 	nonzero := 0
-	if g == 1 {
-		for i, c := range src {
+	for u := 0; u < units; u++ {
+		lo, hi := u*g, min((u+1)*g, len(src))
+		for _, c := range src[lo:hi] {
 			if c != 0 {
-				bm[i>>3] |= 0x80 >> (i & 7)
-				nonzero++
-			}
-		}
-	} else {
-		for u := 0; u < units; u++ {
-			lo, hi := u*g, (u+1)*g
-			if hi > len(src) {
-				hi = len(src)
-			}
-			zero := true
-			for _, c := range src[lo:hi] {
-				if c != 0 {
-					zero = false
-					break
-				}
-			}
-			if !zero {
 				bm[u>>3] |= 0x80 >> (u & 7)
 				nonzero += hi - lo
+				break
 			}
 		}
 	}
-	dst = growCap(dst, bitio.UvarintLen(uint64(len(src)))+len(bm)+len(bm)/4+nonzero+16)
+	dst = slices.Grow(dst, bitio.UvarintLen(uint64(len(src)))+len(bm)+len(bm)/4+nonzero+16)
 	dst = bitio.AppendUvarint(dst, uint64(len(src)))
 	dst = appendRepeatBitmap(dst, bm)
-	if g == 1 {
-		for _, c := range src {
-			if c != 0 {
-				dst = append(dst, c)
-			}
-		}
-		return dst
-	}
 	for u := 0; u < units; u++ {
-		if bm[u>>3]&(0x80>>(u&7)) == 0 {
-			continue
+		if bm[u>>3]&(0x80>>(u&7)) != 0 {
+			dst = append(dst, src[u*g:min((u+1)*g, len(src))]...)
 		}
-		lo, hi := u*g, (u+1)*g
-		if hi > len(src) {
-			hi = len(src)
-		}
-		dst = append(dst, src[lo:hi]...)
 	}
 	return dst
 }
@@ -509,14 +454,14 @@ func rzeScatterBytes(out, bm, data []byte) error {
 		o := out[g*8 : g*8+8]
 		if m == 0xff {
 			if pos+8 > len(data) {
-				return corruptf("RZE: truncated data bytes")
+				return Corruptf("RZE: truncated data bytes")
 			}
 			copy(o, data[pos:pos+8])
 			pos += 8
 			continue
 		}
 		if pos+bits.OnesCount8(m) > len(data) {
-			return corruptf("RZE: truncated data bytes")
+			return Corruptf("RZE: truncated data bytes")
 		}
 		for j := 0; j < 8; j++ {
 			if m&(0x80>>j) != 0 {
@@ -528,7 +473,7 @@ func rzeScatterBytes(out, bm, data []byte) error {
 	for i := groups * 8; i < len(out); i++ {
 		if bm[i>>3]&(0x80>>(i&7)) != 0 {
 			if pos >= len(data) {
-				return corruptf("RZE: truncated data bytes")
+				return Corruptf("RZE: truncated data bytes")
 			}
 			out[i] = data[pos]
 			pos++
@@ -552,7 +497,7 @@ func (z RZE) InverseLimit(enc []byte, maxDecoded int) ([]byte, error) {
 func (z RZE) InverseInto(dst, enc []byte, maxDecoded int) ([]byte, error) {
 	declen64, n := bitio.Uvarint(enc)
 	if n == 0 {
-		return nil, corruptf("RZE: bad length prefix")
+		return nil, Corruptf("RZE: bad length prefix")
 	}
 	if err := checkDecodedLen("RZE", declen64, maxDecoded); err != nil {
 		return nil, err
@@ -560,15 +505,15 @@ func (z RZE) InverseInto(dst, enc []byte, maxDecoded int) ([]byte, error) {
 	declen := int(declen64)
 	g := z.unit()
 	units := (declen + g - 1) / g
-	bp := getBuf()
-	defer putBuf(bp)
+	bp := GetBuf()
+	defer PutBuf(bp)
 	bm, consumed, err := decodeRepeatBitmapScratch(bp, enc[n:], (units+7)/8)
 	if err != nil {
 		return nil, err
 	}
 	data := enc[n+consumed:]
 	base := len(dst)
-	dst = grow(dst, declen)
+	dst = Grow(dst, declen)
 	out := dst[base:]
 	// Eliminated units decode to zero bytes; the grown region is not
 	// guaranteed fresh, so zero it first.
@@ -589,7 +534,7 @@ func (z RZE) InverseInto(dst, enc []byte, maxDecoded int) ([]byte, error) {
 			hi = declen
 		}
 		if pos+hi-lo > len(data) {
-			return nil, corruptf("RZE: truncated data bytes")
+			return nil, Corruptf("RZE: truncated data bytes")
 		}
 		copy(out[lo:hi], data[pos:pos+hi-lo])
 		pos += hi - lo

@@ -40,15 +40,16 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 )
 
-// loadBits reads width bits (1 <= width <= 64) most-significant-bit-first
+// LoadBits reads width bits (1 <= width <= 64) most-significant-bit-first
 // at bit offset pos of pad: one big-endian 64-bit load plus at most one
 // spill byte. pad must be padded so that 8 bytes past the byte holding the
 // last addressed bit are readable (the decoders copy their bit regions
 // into pooled scratch with 8 zero bytes appended for exactly this).
-func loadBits(pad []byte, pos, width uint) uint64 {
+func LoadBits(pad []byte, pos, width uint) uint64 {
 	off := pos & 7
 	x := binary.BigEndian.Uint64(pad[pos>>3:])
 	avail := 64 - off
@@ -61,6 +62,22 @@ func loadBits(pad []byte, pos, width uint) uint64 {
 	}
 	spill := width - avail // 1..7
 	return (x&(1<<avail-1))<<spill | uint64(pad[pos>>3+8])>>(8-spill)
+}
+
+// BitFinish spills a bit-packing accumulator's remaining pending bits,
+// zero-padded to a byte boundary exactly like bitio.Writer.Align, and
+// returns the new write cursor.
+func BitFinish(buf []byte, bp int, acc uint64, nacc uint) int {
+	for nacc >= 8 {
+		nacc -= 8
+		buf[bp] = byte(acc >> nacc)
+		bp++
+	}
+	if nacc > 0 {
+		buf[bp] = byte(acc << (8 - nacc))
+		bp++
+	}
+	return bp
 }
 
 // ErrCorrupt is returned when an encoded transform payload cannot be
@@ -87,72 +104,50 @@ func checkDecodedLen(name string, declen uint64, maxDecoded int) error {
 		cap = uint64(maxDecoded)
 	}
 	if declen > cap {
-		return corruptf("%s: decoded length %d exceeds budget %d", name, declen, cap)
+		return Corruptf("%s: decoded length %d exceeds budget %d", name, declen, cap)
 	}
 	return nil
 }
 
-func corruptf(format string, args ...any) error {
+// StageBudget is the decode budget of a pipeline's interior stages for a
+// final budget of maxDecoded: 2*maxDecoded+64, saturating to NoLimit (see
+// Pipeline.InverseInto for why interior stages need the headroom).
+func StageBudget(maxDecoded int) int {
+	if maxDecoded < 0 || maxDecoded >= (math.MaxInt-64)/2 {
+		return NoLimit
+	}
+	return 2*maxDecoded + 64
+}
+
+// Corruptf builds an ErrCorrupt-wrapped error, so every decode failure —
+// in this package or in the fused kernels — satisfies errors.Is(err,
+// ErrCorrupt).
+func Corruptf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
 }
 
-// grow extends b by n bytes (contents of the new tail are unspecified) and
-// returns the extended slice, reallocating only when capacity is short.
-func grow(b []byte, n int) []byte {
-	l := len(b)
-	if cap(b)-l >= n {
-		return b[: l+n : cap(b)]
-	}
-	nb := make([]byte, l+n, (l+n)*3/2+64)
-	copy(nb, b)
-	return nb
-}
-
-// growCap ensures b has at least n bytes of spare capacity beyond its
-// current length, without changing its length or contents.
-func growCap(b []byte, n int) []byte {
-	if cap(b)-len(b) >= n {
-		return b
-	}
-	nb := make([]byte, len(b), len(b)+n)
-	copy(nb, b)
-	return nb
+// Grow extends b by n bytes (contents of the new tail are unspecified) and
+// returns the extended slice, reallocating only when capacity is short —
+// by append's amortized policy (slices.Grow), so a nil b gets exactly n.
+func Grow(b []byte, n int) []byte {
+	return slices.Grow(b, n)[:len(b)+n]
 }
 
 // bufPool holds reusable byte buffers for transform temporaries and
 // pipeline ping-ponging. Buffers are stored via pointer so Put does not
-// allocate, and re-stored after use so grown capacity is retained.
+// allocate, and re-stored after use so grown capacity is retained; callers
+// size them with wordio.Resize or append into (*p)[:0].
 var bufPool = sync.Pool{New: func() any { return new([]byte) }}
 
-func getBuf() *[]byte  { return bufPool.Get().(*[]byte) }
-func putBuf(p *[]byte) { bufPool.Put(p) }
+// GetBuf takes a scratch byte buffer from the shared pool.
+func GetBuf() *[]byte { return bufPool.Get().(*[]byte) }
 
-// pooledBytes resizes the pooled buffer *p to exactly n bytes (contents
-// unspecified), storing any grown backing array back through p so the pool
-// retains it.
-func pooledBytes(p *[]byte, n int) []byte {
-	b := *p
-	if cap(b) < n {
-		b = make([]byte, n)
-		*p = b
-	}
-	return b[:n]
-}
+// PutBuf returns a buffer taken with GetBuf.
+func PutBuf(p *[]byte) { bufPool.Put(p) }
 
 // intPool holds reusable []int scratch (the adaptive transforms' per-word
 // lead counts).
 var intPool = sync.Pool{New: func() any { return new([]int) }}
-
-// growInts resizes a pooled []int to exactly n entries (contents
-// unspecified).
-func growInts(p *[]int, n int) []int {
-	s := *p
-	if cap(s) < n {
-		s = make([]int, n)
-		*p = s
-	}
-	return s[:n]
-}
 
 // Transform is one reversible stage of a compression pipeline. Forward may
 // return a slice longer or shorter than src; Inverse must reproduce the
@@ -210,9 +205,9 @@ func (p Pipeline) ForwardInto(dst, src []byte) []byte {
 	case 1:
 		return p[0].ForwardInto(dst, src)
 	}
-	a, b := getBuf(), getBuf()
-	defer putBuf(a)
-	defer putBuf(b)
+	a, b := GetBuf(), GetBuf()
+	defer PutBuf(a)
+	defer PutBuf(b)
 	cur := src
 	for i := 0; i < n-1; i++ {
 		s := a
@@ -252,20 +247,13 @@ func (p Pipeline) InverseInto(dst, enc []byte, maxDecoded int) ([]byte, error) {
 		return nil, err
 	}
 	if maxDecoded >= 0 && len(out)-len(dst) > maxDecoded {
-		return nil, corruptf("pipeline: decoded length %d exceeds budget %d", len(out)-len(dst), maxDecoded)
+		return nil, Corruptf("pipeline: decoded length %d exceeds budget %d", len(out)-len(dst), maxDecoded)
 	}
 	return out, nil
 }
 
 func (p Pipeline) inverseInto(dst, enc []byte, maxDecoded int) ([]byte, error) {
-	stageBudget := maxDecoded
-	if maxDecoded >= 0 {
-		if maxDecoded < (math.MaxInt-64)/2 {
-			stageBudget = 2*maxDecoded + 64
-		} else {
-			stageBudget = NoLimit
-		}
-	}
+	stageBudget := StageBudget(maxDecoded)
 	n := len(p)
 	switch n {
 	case 0:
@@ -273,9 +261,9 @@ func (p Pipeline) inverseInto(dst, enc []byte, maxDecoded int) ([]byte, error) {
 	case 1:
 		return p[0].InverseInto(dst, enc, maxDecoded)
 	}
-	a, b := getBuf(), getBuf()
-	defer putBuf(a)
-	defer putBuf(b)
+	a, b := GetBuf(), GetBuf()
+	defer PutBuf(a)
+	defer PutBuf(b)
 	cur := enc
 	for i := n - 1; i > 0; i-- {
 		s := a

@@ -359,14 +359,12 @@ func TestFCMParallelDecodeMatchesSequential(t *testing.T) {
 	vals := wordio.Words64(enc[hn:hn+n*8], false)
 	dists := wordio.Words64(enc[hn+n*8:hn+2*n*8], false)
 
-	seqVals := append([]uint64(nil), vals...)
-	seqDists := append([]uint64(nil), dists...)
-	seq, err := fcmDecodeSequential(seqVals, seqDists)
-	if err != nil {
+	seq := make([]uint64, n)
+	if err := fcmResolveSeq(seq, vals, dists); err != nil {
 		t.Fatal(err)
 	}
-	par, err := fcmDecodeParallel(vals, dists)
-	if err != nil {
+	par := make([]uint64, n)
+	if err := fcmResolveParallel(par, vals, dists); err != nil {
 		t.Fatal(err)
 	}
 	for i := range seq {
@@ -430,16 +428,18 @@ func TestRAREEliminatesCommonPrefixes(t *testing.T) {
 	roundtrip(t, RARE{}, src)
 }
 
-// TestAdaptiveSplitModel cross-checks bestSplit's closed-form size against a
-// brute-force bit count.
+// TestAdaptiveSplitModel cross-checks bestSplitHist's closed-form size
+// against a brute-force bit count.
 func TestAdaptiveSplitModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	words := make([]uint64, 512)
 	for i := range words {
 		words[i] = uint64(rng.Int63()) >> uint(rng.Intn(64))
 	}
-	lead := leadZeros(words)
-	k := bestSplit(lead)
+	lead := make([]int, len(words))
+	var hist [65]int
+	computeLead(lead, &hist, words, false)
+	k, _ := bestSplitHist(&hist, len(words))
 	model := func(k int) int {
 		if k == 0 {
 			return 64 * len(words)
@@ -455,7 +455,7 @@ func TestAdaptiveSplitModel(t *testing.T) {
 	best := model(k)
 	for kk := 0; kk <= 64; kk++ {
 		if model(kk) < best {
-			t.Fatalf("bestSplit picked k=%d (size %d) but k=%d gives %d", k, best, kk, model(kk))
+			t.Fatalf("bestSplitHist picked k=%d (size %d) but k=%d gives %d", k, best, kk, model(kk))
 		}
 	}
 }

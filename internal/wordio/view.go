@@ -10,20 +10,19 @@ package wordio
 //
 //   - A view is only returned on little-endian targets (and never under
 //     the purego build tag), and only when the buffer's base address is
-//     aligned to the word size. Otherwise ok is false and the caller must
-//     take its reference byte-accessor path (U32/PutU32 and friends),
-//     which produces byte-identical results on every platform.
+//     aligned to the word size. Otherwise ok is false. Kernels do not
+//     branch on ok themselves: they take their words from In32/Out32 and
+//     In64/Out64 (copy.go), which fall back to copy-in/copy-out scratch.
 //   - The view covers the buffer's complete words: len(view) == len(b)/w.
-//     Trailing bytes that do not fill a word are the caller's to handle,
-//     exactly as in the accessor path.
+//     Trailing bytes that do not fill a word are the caller's to handle.
 //   - The view aliases b: writes through the view are writes to b, and b
 //     must outlive the view. Callers must not grow b (append) while a
 //     view of it is live.
 //
 // Because a view changes only how bytes are addressed, never their
-// values, kernels built on views are guaranteed to emit the same bytes
-// as their accessor-path references; internal/transforms pins that with
-// differential tests over misaligned and odd-length buffers.
+// values, a kernel emits the same bytes on the alias and the copy path;
+// internal/transforms pins that with differential tests over misaligned
+// and odd-length buffers.
 
 // View32 returns b's complete 32-bit words aliased as a []uint32, plus
 // true, when direct reinterpretation is possible (see the package notes

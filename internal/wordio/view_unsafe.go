@@ -1,8 +1,9 @@
 // Word views by pointer reinterpretation. Only little-endian targets may
 // alias bytes as words (the wire format is little-endian), and only when
-// the base address is word-aligned; misaligned buffers fall back to the
-// copying/accessor path via ok == false. The purego tag disables the
-// unsafe path entirely for auditing or portability builds.
+// the base address is word-aligned; misaligned buffers get ok == false
+// and go through the copy-in/copy-out scratch, which on these targets is
+// one memmove each way. The purego tag disables the unsafe path entirely
+// for auditing or portability builds.
 
 //go:build (386 || amd64 || arm || arm64 || loong64 || mips64le || mipsle || ppc64le || riscv64 || wasm) && !purego
 
@@ -31,3 +32,17 @@ func view64(b []byte) ([]uint64, bool) {
 	}
 	return unsafe.Slice((*uint64)(unsafe.Pointer(&b[0])), n), true
 }
+
+// bytesOf returns the memory of w as bytes: on a little-endian target
+// that is exactly w's wire encoding.
+func bytesOf[T uint32 | uint64](w []T) []byte {
+	if len(w) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(&w[0])), len(w)*int(unsafe.Sizeof(w[0])))
+}
+
+func load32(w []uint32, b []byte)  { copy(bytesOf(w), b) }
+func store32(b []byte, w []uint32) { copy(b, bytesOf(w)) }
+func load64(w []uint64, b []byte)  { copy(bytesOf(w), b) }
+func store64(b []byte, w []uint64) { copy(b, bytesOf(w)) }
