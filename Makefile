@@ -36,13 +36,14 @@ race:
 
 check: build vet test race
 
-# Runs every hostile-input fuzz harness for FUZZTIME each (go's fuzz
-# engine accepts one -fuzz pattern per package invocation, hence the
-# loops). Seeds include the checked-in corpus under testdata/corrupt/.
+# Runs every hostile-input fuzz harness, plus the FCM encoder's
+# differential fuzzer, for FUZZTIME each (go's fuzz engine accepts one
+# -fuzz pattern per package invocation, hence the loops). Seeds include
+# the checked-in corpus under testdata/corrupt/.
 FUZZTIME ?= 10s
 TRANSFORM_FUZZERS := FuzzDiffMSInverse FuzzBitInverse FuzzMPLGInverse \
-	FuzzRZEInverse FuzzFCMInverse FuzzRAZEInverse FuzzRAREInverse \
-	FuzzPipelineInverse
+	FuzzRZEInverse FuzzFCMInverse FuzzFCMForward FuzzRAZEInverse \
+	FuzzRAREInverse FuzzPipelineInverse
 FUSED_FUZZERS := FuzzFusedKernels
 CONTAINER_FUZZERS := FuzzParse FuzzDecompressContainer
 ROOT_FUZZERS := FuzzContainerDecompress FuzzDecompressPartial FuzzDecompress FuzzStreamReader

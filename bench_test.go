@@ -311,7 +311,7 @@ func BenchmarkAuto(b *testing.B) {
 	}
 }
 
-// BenchmarkFCMWindow sweeps the sorted-order match window (the paper's
+// BenchmarkFCMWindow sweeps the same-hash match window (the paper's
 // "preceding four pairs", §3.2) on the repeat-heavy MPI domain.
 func BenchmarkFCMWindow(b *testing.B) {
 	var mpi []byte

@@ -205,28 +205,45 @@ func (a *Algorithm) DecompressAppend(dst []byte, data []byte, p container.Params
 	if err := a.checkContainer(data); err != nil {
 		return nil, err
 	}
-	budget := p.DecodeBudget()
 	if a.Pre == nil {
 		return container.DecompressAppend(dst, data, a.ChunkCodec(), p)
 	}
-	cp := p
-	if budget >= 0 {
-		if f, ok := a.Pre.(interface{ EncodedCap(int) int }); ok && budget < math.MaxInt/2-16 {
-			cp.MaxDecoded = f.EncodedCap(budget)
-		} else {
-			cp.MaxDecoded = -1 // unknown expansion: the pre-stage enforces the budget below
-		}
-	}
 	pb := preBufPool.Get().(*[]byte)
-	buf, err := container.DecompressAppend((*pb)[:0], data, a.ChunkCodec(), cp)
+	buf, err := container.DecompressAppend((*pb)[:0], data, a.ChunkCodec(), a.preParams(p))
 	if err != nil {
 		preBufPool.Put(pb)
 		return nil, err
 	}
 	*pb = buf
-	out, err := a.Pre.InverseInto(dst, buf, budget)
+	out, err := a.preInverse(dst, buf, p)
 	preBufPool.Put(pb)
 	return out, err
+}
+
+// preParams scales the container-level decode budget in p by the
+// pre-stage's worst-case expansion, so a legal payload of exactly the
+// budget still decodes; the pre-stage enforces the budget itself.
+func (a *Algorithm) preParams(p container.Params) container.Params {
+	if budget := p.DecodeBudget(); budget >= 0 {
+		if f, ok := a.Pre.(interface{ EncodedCap(int) int }); ok && budget < math.MaxInt/2-16 {
+			p.MaxDecoded = f.EncodedCap(budget)
+		} else {
+			p.MaxDecoded = -1 // unknown expansion: the pre-stage enforces the budget
+		}
+	}
+	return p
+}
+
+// preInverse decodes the pre-stage intermediate buf onto dst under p's
+// decode budget, passing p's worker cap to a pre-stage that takes one.
+func (a *Algorithm) preInverse(dst, buf []byte, p container.Params) ([]byte, error) {
+	budget := p.DecodeBudget()
+	if f, ok := a.Pre.(interface {
+		InverseWorkers(dst, enc []byte, maxDecoded, workers int) ([]byte, error)
+	}); ok {
+		return f.InverseWorkers(dst, buf, budget, p.Parallelism)
+	}
+	return a.Pre.InverseInto(dst, buf, budget)
 }
 
 // ErrWindowedMismatch reports a container whose windowed flag disagrees
@@ -281,20 +298,11 @@ func (a *Algorithm) DecompressPartialAppend(dst, data []byte, p container.Params
 	if err := a.checkContainer(data); err != nil {
 		return nil, nil, err
 	}
-	budget := p.DecodeBudget()
 	if a.Pre == nil {
 		return container.DecompressPartialAppend(dst, data, a.ChunkCodec(), p)
 	}
-	cp := p
-	if budget >= 0 {
-		if f, ok := a.Pre.(interface{ EncodedCap(int) int }); ok && budget < math.MaxInt/2-16 {
-			cp.MaxDecoded = f.EncodedCap(budget)
-		} else {
-			cp.MaxDecoded = -1 // unknown expansion: the pre-stage enforces the budget below
-		}
-	}
 	pb := preBufPool.Get().(*[]byte)
-	buf, rep, err := container.DecompressPartialAppend((*pb)[:0], data, a.ChunkCodec(), cp)
+	buf, rep, err := container.DecompressPartialAppend((*pb)[:0], data, a.ChunkCodec(), a.preParams(p))
 	if err != nil {
 		preBufPool.Put(pb)
 		return nil, rep, err
@@ -304,7 +312,7 @@ func (a *Algorithm) DecompressPartialAppend(dst, data []byte, p container.Params
 		preBufPool.Put(pb)
 		return nil, rep, fmt.Errorf("%w: %s (%s)", ErrPreStagePartial, a.ID, rep.Summary())
 	}
-	out, err := a.Pre.InverseInto(dst, buf, budget)
+	out, err := a.preInverse(dst, buf, p)
 	preBufPool.Put(pb)
 	if err != nil {
 		return nil, rep, err

@@ -187,6 +187,25 @@ func TestParallelCompressionIsDeterministic(t *testing.T) {
 	}
 }
 
+// TestPreStageDecodeParallelism decodes one whole-input DPratio container,
+// large enough for the FCM pre-stage's parallel resolver, at several
+// worker caps through both decode entry points: the bytes never change.
+func TestPreStageDecodeParallelism(t *testing.T) {
+	src := smoothDP(1<<17, 12)
+	copy(src[len(src)/2:], src) // far repeats give FCM distance chains
+	a, _ := New(DPratio)
+	data := a.Compress(src, container.Params{})
+	for _, w := range []int{1, 2, 0} {
+		p := container.Params{Parallelism: w}
+		if got, err := a.Decompress(data, p); err != nil || !bytes.Equal(got, src) {
+			t.Errorf("Parallelism %d: Decompress differs (err %v)", w, err)
+		}
+		if got, _, err := a.DecompressPartial(data, p); err != nil || !bytes.Equal(got, src) {
+			t.Errorf("Parallelism %d: DecompressPartial differs (err %v)", w, err)
+		}
+	}
+}
+
 // TestExtensionAlgorithms covers the repository's lcsynth-derived
 // SPbalance/DPbalance pipelines: they must roundtrip, and on smooth data
 // land between the paper's speed and ratio modes on compression ratio.

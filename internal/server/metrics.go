@@ -89,7 +89,7 @@ type metrics struct {
 	openConns     atomic.Int64  // currently accepted connections
 	connsRejected atomic.Uint64 // connections refused at the MaxConns cap
 	slowClients   atomic.Uint64 // connections dropped by the read timeout
-	inflightBytes atomic.Int64  // payload bytes admitted and not yet answered
+	inflightBytes atomic.Int64  // payload bytes admitted and not yet executed
 	bytesRejected atomic.Uint64 // requests refused by the in-flight byte budget
 	degraded      atomic.Uint64 // StatusPartial responses served in degraded mode
 	ops           [4]opMetrics  // index 0 unused; 1..3 = compress, decompress, stats

@@ -80,7 +80,7 @@ type Config struct {
 	// silently substituted for an error.
 	Degraded bool
 	// MaxInflightBytes caps the sum of request payload bytes admitted and
-	// not yet answered, across all connections — a semaphore over bytes,
+	// not yet executed, across all connections — a semaphore over bytes,
 	// not just job count, so N slow connections cannot each hold a
 	// MaxPayload buffer. Requests that would exceed it are rejected with
 	// StatusBusy before their payload is buffered (the bytes are drained
@@ -277,8 +277,8 @@ func (s *Server) StatsSnapshot() Snapshot {
 }
 
 // tryAcquireBytes reserves n payload bytes against the global in-flight
-// budget; the caller must releaseBytes the same n when the request is
-// answered. The gauge atomic doubles as the semaphore, so Snapshot's
+// budget; the caller must releaseBytes the same n once the request has
+// executed. The gauge atomic doubles as the semaphore, so Snapshot's
 // InflightBytes is exactly the reserved total.
 func (s *Server) tryAcquireBytes(n int64) bool {
 	budget := s.cfg.maxInflightBytes()
@@ -466,12 +466,15 @@ func (s *Server) handleConn(c net.Conn) {
 		}
 		c.SetReadDeadline(time.Time{})
 		res := s.dispatch(op, alg, payload)
+		// The reservation covers execution only: release it before the
+		// reply is written, so a client that reads its answer and sends
+		// the next request never finds its own bytes still reserved.
+		s.releaseBytes(reserved)
 		err = WriteResponse(bw, res.status, res.payload)
 		if err == nil {
 			err = bw.Flush()
 		}
 		res.release()
-		s.releaseBytes(reserved)
 		if err != nil {
 			return
 		}

@@ -2,6 +2,7 @@ package transforms
 
 import (
 	"math/bits"
+	"math/rand/v2"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -10,8 +11,8 @@ import (
 	"fpcompress/internal/wordio"
 )
 
-// fcmWindow is how many preceding pairs (in sorted order) are examined for a
-// matching earlier occurrence of the same value, per paper §3.2.
+// fcmWindow is how many nearest earlier occurrences of the same context
+// hash are examined for an equal value, per paper §3.2.
 const fcmWindow = 4
 
 // fcmParallelMin is the word count above which the decoder switches to the
@@ -20,14 +21,16 @@ const fcmParallelMin = 1 << 16
 
 // FCM implements the Finite Context Method transformation (paper §3.2,
 // Figure 6), the first stage of DPratio and the paper's GPU-friendly
-// replacement for FPC's per-thread hash tables. For every 64-bit word it hashes the
-// three prior words, sorts the (hash, index) pairs, and checks whether one
-// of the four preceding pairs in sorted order carries the same hash and
-// refers to an equal value — i.e. the same value was seen earlier in the
-// same context. Matches are encoded as a backward distance; misses keep the
-// raw value. The output is a value array and a distance array (each exactly
-// one word per input word, so the stage doubles the data), which compress
-// far better than the input: half the entries are zero and repeated doubles
+// replacement for FPC's per-thread hash tables. For every 64-bit word it
+// hashes the three prior words and checks whether one of the four nearest
+// earlier words with exactly the same context hash holds an equal value —
+// i.e. the same value was seen earlier in the same context. (The paper
+// finds these by sorting (hash, index) pairs; the encoder groups words by
+// exact hash instead and emits the same bytes, see fcmForwardChained.)
+// Matches are encoded as a backward distance; misses keep the raw value.
+// The output is a value array and a distance array (each exactly one word
+// per input word, so the stage doubles the data), which compress far
+// better than the input: half the entries are zero and repeated doubles
 // have become small integers.
 //
 // Unlike every other stage, FCM runs over the whole input rather than per
@@ -40,19 +43,20 @@ const fcmParallelMin = 1 << 16
 // array, the distance array, then any trailing bytes that did not fill a
 // word.
 //
-// Window overrides the sorted-order match window for ablation experiments
-// (0 = the paper's 4). The window only affects which matches the encoder
-// finds; decoding is window-independent, so all settings interoperate.
+// Window overrides the match window — how many same-hash predecessors are
+// examined — for ablation experiments (0 = the paper's 4). The window only
+// affects which matches the encoder finds; decoding is window-independent,
+// so all settings interoperate.
 //
-// Table selects the direct-mapped hash-table encoder instead of the sorted
-// pairs: one last-occurrence slot per hash bucket (FPC-style), probed and
-// updated in a single O(n) pass with no sort. The windowed (per-chunk)
-// DPratio mode uses it — per-chunk inputs are small enough that the table
-// stays L1-resident and the sort would dominate. The table only changes
-// which matches the encoder finds, so its output decodes with the same
-// window-independent decoder, but the bytes differ from the sorted
-// encoder's: Table is part of the pipeline identity wherever outputs are
-// pinned.
+// Table selects the direct-mapped hash-table encoder instead: one
+// last-occurrence slot per bucket of the top hash bits (FPC-style), probed
+// and updated in a single pass with a table small enough to stay
+// L1-resident. The windowed (per-chunk) DPratio mode uses it. Buckets
+// merge distinct hashes and keep only the newest index, so Table changes
+// which matches the encoder finds: its output decodes with the same
+// window-independent decoder, but the bytes differ from the exact-hash
+// encoder's, and Table is part of the pipeline identity wherever outputs
+// are pinned.
 type FCM struct {
 	Window int
 	Table  bool
@@ -69,7 +73,7 @@ func (f FCM) window() int {
 const fcmHeaderLen = 8
 
 // Name implements Transform. The table encoder is named apart from the
-// sorted one: the two emit different bytes for the same input, so bench
+// exact-hash one: the two emit different bytes for the same input, so bench
 // rows and stage listings must not conflate them.
 func (f FCM) Name() string {
 	if f.Table {
@@ -89,25 +93,6 @@ func fcmHash(v1, v2, v3 uint64) uint64 {
 	return wordio.Mix64(v1 ^ bits.RotateLeft64(v2, 23) ^ bits.RotateLeft64(v3, 47))
 }
 
-// fcmHashBlockLen is the batch size for the block-wise context hashing:
-// big enough to amortize the simd kernel, small enough that the hash
-// scratch stays cache-resident even for whole-input encodes.
-const fcmHashBlockLen = 4096
-
-// fcmHashBlock fills hw[j] with the context hash of position start+j of sw
-// for start >= 3 (all three predecessors real), through the simd batch
-// kernel when dispatched. The scalar loop is the reference; both produce
-// fcmHash exactly, so encoder output is path-independent.
-func fcmHashBlock(hw []uint64, sw []uint64, start int) {
-	if simd.FCMHash64(hw, sw[start-3:]) {
-		return
-	}
-	for j := range hw {
-		i := start + j
-		hw[j] = fcmHash(sw[i-1], sw[i-2], sw[i-3])
-	}
-}
-
 // fcmTableBits sizes the direct-mapped last-occurrence table: 1<<12 slots
 // (16 kB of int32) holds a 16 kB chunk's 2048 words with few collisions
 // and clears with one memclr per encode.
@@ -119,56 +104,6 @@ var fcmTablePool = sync.Pool{New: func() any {
 	return &t
 }}
 
-// fcmPair couples a context hash with the input index it was computed at.
-type fcmPair struct {
-	hash uint64
-	idx  uint32
-}
-
-// fcmPairPool recycles the encoder's (hash, index) array and its radix-sort
-// double buffer.
-var fcmPairPool = sync.Pool{New: func() any { return new([]fcmPair) }}
-
-// radixSortPairs sorts pairs by hash (stably, so equal hashes keep ascending
-// index order) using an LSD radix sort with 8-bit digits; tmp is the
-// caller-supplied double buffer (same length as pairs).
-func radixSortPairs(pairs, tmp []fcmPair) {
-	n := len(pairs)
-	if n < 2 {
-		return
-	}
-	src, dst := pairs, tmp
-	for shift := uint(0); shift < 64; shift += 8 {
-		var count [257]int
-		for i := range src {
-			count[int(byte(src[i].hash>>shift))+1]++
-		}
-		// Skip passes where every key shares the digit.
-		allSame := false
-		for d := 0; d < 256; d++ {
-			if count[d+1] == n {
-				allSame = true
-				break
-			}
-		}
-		if allSame {
-			continue
-		}
-		for d := 1; d < 257; d++ {
-			count[d] += count[d-1]
-		}
-		for i := range src {
-			d := byte(src[i].hash >> shift)
-			dst[count[d]] = src[i]
-			count[d]++
-		}
-		src, dst = dst, src
-	}
-	if &src[0] != &pairs[0] {
-		copy(pairs, src)
-	}
-}
-
 // Forward implements Transform.
 func (f FCM) Forward(src []byte) []byte {
 	return f.ForwardInto(nil, src)
@@ -176,8 +111,8 @@ func (f FCM) Forward(src []byte) []byte {
 
 // ForwardInto implements Transform (see the package comment for the dst
 // ownership contract). The value and distance arrays are written straight
-// into the output region; the (hash, index) pairs and the radix-sort double
-// buffer are pooled.
+// into the output region; the hashes, slot table and chain links are
+// pooled scratch.
 func (f FCM) ForwardInto(dst, src []byte) []byte {
 	base := len(dst)
 	n := len(src) / 8
@@ -194,7 +129,7 @@ func (f FCM) ForwardInto(dst, src []byte) []byte {
 	if f.Table {
 		fcmForwardTable(vw.W, dw.W, sw.W)
 	} else {
-		fcmForwardSorted(vw.W, dw.W, sw.W, f.window())
+		fcmForwardChained(vw.W, dw.W, sw.W, f.window())
 	}
 	dw.Done()
 	vw.Done()
@@ -205,60 +140,89 @@ func (f FCM) ForwardInto(dst, src []byte) []byte {
 
 // fcmContextHashes fills hw (len(sw) entries) with every position's
 // context hash. Positions >= 3 have three real predecessors and are
-// hashed through the batch kernel.
+// hashed through the simd batch kernel when dispatched. The scalar loop is
+// the reference; both produce fcmHash exactly, so encoder output is
+// path-independent.
 func fcmContextHashes(hw, sw []uint64) {
 	var v1, v2, v3 uint64
 	for i := 0; i < min(len(sw), 3); i++ {
 		hw[i] = fcmHash(v1, v2, v3)
 		v1, v2, v3 = sw[i], v1, v2
 	}
-	if len(sw) > 3 {
-		fcmHashBlock(hw[3:], sw, 3)
+	if len(sw) <= 3 || simd.FCMHash64(hw[3:], sw) {
+		return
+	}
+	for i := 3; i < len(sw); i++ {
+		hw[i] = fcmHash(sw[i-1], sw[i-2], sw[i-3])
 	}
 }
 
-// fcmForwardSorted is the sorted-pairs encoder: the (hash, index) pairs
-// are radix-sorted by hash, and each word looks back up to window pairs
-// in sorted order for an equal earlier value in the same context.
-func fcmForwardSorted(vw, dw, sw []uint64, window int) {
+// fcmSlotSeed keys the chain table's slot function. Mix64 is invertible,
+// so an unkeyed slot would let a crafted input steer every distinct hash
+// into one probe run and make the encode quadratic. The slot only decides
+// where a hash is stored, never which indices share it, so the output does
+// not depend on the seed.
+var fcmSlotSeed = rand.Uint64()
+
+// fcmChainPool recycles the chained encoder's slot table and prev links.
+var fcmChainPool = sync.Pool{New: func() any { return new([]uint32) }}
+
+// fcmForwardChained is the whole-input encoder. An open-addressed table
+// keyed by the exact 64-bit context hash holds each hash's newest index,
+// and prev links every index to the previous one with the same hash, so
+// each word walks its nearest window same-context predecessors, nearest
+// first, and takes the first equal value. The paper's stable sort of
+// (hash, index) pairs keeps index order within a hash, so the window
+// pairs it scans before a word are these same predecessors in the same
+// order: the bytes equal the sort's, found in one O(n) pass.
+func fcmForwardChained(vw, dw, sw []uint64, window int) {
 	n := len(sw)
-	pp, tp := fcmPairPool.Get().(*[]fcmPair), fcmPairPool.Get().(*[]fcmPair)
-	defer fcmPairPool.Put(pp)
-	defer fcmPairPool.Put(tp)
-	pairs := wordio.Resize(pp, n)
-	// Hash in cache-resident blocks so the hash scratch stays small even
-	// for whole-input encodes.
-	hw := wordio.Scratch64(fcmHashBlockLen)
-	for off := 0; off < n; off += fcmHashBlockLen {
-		m := min(n-off, fcmHashBlockLen)
-		if off == 0 {
-			fcmContextHashes(hw.W[:m], sw[:m])
-		} else {
-			fcmHashBlock(hw.W[:m], sw, off)
-		}
-		for j := 0; j < m; j++ {
-			pairs[off+j] = fcmPair{hash: hw.W[j], idx: uint32(off + j)}
-		}
+	if n == 0 {
+		return
 	}
-	hw.Done()
-	radixSortPairs(pairs, wordio.Resize(tp, n))
-	for p := 0; p < n; p++ {
-		cur := pairs[p]
-		curv := sw[cur.idx]
-		matched := false
-		for q := p - 1; q >= 0 && q >= p-window; q-- {
-			prev := pairs[q]
-			if prev.hash != cur.hash {
-				break // sorted: earlier pairs cannot match either
-			}
-			if sw[prev.idx] == curv {
-				dw[cur.idx] = uint64(cur.idx - prev.idx)
-				matched = true
+	hs := wordio.Scratch64(n)
+	defer hs.Done()
+	hw := hs.W
+	fcmContextHashes(hw, sw)
+	tp, pp := fcmChainPool.Get().(*[]uint32), fcmChainPool.Get().(*[]uint32)
+	defer fcmChainPool.Put(tp)
+	defer fcmChainPool.Put(pp)
+	// A slot holds index+1 (0 = empty); at least 2n slots keep the load
+	// factor at or below one half.
+	tbits := bits.Len(uint(2*n - 1))
+	table := wordio.Resize(tp, 1<<tbits)
+	clear(table)
+	mask := uint64(len(table) - 1)
+	prev := wordio.Resize(pp, n)
+	seed := fcmSlotSeed
+	for i, h := range hw {
+		s := wordio.Mix64(h^seed) >> (64 - tbits)
+		p := uint32(0)
+		for {
+			j := table[s]
+			if j == 0 {
 				break
 			}
+			if hw[j-1] == h {
+				p = j
+				break
+			}
+			s = (s + 1) & mask
 		}
-		if !matched {
-			vw[cur.idx] = curv
+		table[s] = uint32(i + 1)
+		prev[i] = p
+		v, d := sw[i], uint64(0)
+		for k := 0; p != 0 && k < window; k++ {
+			if sw[p-1] == v {
+				d = uint64(i + 1 - int(p))
+				break
+			}
+			p = prev[p-1]
+		}
+		if d != 0 {
+			dw[i] = d
+		} else {
+			vw[i] = v
 		}
 	}
 }
@@ -300,10 +264,17 @@ func (f FCM) InverseLimit(enc []byte, maxDecoded int) ([]byte, error) {
 }
 
 // InverseInto implements Transform (see the package comment for the dst
-// ownership contract). The sequential path resolves straight from the
-// encoded arrays into dst; the parallel path needs mutable value/distance
-// arrays, which come from a pool.
-func (FCM) InverseInto(dst, enc []byte, maxDecoded int) ([]byte, error) {
+// ownership contract), resolving with up to GOMAXPROCS workers.
+func (f FCM) InverseInto(dst, enc []byte, maxDecoded int) ([]byte, error) {
+	return f.InverseWorkers(dst, enc, maxDecoded, 0)
+}
+
+// InverseWorkers is InverseInto resolving with at most workers goroutines
+// (0 = GOMAXPROCS), so a caller's worker cap reaches the whole-input
+// decode. The sequential path resolves straight from the encoded arrays
+// into dst; the parallel path needs mutable value/distance arrays, which
+// come from a pool. The worker count never changes the decoded bytes.
+func (FCM) InverseWorkers(dst, enc []byte, maxDecoded, workers int) ([]byte, error) {
 	if len(enc) < fcmHeaderLen {
 		return nil, Corruptf("FCM: missing length prefix")
 	}
@@ -331,12 +302,12 @@ func (FCM) InverseInto(dst, enc []byte, maxDecoded int) ([]byte, error) {
 	vw := wordio.In64(enc[hn : hn+n*8])
 	dw := wordio.In64(enc[hn+n*8 : hn+2*n*8])
 	var err error
-	if n >= fcmParallelMin && runtime.GOMAXPROCS(0) > 1 {
+	if w := fcmResolveWorkers(n, workers); w > 1 {
 		// The parallel resolver clobbers its value and distance arrays.
 		vals, dists := wordio.Scratch64(n), wordio.Scratch64(n)
 		copy(vals.W, vw.W)
 		copy(dists.W, dw.W)
-		err = fcmResolveParallel(ow.W, vals.W, dists.W)
+		err = fcmResolveParallel(ow.W, vals.W, dists.W, w)
 		dists.Done()
 		vals.Done()
 	} else {
@@ -350,6 +321,18 @@ func (FCM) InverseInto(dst, enc []byte, maxDecoded int) ([]byte, error) {
 	}
 	copy(out[n*8:], enc[hn+2*n*8:hn+2*n*8+tailLen])
 	return dst, nil
+}
+
+// fcmResolveWorkers is the number of goroutines resolving n words under a
+// cap of workers (0 = GOMAXPROCS); 1 means the sequential resolver.
+func fcmResolveWorkers(n, workers int) int {
+	if n < fcmParallelMin {
+		return 1
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return workers
 }
 
 // fcmResolveSeq resolves distances in index order into out; every
@@ -374,7 +357,7 @@ func fcmResolveSeq(out, vals, dists []uint64) error {
 // distance so other chains can stop there. The atomic store on the
 // distance array is the release barrier making the preceding value write
 // visible. vals and dists are clobbered.
-func fcmResolveParallel(out, vals, dists []uint64) error {
+func fcmResolveParallel(out, vals, dists []uint64, workers int) error {
 	n := len(vals)
 	// Validate up front; workers then cannot walk out of bounds.
 	for i, d := range dists {
@@ -382,7 +365,6 @@ func fcmResolveParallel(out, vals, dists []uint64) error {
 			return Corruptf("FCM: distance %d exceeds index %d", d, i)
 		}
 	}
-	workers := runtime.GOMAXPROCS(0)
 	var next atomic.Int64
 	const grain = 4096
 	var wg sync.WaitGroup

@@ -10,8 +10,8 @@
 //   - BIT: bit transposition / bit-plane shuffle (bit.go)
 //   - RZE: repeated zero elimination at byte granularity with a recursively
 //     compressed bitmap (rze.go)
-//   - FCM: finite-context-method duplicate-value detection via a sorted
-//     (hash, index) array (fcm.go)
+//   - FCM: finite-context-method duplicate-value detection by exact
+//     context hash (fcm.go)
 //   - RAZE: repeated adaptive zero elimination of the top k bits (raze.go)
 //   - RARE: repeated adaptive repetition elimination of the top k bits
 //     (rare.go)

@@ -364,7 +364,7 @@ func TestFCMParallelDecodeMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	par := make([]uint64, n)
-	if err := fcmResolveParallel(par, vals, dists); err != nil {
+	if err := fcmResolveParallel(par, vals, dists, 4); err != nil {
 		t.Fatal(err)
 	}
 	for i := range seq {
