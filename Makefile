@@ -118,14 +118,15 @@ bench-smoke:
 
 # Cross-checks the purego build tag: no unsafe word view is ever granted,
 # so every transform and fused kernel runs its one loop on copy-in/copy-out
-# scratch (encoding/binary), and the whole suite must still pass.
+# scratch (encoding/binary), every simd op runs its scalar body, and the
+# whole suite must still pass.
 purego:
 	$(GO) build -tags purego ./...
-	$(GO) test -tags purego -count=1 ./internal/wordio ./internal/transforms/... ./internal/core ./internal/selector .
+	$(GO) test -tags purego -count=1 ./internal/wordio ./internal/simd ./internal/transforms/... ./internal/core ./internal/selector .
 
-# Cross-checks the noasm build tag: the SIMD dispatch in internal/simd
-# compiles out (every kernel declines) and the transform suite must pass
-# on the pure-Go word kernels alone. Mirrors purego, which additionally
+# Cross-checks the noasm build tag: the assembly in internal/simd compiles
+# out, every simd op runs its scalar body, and the transform suite must
+# pass on those pure-Go loops alone. Mirrors purego, which additionally
 # disables the unsafe word views (so every buffer is copied in and out).
 noasm:
 	$(GO) build -tags noasm ./...

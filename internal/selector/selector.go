@@ -13,7 +13,7 @@
 //     as the balance candidate's input.
 //   - An RZE stage costs exactly uvarint(len) + repeat-bitmap + non-zero
 //     bytes, so the balance pipelines (MPLG→RZE) are priced exactly by one
-//     transforms.ZeroBitmap scan plus the length-only
+//     simd.NonzeroBM scan plus the length-only
 //     transforms.RepeatBitmapLen over the already-produced MPLG output.
 //   - BIT32→RZE (the single-precision ratio pipeline) is priced exactly
 //     without running the transpose: a BIT output byte is non-zero iff the
@@ -54,6 +54,7 @@ import (
 	"sync/atomic"
 
 	"fpcompress/internal/bitio"
+	"fpcompress/internal/simd"
 	"fpcompress/internal/transforms"
 	"fpcompress/internal/transforms/fused"
 	"fpcompress/internal/wordio"
@@ -296,7 +297,7 @@ func nonzeroCount(b []byte) int {
 // its bitmap machinery: uvarint length + compressed bitmap + survivors.
 func (st *state) rzeCost(src []byte) int {
 	bm := wordio.Resize(&st.bm, (len(src)+7)/8)
-	nonzero := transforms.ZeroBitmap(bm, src)
+	nonzero := simd.NonzeroBM(bm, src)
 	return bitio.UvarintLen(uint64(len(src))) + transforms.RepeatBitmapLen(bm) + nonzero
 }
 
@@ -336,7 +337,7 @@ func (st *state) bitRZECost32(ors []uint32, tail []byte, diffLen int) int {
 		var blk [32]uint32
 		for t := 0; t < nt; t++ {
 			copy(blk[:], ors[t*32:t*32+32])
-			transforms.Transpose32(&blk)
+			simd.Transpose32(&blk)
 			for p := 0; p < 32; p++ {
 				bmw.W[p*nt+t] = bits.ReverseBytes32(blk[p])
 			}

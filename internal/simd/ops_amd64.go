@@ -2,11 +2,12 @@
 
 package simd
 
-// Assembly bodies (kernels_*_amd64.s). Each processes only whole SIMD
-// groups; the Go wrappers peel heads (where a kernel reads one element
-// before its pointer) and finish tails with the same scalar arithmetic the
-// reference kernels use, so wrapper output is byte-identical to the
-// reference for every length and alignment.
+// AVX2 runners for the ops in ops.go. Each accel* checks the level and
+// the op's parameters, runs its assembly body (kernels_*_amd64.s) over
+// whole SIMD groups, and returns how many elements it finished — a prefix
+// the op's scalar loop continues from, 0 when it leaves the whole job to
+// that loop. Kernels that read one element before their pointer get their
+// first group from the op's scalar body.
 
 //go:noescape
 func diffZigOr32Asm(dst, src *uint32, groups int) uint32
@@ -38,253 +39,8 @@ func nonzeroBMAsm(bm *byte, src *byte, blocks int) int
 //go:noescape
 func changeBMAsm(bm *byte, cur *byte, blocks int)
 
-// minWords is the slice length below which the wrappers decline and let
-// the caller run its scalar path: too short to amortize the vector
-// prologue.
-const minWords = 16
-
-func zigzag32(x uint32) uint32   { return (x << 1) ^ uint32(int32(x)>>31) }
-func zigzag64(x uint64) uint64   { return (x << 1) ^ uint64(int64(x)>>63) }
-func unzigzag32(x uint32) uint32 { return (x >> 1) ^ -(x & 1) }
-func unzigzag64(x uint64) uint64 { return (x >> 1) ^ -(x & 1) }
-
-// DiffZigOr32 computes dst[i] = ZigZag32(src[i] - src[i-1]) (src[-1] taken
-// as prev) for all of src and returns the OR of the outputs. len(dst) must
-// be >= len(src).
-func DiffZigOr32(dst, src []uint32, prev uint32) (uint32, bool) {
-	if active.Load() != levelAVX2 || len(src) < minWords {
-		return 0, false
-	}
-	var or uint32
-	for j := 0; j < 8; j++ { // head: predecessor crosses the slice start
-		z := zigzag32(src[j] - prev)
-		prev = src[j]
-		dst[j] = z
-		or |= z
-	}
-	n := 8
-	if g := (len(src) - n) / 8; g > 0 {
-		or |= diffZigOr32Asm(&dst[n], &src[n], g)
-		n += g * 8
-		prev = src[n-1]
-	}
-	for ; n < len(src); n++ {
-		z := zigzag32(src[n] - prev)
-		prev = src[n]
-		dst[n] = z
-		or |= z
-	}
-	return or, true
-}
-
-// DiffZigOr64 is the 64-bit variant of DiffZigOr32.
-func DiffZigOr64(dst, src []uint64, prev uint64) (uint64, bool) {
-	if active.Load() != levelAVX2 || len(src) < minWords {
-		return 0, false
-	}
-	var or uint64
-	for j := 0; j < 4; j++ {
-		z := zigzag64(src[j] - prev)
-		prev = src[j]
-		dst[j] = z
-		or |= z
-	}
-	n := 4
-	if g := (len(src) - n) / 4; g > 0 {
-		or |= diffZigOr64Asm(&dst[n], &src[n], g)
-		n += g * 4
-		prev = src[n-1]
-	}
-	for ; n < len(src); n++ {
-		z := zigzag64(src[n] - prev)
-		prev = src[n]
-		dst[n] = z
-		or |= z
-	}
-	return or, true
-}
-
-// UnDiffZig32 computes the DIFFMS inverse dst[i] = prev + Σ
-// UnZigZag32(src[0..i]) and returns the final running value. dst and src
-// may alias exactly (dst[i] is written after src[i] is read).
-func UnDiffZig32(dst, src []uint32, prev uint32) (uint32, bool) {
-	if active.Load() != levelAVX2 || len(src) < minWords {
-		return 0, false
-	}
-	n := 0
-	if g := len(src) / 8; g > 0 {
-		prev = unDiffZig32Asm(&dst[0], &src[0], g, prev)
-		n = g * 8
-	}
-	for ; n < len(src); n++ {
-		prev += unzigzag32(src[n])
-		dst[n] = prev
-	}
-	return prev, true
-}
-
-// UnDiffZig64 is the 64-bit variant of UnDiffZig32.
-func UnDiffZig64(dst, src []uint64, prev uint64) (uint64, bool) {
-	if active.Load() != levelAVX2 || len(src) < minWords {
-		return 0, false
-	}
-	n := 0
-	if g := len(src) / 4; g > 0 {
-		prev = unDiffZig64Asm(&dst[0], &src[0], g, prev)
-		n = g * 4
-	}
-	for ; n < len(src); n++ {
-		prev += unzigzag64(src[n])
-		dst[n] = prev
-	}
-	return prev, true
-}
-
-// Or32 returns the OR of src. MPLG's width scan uses OR in place of max:
-// both have the same bit length and top bit, the only properties the
-// format derives from the scan.
-func Or32(src []uint32) (uint32, bool) {
-	if active.Load() != levelAVX2 || len(src) < minWords {
-		return 0, false
-	}
-	var or uint32
-	n := 0
-	if g := len(src) / 8; g > 0 {
-		or = or32Asm(&src[0], g)
-		n = g * 8
-	}
-	for ; n < len(src); n++ {
-		or |= src[n]
-	}
-	return or, true
-}
-
-// ZigOr32 returns the OR of ZigZag32(src[i]) (MPLG's enhancement retry
-// scan).
-func ZigOr32(src []uint32) (uint32, bool) {
-	if active.Load() != levelAVX2 || len(src) < minWords {
-		return 0, false
-	}
-	var or uint32
-	n := 0
-	if g := len(src) / 8; g > 0 {
-		or = zigOr32Asm(&src[0], g)
-		n = g * 8
-	}
-	for ; n < len(src); n++ {
-		or |= zigzag32(src[n])
-	}
-	return or, true
-}
-
-// Or64 is the 64-bit variant of Or32.
-func Or64(src []uint64) (uint64, bool) {
-	if active.Load() != levelAVX2 || len(src) < minWords {
-		return 0, false
-	}
-	var or uint64
-	n := 0
-	if g := len(src) / 4; g > 0 {
-		or = or64Asm(&src[0], g)
-		n = g * 4
-	}
-	for ; n < len(src); n++ {
-		or |= src[n]
-	}
-	return or, true
-}
-
-// ZigOr64 is the 64-bit variant of ZigOr32.
-func ZigOr64(src []uint64) (uint64, bool) {
-	if active.Load() != levelAVX2 || len(src) < minWords {
-		return 0, false
-	}
-	var or uint64
-	n := 0
-	if g := len(src) / 4; g > 0 {
-		or = zigOr64Asm(&src[0], g)
-		n = g * 4
-	}
-	for ; n < len(src); n++ {
-		or |= zigzag64(src[n])
-	}
-	return or, true
-}
-
-// NonzeroBM fills bm (>= (len(src)+7)/8 bytes, which it clears first) with
-// RZE's non-zero-byte bitmap of src — bit i set when src[i] != 0,
-// MSB-first within each byte — and returns the number of set bits.
-func NonzeroBM(bm, src []byte) (int, bool) {
-	if active.Load() != levelAVX2 || len(src) < 64 {
-		return 0, false
-	}
-	clear(bm[:(len(src)+7)/8])
-	nonzero := 0
-	n := 0
-	if b := len(src) / 32; b > 0 {
-		nonzero = nonzeroBMAsm(&bm[0], &src[0], b)
-		n = b * 32
-	}
-	for ; n < len(src); n++ {
-		if src[n] != 0 {
-			bm[n>>3] |= 0x80 >> (n & 7)
-			nonzero++
-		}
-	}
-	return nonzero, true
-}
-
-// ChangeBM fills bm (>= (len(cur)+7)/8 bytes, cleared first) with RZE's
-// changed-byte bitmap of cur: bit i set when cur[i] differs from its
-// predecessor (cur[-1] taken as zero), MSB-first within each byte.
-func ChangeBM(bm, cur []byte) bool {
-	if active.Load() != levelAVX2 || len(cur) < 64 {
-		return false
-	}
-	clear(bm[:(len(cur)+7)/8])
-	prev := byte(0)
-	for j := 0; j < 8; j++ { // head: predecessor crosses the slice start
-		if cur[j] != prev {
-			bm[0] |= 0x80 >> j
-		}
-		prev = cur[j]
-	}
-	n := 8
-	if b := (len(cur) - n) / 32; b > 0 {
-		changeBMAsm(&bm[1], &cur[8], b)
-		n += b * 32
-		prev = cur[n-1]
-	}
-	for ; n < len(cur); n++ {
-		if cur[n] != prev {
-			bm[n>>3] |= 0x80 >> (n & 7)
-		}
-		prev = cur[n]
-	}
-	return true
-}
-
 //go:noescape
 func fcmHashAsm(dst, src *uint64, groups int)
-
-// FCMHash64 computes dst[k] = Mix64(src[k+2] ^ rotl(src[k+1],23) ^
-// rotl(src[k],47)) for every k — the FCM context hash of word position k+3
-// when src starts three words before the first hashed position. Requires
-// len(src) >= len(dst)+2.
-func FCMHash64(dst, src []uint64) bool {
-	if active.Load() != levelAVX2 || len(dst) < minWords || len(src) < len(dst)+2 {
-		return false
-	}
-	n := 0
-	if g := len(dst) / 4; g > 0 {
-		fcmHashAsm(&dst[0], &src[0], g)
-		n = g * 4
-	}
-	for ; n < len(dst); n++ {
-		dst[n] = fcmHashRef(src[n:])
-	}
-	return true
-}
 
 //go:noescape
 func pack32Asm(buf *byte, bp int, acc, nacc uint64, src *uint32, n int, keep, zig uint64) (newBp int, newAcc, newNacc uint64)
@@ -298,112 +54,6 @@ func unpack32Asm(dst *uint32, groups int, pad *byte, pos, keep, unzig uint64) ui
 //go:noescape
 func unpack64Asm(dst *uint64, groups int, pad *byte, pos, keep, unzig uint64) uint64
 
-func b2u(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// Pack32 appends len(src) keep-bit fields (1 <= keep <= 32, optionally
-// zigzagged first) to the MSB-first bit stream held in (buf, bp, acc,
-// nacc), with the same accumulator invariant as MPLG's scalar loop: at
-// most 31 pending bits between calls, flushes as big-endian 32-bit stores.
-// Returns the updated (bp, acc, nacc).
-func Pack32(buf []byte, bp int, acc uint64, nacc uint, src []uint32, keep uint, zig bool) (int, uint64, uint, bool) {
-	if active.Load() != levelAVX2 || len(src) < minWords || keep < 1 || keep > 32 || nacc >= 32 {
-		return bp, acc, nacc, false
-	}
-	total := uint64(nacc) + uint64(keep)*uint64(len(src))
-	if uint64(bp)+4*(total/32) > uint64(len(buf)) {
-		return bp, acc, nacc, false
-	}
-	nbp, nacc2, nn := pack32Asm(&buf[0], bp, acc, uint64(nacc), &src[0], len(src), uint64(keep), b2u(zig))
-	return nbp, nacc2, uint(nn), true
-}
-
-// Pack64 is the 64-bit variant of Pack32 (1 <= keep <= 64; widths above 32
-// split into two sub-32-bit fields exactly like the scalar loop).
-func Pack64(buf []byte, bp int, acc uint64, nacc uint, src []uint64, keep uint, zig bool) (int, uint64, uint, bool) {
-	if active.Load() != levelAVX2 || len(src) < minWords || keep < 1 || keep > 64 || nacc >= 32 {
-		return bp, acc, nacc, false
-	}
-	total := uint64(nacc) + uint64(keep)*uint64(len(src))
-	if uint64(bp)+4*(total/32) > uint64(len(buf)) {
-		return bp, acc, nacc, false
-	}
-	nbp, nacc2, nn := pack64Asm(&buf[0], bp, acc, uint64(nacc), &src[0], len(src), uint64(keep), b2u(zig))
-	return nbp, nacc2, uint(nn), true
-}
-
-// Unpack32 decodes len(dst) keep-bit fields (1 <= keep <= 32, optionally
-// un-zigzagged) starting at bit pos of pad and returns the new bit
-// position. pad must extend at least 8 bytes past the byte holding the
-// last field bit (MPLG's zero-padded decode copy provides this).
-func Unpack32(dst []uint32, pad []byte, pos uint64, keep uint, unzig bool) (uint64, bool) {
-	if active.Load() != levelAVX2 || len(dst) < minWords || keep < 1 || keep > 32 {
-		return pos, false
-	}
-	end := pos + uint64(keep)*uint64(len(dst))
-	if (end-1)/8+8 > uint64(len(pad)) {
-		return pos, false
-	}
-	n := 0
-	if g := len(dst) / 4; g > 0 {
-		pos = unpack32Asm(&dst[0], g, &pad[0], pos, uint64(keep), b2u(unzig))
-		n = g * 4
-	}
-	mask := uint32(1)<<keep - 1
-	sh := 64 - keep
-	for ; n < len(dst); n++ {
-		x := beU64(pad[pos>>3:])
-		v := uint32(x>>(sh-uint(pos&7))) & mask
-		if unzig {
-			v = unzigzag32(v)
-		}
-		dst[n] = v
-		pos += uint64(keep)
-	}
-	return pos, true
-}
-
-// Unpack64 is the 64-bit variant of Unpack32, limited to keep <= 57 so
-// every field plus its leading bit offset fits one 64-bit load window
-// (wider fields decline; the caller's scalar loadBits loop handles them).
-func Unpack64(dst []uint64, pad []byte, pos uint64, keep uint, unzig bool) (uint64, bool) {
-	if active.Load() != levelAVX2 || len(dst) < minWords || keep < 1 || keep > 57 {
-		return pos, false
-	}
-	end := pos + uint64(keep)*uint64(len(dst))
-	if (end-1)/8+8 > uint64(len(pad)) {
-		return pos, false
-	}
-	n := 0
-	if g := len(dst) / 4; g > 0 {
-		pos = unpack64Asm(&dst[0], g, &pad[0], pos, uint64(keep), b2u(unzig))
-		n = g * 4
-	}
-	mask := uint64(1)<<keep - 1
-	sh := 64 - keep
-	for ; n < len(dst); n++ {
-		x := beU64(pad[pos>>3:])
-		v := (x >> (sh - uint(pos&7))) & mask
-		if unzig {
-			v = unzigzag64(v)
-		}
-		dst[n] = v
-		pos += uint64(keep)
-	}
-	return pos, true
-}
-
-// beU64 is binary.BigEndian.Uint64 without the import.
-func beU64(b []byte) uint64 {
-	_ = b[7]
-	return uint64(b[7]) | uint64(b[6])<<8 | uint64(b[5])<<16 | uint64(b[4])<<24 |
-		uint64(b[3])<<32 | uint64(b[2])<<40 | uint64(b[1])<<48 | uint64(b[0])<<56
-}
-
 //go:noescape
 func bitFwd32Asm(dst, src *uint32, nb int)
 
@@ -416,42 +66,203 @@ func bitFwd64Asm(dst, src *uint64, nb int)
 //go:noescape
 func bitInv64Asm(dst, src *uint64, nb int)
 
-// BitFwd32 transposes nb 32-word blocks of src into dst's plane-major
-// layout (block k's plane p at dst[p*nb+k]); both slices must hold at
-// least 32*nb words. dst and src must not overlap.
-func BitFwd32(dst, src []uint32, nb int) bool {
-	if active.Load() != levelAVX2 || nb < 1 || len(dst) < 32*nb || len(src) < 32*nb {
+// minWords is the length below which the runners leave the job to the
+// scalar loop: too short to amortize the vector prologue.
+const minWords = 16
+
+func avx2() bool { return active.Load() == levelAVX2 }
+
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+func accelDiffZigOr32(dst, src []uint32, prev uint32) (int, uint32) {
+	if !avx2() || len(src) < minWords {
+		return 0, 0
+	}
+	or := diffZigOr32(dst[:8], src[:8], prev) // the kernel reads src[-1]
+	g := (len(src) - 8) / 8
+	or |= diffZigOr32Asm(&dst[8], &src[8], g)
+	return 8 + g*8, or
+}
+
+func accelDiffZigOr64(dst, src []uint64, prev uint64) (int, uint64) {
+	if !avx2() || len(src) < minWords {
+		return 0, 0
+	}
+	or := diffZigOr64(dst[:4], src[:4], prev) // the kernel reads src[-1]
+	g := (len(src) - 4) / 4
+	or |= diffZigOr64Asm(&dst[4], &src[4], g)
+	return 4 + g*4, or
+}
+
+func accelUnDiffZig32(dst, src []uint32, prev uint32) (int, uint32) {
+	if !avx2() || len(src) < minWords {
+		return 0, prev
+	}
+	g := len(src) / 8
+	return g * 8, unDiffZig32Asm(&dst[0], &src[0], g, prev)
+}
+
+func accelUnDiffZig64(dst, src []uint64, prev uint64) (int, uint64) {
+	if !avx2() || len(src) < minWords {
+		return 0, prev
+	}
+	g := len(src) / 4
+	return g * 4, unDiffZig64Asm(&dst[0], &src[0], g, prev)
+}
+
+func accelOr32(src []uint32) (int, uint32) {
+	if !avx2() || len(src) < minWords {
+		return 0, 0
+	}
+	g := len(src) / 8
+	return g * 8, or32Asm(&src[0], g)
+}
+
+func accelZigOr32(src []uint32) (int, uint32) {
+	if !avx2() || len(src) < minWords {
+		return 0, 0
+	}
+	g := len(src) / 8
+	return g * 8, zigOr32Asm(&src[0], g)
+}
+
+func accelOr64(src []uint64) (int, uint64) {
+	if !avx2() || len(src) < minWords {
+		return 0, 0
+	}
+	g := len(src) / 4
+	return g * 4, or64Asm(&src[0], g)
+}
+
+func accelZigOr64(src []uint64) (int, uint64) {
+	if !avx2() || len(src) < minWords {
+		return 0, 0
+	}
+	g := len(src) / 4
+	return g * 4, zigOr64Asm(&src[0], g)
+}
+
+// accelNonzeroBM returns the bytes of src it mapped and their set bits.
+func accelNonzeroBM(bm, src []byte) (int, int) {
+	if !avx2() || len(src) < 64 {
+		return 0, 0
+	}
+	b := len(src) / 32
+	return b * 32, nonzeroBMAsm(&bm[0], &src[0], b)
+}
+
+func accelChangeBM(bm, cur []byte) int {
+	if !avx2() || len(cur) < 64 {
+		return 0
+	}
+	changeBM(bm[:1], cur[:8], 0) // the kernel reads cur[-1]
+	b := (len(cur) - 8) / 32
+	changeBMAsm(&bm[1], &cur[8], b)
+	return 8 + b*32
+}
+
+func accelFCMHash64(dst, src []uint64) int {
+	if !avx2() || len(dst) < minWords {
+		return 0
+	}
+	g := len(dst) / 4
+	fcmHashAsm(&dst[0], &src[0], g)
+	return g * 4
+}
+
+// packFits reports whether the pack kernels can take the whole call: keep
+// in their range, the accumulator invariant on entry, and room in buf for
+// every flushed 32-bit store (the kernels store unchecked).
+func packFits(buf []byte, bp int, nacc uint, n int, keep, maxKeep uint) bool {
+	if n < minWords || keep < 1 || keep > maxKeep || nacc >= 32 {
 		return false
+	}
+	total := uint64(nacc) + uint64(keep)*uint64(n)
+	return uint64(bp)+4*(total/32) <= uint64(len(buf))
+}
+
+// accelPack32 packs all of src or none of it.
+func accelPack32(buf []byte, bp int, acc uint64, nacc uint, src []uint32, keep uint, zig bool) (int, int, uint64, uint) {
+	if !avx2() || !packFits(buf, bp, nacc, len(src), keep, 32) {
+		return 0, bp, acc, nacc
+	}
+	nbp, nacc2, nn := pack32Asm(&buf[0], bp, acc, uint64(nacc), &src[0], len(src), uint64(keep), b2u(zig))
+	return len(src), nbp, nacc2, uint(nn)
+}
+
+// accelPack64 packs all of src or none of it.
+func accelPack64(buf []byte, bp int, acc uint64, nacc uint, src []uint64, keep uint, zig bool) (int, int, uint64, uint) {
+	if !avx2() || !packFits(buf, bp, nacc, len(src), keep, 64) {
+		return 0, bp, acc, nacc
+	}
+	nbp, nacc2, nn := pack64Asm(&buf[0], bp, acc, uint64(nacc), &src[0], len(src), uint64(keep), b2u(zig))
+	return len(src), nbp, nacc2, uint(nn)
+}
+
+// unpackFits reports whether the gather kernels may decode n fields: keep
+// in their range and the 8-byte load window of the last field inside pad.
+func unpackFits(pad []byte, pos uint64, n int, keep, maxKeep uint) bool {
+	if n < minWords || keep < 1 || keep > maxKeep {
+		return false
+	}
+	end := pos + uint64(keep)*uint64(n)
+	return (end-1)/8+8 <= uint64(len(pad))
+}
+
+func accelUnpack32(dst []uint32, pad []byte, pos uint64, keep uint, unzig bool) (int, uint64) {
+	if !avx2() || !unpackFits(pad, pos, len(dst), keep, 32) {
+		return 0, pos
+	}
+	g := len(dst) / 4
+	return g * 4, unpack32Asm(&dst[0], g, &pad[0], pos, uint64(keep), b2u(unzig))
+}
+
+// accelUnpack64 stops at keep 57: a wider field plus its leading bit
+// offset no longer fits one 64-bit load window.
+func accelUnpack64(dst []uint64, pad []byte, pos uint64, keep uint, unzig bool) (int, uint64) {
+	if !avx2() || !unpackFits(pad, pos, len(dst), keep, 57) {
+		return 0, pos
+	}
+	g := len(dst) / 4
+	return g * 4, unpack64Asm(&dst[0], g, &pad[0], pos, uint64(keep), b2u(unzig))
+}
+
+// The transpose runners take all nb blocks or none; 64-bit blocks run as
+// four 32x32 dword half-transposes each.
+
+func accelBitFwd32(dst, src []uint32, nb int) int {
+	if !avx2() || nb < 1 {
+		return 0
 	}
 	bitFwd32Asm(&dst[0], &src[0], nb)
-	return true
+	return nb
 }
 
-// BitInv32 is the inverse of BitFwd32: plane-major src back to contiguous
-// blocks.
-func BitInv32(dst, src []uint32, nb int) bool {
-	if active.Load() != levelAVX2 || nb < 1 || len(dst) < 32*nb || len(src) < 32*nb {
-		return false
+func accelBitInv32(dst, src []uint32, nb int) int {
+	if !avx2() || nb < 1 {
+		return 0
 	}
 	bitInv32Asm(&dst[0], &src[0], nb)
-	return true
+	return nb
 }
 
-// BitFwd64 transposes nb 64-word blocks (as four 32x32 dword
-// half-transposes per block); both slices must hold at least 64*nb words.
-func BitFwd64(dst, src []uint64, nb int) bool {
-	if active.Load() != levelAVX2 || nb < 1 || len(dst) < 64*nb || len(src) < 64*nb {
-		return false
+func accelBitFwd64(dst, src []uint64, nb int) int {
+	if !avx2() || nb < 1 {
+		return 0
 	}
 	bitFwd64Asm(&dst[0], &src[0], nb)
-	return true
+	return nb
 }
 
-// BitInv64 is the inverse of BitFwd64.
-func BitInv64(dst, src []uint64, nb int) bool {
-	if active.Load() != levelAVX2 || nb < 1 || len(dst) < 64*nb || len(src) < 64*nb {
-		return false
+func accelBitInv64(dst, src []uint64, nb int) int {
+	if !avx2() || nb < 1 {
+		return 0
 	}
 	bitInv64Asm(&dst[0], &src[0], nb)
-	return true
+	return nb
 }

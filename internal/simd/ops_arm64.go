@@ -4,14 +4,15 @@ package simd
 
 import "math/bits"
 
-// NEON covers the streaming kernels (diff+zigzag and the OR width-scans),
-// the RZE bitmap scans, the FCM context hash and the 64-bit pack
-// accumulator (the latter two as scalar-unit assembly — NEON has no 64-bit
-// vector multiply and the bit stream is serial, but the hand-scheduled
-// loops still beat the bounds-checked Go); the remaining wrappers decline
-// and the callers run their scalar reference paths. See the package
-// comment: per-kernel coverage may differ between ISAs, the per-call ok
-// contract makes that transparent.
+// NEON runners for the ops in ops.go, with the same contract as the AVX2
+// ones: run the assembly over a prefix and return its length. NEON covers
+// the streaming kernels (diff+zigzag and the OR width-scans), the RZE
+// bitmap scans, the FCM context hash and the 64-bit pack accumulator (the
+// latter two as scalar-unit assembly — NEON has no 64-bit vector multiply
+// and the bit stream is serial, but the hand-scheduled loops still beat
+// the bounds-checked Go). The prefix sum, the 32-bit pack, the
+// gather-based unpacks and the plane transposes have no NEON body: their
+// runners return 0 and the ops' scalar loops do the whole job.
 
 //go:noescape
 func diffZigOr32Asm(dst, src *uint32, groups int) uint32
@@ -31,223 +32,23 @@ func or64Asm(src *uint64, groups int) uint64
 //go:noescape
 func zigOr64Asm(src *uint64, groups int) uint64
 
-const minWords = 16
-
-func zigzag32(x uint32) uint32 { return (x << 1) ^ uint32(int32(x)>>31) }
-func zigzag64(x uint64) uint64 { return (x << 1) ^ uint64(int64(x)>>63) }
-
-// DiffZigOr32 computes dst[i] = ZigZag32(src[i] - src[i-1]) (src[-1] taken
-// as prev) for all of src and returns the OR of the outputs. len(dst) must
-// be >= len(src).
-func DiffZigOr32(dst, src []uint32, prev uint32) (uint32, bool) {
-	if active.Load() != levelNEON || len(src) < minWords {
-		return 0, false
-	}
-	var or uint32
-	for j := 0; j < 4; j++ { // head: predecessor crosses the slice start
-		z := zigzag32(src[j] - prev)
-		prev = src[j]
-		dst[j] = z
-		or |= z
-	}
-	n := 4
-	if g := (len(src) - n) / 4; g > 0 {
-		or |= diffZigOr32Asm(&dst[n], &src[n], g)
-		n += g * 4
-		prev = src[n-1]
-	}
-	for ; n < len(src); n++ {
-		z := zigzag32(src[n] - prev)
-		prev = src[n]
-		dst[n] = z
-		or |= z
-	}
-	return or, true
-}
-
-// DiffZigOr64 is the 64-bit variant of DiffZigOr32.
-func DiffZigOr64(dst, src []uint64, prev uint64) (uint64, bool) {
-	if active.Load() != levelNEON || len(src) < minWords {
-		return 0, false
-	}
-	var or uint64
-	for j := 0; j < 2; j++ {
-		z := zigzag64(src[j] - prev)
-		prev = src[j]
-		dst[j] = z
-		or |= z
-	}
-	n := 2
-	if g := (len(src) - n) / 2; g > 0 {
-		or |= diffZigOr64Asm(&dst[n], &src[n], g)
-		n += g * 2
-		prev = src[n-1]
-	}
-	for ; n < len(src); n++ {
-		z := zigzag64(src[n] - prev)
-		prev = src[n]
-		dst[n] = z
-		or |= z
-	}
-	return or, true
-}
-
-// UnDiffZig32: loop-carried prefix sum; not implemented in NEON.
-func UnDiffZig32(dst, src []uint32, prev uint32) (uint32, bool) { return 0, false }
-
-// UnDiffZig64: loop-carried prefix sum; not implemented in NEON.
-func UnDiffZig64(dst, src []uint64, prev uint64) (uint64, bool) { return 0, false }
-
-// Or32 returns the OR of src (MPLG's width scan; OR and max share bit
-// length and top bit, the only properties the format derives).
-func Or32(src []uint32) (uint32, bool) {
-	if active.Load() != levelNEON || len(src) < minWords {
-		return 0, false
-	}
-	var or uint32
-	n := 0
-	if g := len(src) / 4; g > 0 {
-		or = or32Asm(&src[0], g)
-		n = g * 4
-	}
-	for ; n < len(src); n++ {
-		or |= src[n]
-	}
-	return or, true
-}
-
-// ZigOr32 returns the OR of ZigZag32(src[i]).
-func ZigOr32(src []uint32) (uint32, bool) {
-	if active.Load() != levelNEON || len(src) < minWords {
-		return 0, false
-	}
-	var or uint32
-	n := 0
-	if g := len(src) / 4; g > 0 {
-		or = zigOr32Asm(&src[0], g)
-		n = g * 4
-	}
-	for ; n < len(src); n++ {
-		or |= zigzag32(src[n])
-	}
-	return or, true
-}
-
-// Or64 is the 64-bit variant of Or32.
-func Or64(src []uint64) (uint64, bool) {
-	if active.Load() != levelNEON || len(src) < minWords {
-		return 0, false
-	}
-	var or uint64
-	n := 0
-	if g := len(src) / 2; g > 0 {
-		or = or64Asm(&src[0], g)
-		n = g * 2
-	}
-	for ; n < len(src); n++ {
-		or |= src[n]
-	}
-	return or, true
-}
-
-// ZigOr64 is the 64-bit variant of ZigOr32.
-func ZigOr64(src []uint64) (uint64, bool) {
-	if active.Load() != levelNEON || len(src) < minWords {
-		return 0, false
-	}
-	var or uint64
-	n := 0
-	if g := len(src) / 2; g > 0 {
-		or = zigOr64Asm(&src[0], g)
-		n = g * 2
-	}
-	for ; n < len(src); n++ {
-		or |= zigzag64(src[n])
-	}
-	return or, true
-}
-
 //go:noescape
 func nonzeroBMAsm(bm *byte, src *byte, blocks int)
 
 //go:noescape
 func changeBMAsm(bm *byte, cur *byte, blocks int)
 
-// NonzeroBM fills bm (>= (len(src)+7)/8 bytes, which it clears first) with
-// RZE's non-zero-byte bitmap of src — bit i set when src[i] != 0,
-// MSB-first within each byte — and returns the number of set bits. The
-// NEON kernel emits the bitmap only; the count is a popcount over the
-// finished bitmap here.
-func NonzeroBM(bm, src []byte) (int, bool) {
-	if active.Load() != levelNEON || len(src) < 64 {
-		return 0, false
-	}
-	nb := (len(src) + 7) / 8
-	clear(bm[:nb])
-	n := 0
-	if b := len(src) / 16; b > 0 {
-		nonzeroBMAsm(&bm[0], &src[0], b)
-		n = b * 16
-	}
-	for ; n < len(src); n++ {
-		if src[n] != 0 {
-			bm[n>>3] |= 0x80 >> (n & 7)
-		}
-	}
-	nonzero := 0
-	for _, b := range bm[:nb] {
-		nonzero += bits.OnesCount8(b)
-	}
-	return nonzero, true
-}
-
-// ChangeBM fills bm (>= (len(cur)+7)/8 bytes, cleared first) with RZE's
-// changed-byte bitmap of cur: bit i set when cur[i] differs from its
-// predecessor (cur[-1] taken as zero), MSB-first within each byte.
-func ChangeBM(bm, cur []byte) bool {
-	if active.Load() != levelNEON || len(cur) < 64 {
-		return false
-	}
-	clear(bm[:(len(cur)+7)/8])
-	prev := byte(0)
-	for j := 0; j < 8; j++ { // head: predecessor crosses the slice start
-		if cur[j] != prev {
-			bm[0] |= 0x80 >> j
-		}
-		prev = cur[j]
-	}
-	n := 8
-	if b := (len(cur) - n) / 16; b > 0 {
-		changeBMAsm(&bm[1], &cur[8], b)
-		n += b * 16
-		prev = cur[n-1]
-	}
-	for ; n < len(cur); n++ {
-		if cur[n] != prev {
-			bm[n>>3] |= 0x80 >> (n & 7)
-		}
-		prev = cur[n]
-	}
-	return true
-}
-
 //go:noescape
 func fcmHashAsm(dst, src *uint64, groups int)
 
-// FCMHash64 computes dst[k] = Mix64(src[k+2] ^ rotl(src[k+1],23) ^
-// rotl(src[k],47)) for every k — the FCM context hash of word position k+3
-// when src starts three words before the first hashed position. Requires
-// len(src) >= len(dst)+2.
-func FCMHash64(dst, src []uint64) bool {
-	if active.Load() != levelNEON || len(dst) < minWords || len(src) < len(dst)+2 {
-		return false
-	}
-	fcmHashAsm(&dst[0], &src[0], len(dst))
-	return true
-}
-
 //go:noescape
 func pack64Asm(buf *byte, bp int, acc, nacc uint64, src *uint64, n int, keep, zig uint64) (newBp int, newAcc, newNacc uint64)
+
+// minWords is the length below which the runners leave the job to the
+// scalar loop.
+const minWords = 16
+
+func neon() bool { return active.Load() == levelNEON }
 
 func b2u(b bool) uint64 {
 	if b {
@@ -256,46 +57,121 @@ func b2u(b bool) uint64 {
 	return 0
 }
 
-// Pack32: bit-stream accumulator; not implemented on arm64.
-func Pack32(buf []byte, bp int, acc uint64, nacc uint, src []uint32, keep uint, zig bool) (int, uint64, uint, bool) {
-	return bp, acc, nacc, false
+func accelDiffZigOr32(dst, src []uint32, prev uint32) (int, uint32) {
+	if !neon() || len(src) < minWords {
+		return 0, 0
+	}
+	or := diffZigOr32(dst[:4], src[:4], prev) // the kernel reads src[-1]
+	g := (len(src) - 4) / 4
+	or |= diffZigOr32Asm(&dst[4], &src[4], g)
+	return 4 + g*4, or
 }
 
-// Pack64 appends len(src) keep-bit fields (1 <= keep <= 64; widths above
-// 32 split into two sub-32-bit fields exactly like the scalar loop) to the
-// big-endian bit stream in buf. Same contract as the amd64 wrapper: the
-// caller guarantees the values fit keep bits, nacc < 32 on entry, and
-// capacity for every flushed 32-bit store.
-func Pack64(buf []byte, bp int, acc uint64, nacc uint, src []uint64, keep uint, zig bool) (int, uint64, uint, bool) {
-	if active.Load() != levelNEON || len(src) < minWords || keep < 1 || keep > 64 || nacc >= 32 {
-		return bp, acc, nacc, false
+func accelDiffZigOr64(dst, src []uint64, prev uint64) (int, uint64) {
+	if !neon() || len(src) < minWords {
+		return 0, 0
+	}
+	or := diffZigOr64(dst[:2], src[:2], prev) // the kernel reads src[-1]
+	g := (len(src) - 2) / 2
+	or |= diffZigOr64Asm(&dst[2], &src[2], g)
+	return 2 + g*2, or
+}
+
+func accelUnDiffZig32(_, _ []uint32, prev uint32) (int, uint32) { return 0, prev }
+
+func accelUnDiffZig64(_, _ []uint64, prev uint64) (int, uint64) { return 0, prev }
+
+func accelOr32(src []uint32) (int, uint32) {
+	if !neon() || len(src) < minWords {
+		return 0, 0
+	}
+	g := len(src) / 4
+	return g * 4, or32Asm(&src[0], g)
+}
+
+func accelZigOr32(src []uint32) (int, uint32) {
+	if !neon() || len(src) < minWords {
+		return 0, 0
+	}
+	g := len(src) / 4
+	return g * 4, zigOr32Asm(&src[0], g)
+}
+
+func accelOr64(src []uint64) (int, uint64) {
+	if !neon() || len(src) < minWords {
+		return 0, 0
+	}
+	g := len(src) / 2
+	return g * 2, or64Asm(&src[0], g)
+}
+
+func accelZigOr64(src []uint64) (int, uint64) {
+	if !neon() || len(src) < minWords {
+		return 0, 0
+	}
+	g := len(src) / 2
+	return g * 2, zigOr64Asm(&src[0], g)
+}
+
+// accelNonzeroBM returns the bytes of src it mapped and their set bits.
+// The NEON kernel emits the bitmap only; the count is a popcount over the
+// bitmap bytes it wrote.
+func accelNonzeroBM(bm, src []byte) (int, int) {
+	if !neon() || len(src) < 64 {
+		return 0, 0
+	}
+	b := len(src) / 16
+	nonzeroBMAsm(&bm[0], &src[0], b)
+	nonzero := 0
+	for _, m := range bm[:b*2] {
+		nonzero += bits.OnesCount8(m)
+	}
+	return b * 16, nonzero
+}
+
+func accelChangeBM(bm, cur []byte) int {
+	if !neon() || len(cur) < 64 {
+		return 0
+	}
+	changeBM(bm[:1], cur[:8], 0) // the kernel reads cur[-1]
+	b := (len(cur) - 8) / 16
+	changeBMAsm(&bm[1], &cur[8], b)
+	return 8 + b*16
+}
+
+// accelFCMHash64 hashes every position: the kernel has no group width.
+func accelFCMHash64(dst, src []uint64) int {
+	if !neon() || len(dst) < minWords {
+		return 0
+	}
+	fcmHashAsm(&dst[0], &src[0], len(dst))
+	return len(dst)
+}
+
+func accelPack32(_ []byte, bp int, acc uint64, nacc uint, _ []uint32, _ uint, _ bool) (int, int, uint64, uint) {
+	return 0, bp, acc, nacc
+}
+
+// accelPack64 packs all of src or none of it: the kernel stores unchecked,
+// so it runs only with keep in range, the accumulator invariant on entry,
+// and room in buf for every flushed 32-bit store.
+func accelPack64(buf []byte, bp int, acc uint64, nacc uint, src []uint64, keep uint, zig bool) (int, int, uint64, uint) {
+	if !neon() || len(src) < minWords || keep < 1 || keep > 64 || nacc >= 32 {
+		return 0, bp, acc, nacc
 	}
 	total := uint64(nacc) + uint64(keep)*uint64(len(src))
 	if uint64(bp)+4*(total/32) > uint64(len(buf)) {
-		return bp, acc, nacc, false
+		return 0, bp, acc, nacc
 	}
 	nbp, nacc2, nn := pack64Asm(&buf[0], bp, acc, uint64(nacc), &src[0], len(src), uint64(keep), b2u(zig))
-	return nbp, nacc2, uint(nn), true
+	return len(src), nbp, nacc2, uint(nn)
 }
 
-// Unpack32: gather-based field decode; not implemented in NEON.
-func Unpack32(dst []uint32, pad []byte, pos uint64, keep uint, unzig bool) (uint64, bool) {
-	return pos, false
-}
+func accelUnpack32(_ []uint32, _ []byte, pos uint64, _ uint, _ bool) (int, uint64) { return 0, pos }
 
-// Unpack64: gather-based field decode; not implemented in NEON.
-func Unpack64(dst []uint64, pad []byte, pos uint64, keep uint, unzig bool) (uint64, bool) {
-	return pos, false
-}
+func accelUnpack64(_ []uint64, _ []byte, pos uint64, _ uint, _ bool) (int, uint64) { return 0, pos }
 
-// BitFwd32: movemask-based plane transpose; not implemented in NEON.
-func BitFwd32(dst, src []uint32, nb int) bool { return false }
-
-// BitInv32: movemask-based plane transpose; not implemented in NEON.
-func BitInv32(dst, src []uint32, nb int) bool { return false }
-
-// BitFwd64: movemask-based plane transpose; not implemented in NEON.
-func BitFwd64(dst, src []uint64, nb int) bool { return false }
-
-// BitInv64: movemask-based plane transpose; not implemented in NEON.
-func BitInv64(dst, src []uint64, nb int) bool { return false }
+func accelBitFwd32(_, _ []uint32, _ int) int { return 0 }
+func accelBitInv32(_, _ []uint32, _ int) int { return 0 }
+func accelBitFwd64(_, _ []uint64, _ int) int { return 0 }
+func accelBitInv64(_, _ []uint64, _ int) int { return 0 }

@@ -2,35 +2,31 @@
 
 package simd
 
-// No assembly kernels in this build: every wrapper declines and the caller
-// runs its scalar reference path.
+// No assembly in this build: every runner finishes nothing and the ops in
+// ops.go run their scalar loops over the whole job.
 
-func DiffZigOr32(dst, src []uint32, prev uint32) (uint32, bool) { return 0, false }
-func DiffZigOr64(dst, src []uint64, prev uint64) (uint64, bool) { return 0, false }
-func UnDiffZig32(dst, src []uint32, prev uint32) (uint32, bool) { return 0, false }
-func UnDiffZig64(dst, src []uint64, prev uint64) (uint64, bool) { return 0, false }
-func Or32(src []uint32) (uint32, bool)                          { return 0, false }
-func ZigOr32(src []uint32) (uint32, bool)                       { return 0, false }
-func Or64(src []uint64) (uint64, bool)                          { return 0, false }
-func ZigOr64(src []uint64) (uint64, bool)                       { return 0, false }
-func NonzeroBM(bm, src []byte) (int, bool)                      { return 0, false }
-func ChangeBM(bm, cur []byte) bool                              { return false }
-func FCMHash64(dst, src []uint64) bool                          { return false }
+func accelDiffZigOr32(_, _ []uint32, _ uint32) (int, uint32)    { return 0, 0 }
+func accelDiffZigOr64(_, _ []uint64, _ uint64) (int, uint64)    { return 0, 0 }
+func accelUnDiffZig32(_, _ []uint32, prev uint32) (int, uint32) { return 0, prev }
+func accelUnDiffZig64(_, _ []uint64, prev uint64) (int, uint64) { return 0, prev }
+func accelOr32(_ []uint32) (int, uint32)                        { return 0, 0 }
+func accelZigOr32(_ []uint32) (int, uint32)                     { return 0, 0 }
+func accelOr64(_ []uint64) (int, uint64)                        { return 0, 0 }
+func accelZigOr64(_ []uint64) (int, uint64)                     { return 0, 0 }
+func accelNonzeroBM(_, _ []byte) (int, int)                     { return 0, 0 }
+func accelChangeBM(_, _ []byte) int                             { return 0 }
+func accelFCMHash64(_, _ []uint64) int                          { return 0 }
 
-func Pack32(buf []byte, bp int, acc uint64, nacc uint, src []uint32, keep uint, zig bool) (int, uint64, uint, bool) {
-	return bp, acc, nacc, false
+func accelPack32(_ []byte, bp int, acc uint64, nacc uint, _ []uint32, _ uint, _ bool) (int, int, uint64, uint) {
+	return 0, bp, acc, nacc
 }
-func Pack64(buf []byte, bp int, acc uint64, nacc uint, src []uint64, keep uint, zig bool) (int, uint64, uint, bool) {
-	return bp, acc, nacc, false
+func accelPack64(_ []byte, bp int, acc uint64, nacc uint, _ []uint64, _ uint, _ bool) (int, int, uint64, uint) {
+	return 0, bp, acc, nacc
 }
-func Unpack32(dst []uint32, pad []byte, pos uint64, keep uint, unzig bool) (uint64, bool) {
-	return pos, false
-}
-func Unpack64(dst []uint64, pad []byte, pos uint64, keep uint, unzig bool) (uint64, bool) {
-	return pos, false
-}
+func accelUnpack32(_ []uint32, _ []byte, pos uint64, _ uint, _ bool) (int, uint64) { return 0, pos }
+func accelUnpack64(_ []uint64, _ []byte, pos uint64, _ uint, _ bool) (int, uint64) { return 0, pos }
 
-func BitFwd32(dst, src []uint32, nb int) bool { return false }
-func BitInv32(dst, src []uint32, nb int) bool { return false }
-func BitFwd64(dst, src []uint64, nb int) bool { return false }
-func BitInv64(dst, src []uint64, nb int) bool { return false }
+func accelBitFwd32(_, _ []uint32, _ int) int { return 0 }
+func accelBitInv32(_, _ []uint32, _ int) int { return 0 }
+func accelBitFwd64(_, _ []uint64, _ int) int { return 0 }
+func accelBitInv64(_, _ []uint64, _ int) int { return 0 }

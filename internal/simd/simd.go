@@ -1,45 +1,50 @@
-// Package simd provides runtime-dispatched architecture-specific kernels
-// (AVX2 on amd64, NEON on arm64) for the hottest transform inner loops:
-// the DIFFMS diff+zigzag pass, the BIT 32x32/64x64 plane transpose, the
-// MPLG/RAZE/RARE pack/unpack bit accumulators, the RZE nonzero/change
-// movemask scans, and the FCM context hash.
+// Package simd provides the word ops under the hottest transform inner
+// loops — the DIFFMS diff+zigzag pass and its prefix-sum inverse, the MPLG
+// OR width scans and pack/unpack bit accumulators, the BIT 32x32/64x64
+// plane transpose, the RZE nonzero/change bitmap scans, and the FCM
+// context hash — each with runtime-dispatched architecture-specific
+// assembly (AVX2 on amd64, NEON on arm64) over the part of the work it
+// covers.
 //
 // # Dispatch contract
 //
-// Every kernel here is an accelerator, never the implementation of record:
-// the word-level kernels in internal/transforms remain the always-built
-// reference path, and a simd kernel must emit bytes identical to its
-// reference for every input (pinned by the differential tests in this
-// package and by internal/transforms' kernels_test.go harness, which runs
-// both paths in one process via Disable).
-//
-// Every kernel returns ok=false — leaving its outputs untouched — when it
-// is not dispatched, and the caller then runs its reference path. The
-// three reasons a kernel is unavailable:
+// Every exported op is total: it always finishes the whole job and
+// returns only its results. Each op's scalar Go loop, in ops.go, is the
+// implementation of record for that loop in the codec; the transforms and
+// fused kernels call the op and keep no copy of it. At the dispatched
+// level the op runs its assembly over the prefix the kernel covers (whole
+// SIMD groups, past any head the kernel cannot start on) and its scalar
+// loop over the rest. The scalar loop does all of the work when no
+// assembly is dispatched:
 //
 //   - the CPU lacks the ISA extension (AVX2 requires CPUID leaf-7 EBX bit 5
 //     plus OS-enabled YMM state via XGETBV; NEON is architectural on
 //     arm64),
 //   - the build disables assembly (noasm or purego build tags), or
 //   - the environment disables it (FPC_DISABLE_SIMD=1, read at init) or a
-//     test called Disable.
+//     test called Disable;
 //
-// On arm64, NEON covers the diff+zigzag, RZE-bitmap, FCM-hash and
-// 64-bit-pack families; the BIT transpose, the 32-bit pack and the
-// gather-based unpacks report unavailable and run their scalar word
-// kernels (see DESIGN.md §10 for the extension recipe). The per-call ok
-// contract exists exactly so coverage can differ per ISA without any
-// caller knowing.
+// and also when the input is shorter than the kernel's minimum or a
+// parameter is out of the assembly's range (Unpack64 above 57 kept bits,
+// a Pack whose buffer lacks room for the kernel's unchecked stores). The
+// assembly must emit exactly the scalar loop's results, pinned by this
+// package's tests (every op under Disable against the dispatched level)
+// and by internal/transforms' kernels_test.go harness.
+//
+// On arm64, NEON covers the diff+zigzag, OR-scan, RZE-bitmap, FCM-hash and
+// 64-bit-pack families; the prefix sum, the BIT transpose, the 32-bit pack
+// and the gather-based unpacks have no NEON body and run their scalar
+// loops (see DESIGN.md §10 for the extension recipe). So the code arm64
+// runs beyond its NEON bodies is the code every build tests.
 //
 // # Assembly calling conventions
 //
 // The assembly routines use the stable ABI0 (frame-pointer-free, arguments
 // on the stack) and are declared //go:noescape: they never retain, grow,
-// or allocate slices, and every slice length handed to them has already
-// been validated by the Go wrapper. Vector bodies process full SIMD groups
-// only; the Go wrappers in this package finish tails with the same scalar
-// arithmetic the references use, so alignment and length edge cases stay
-// in Go code.
+// or allocate slices. Every op reslices its outputs to the job's length
+// before anything else, so a short output panics at every level, and the
+// per-ISA runners (ops_amd64.go, ops_arm64.go) pass the assembly only
+// pointer/length pairs inside those validated slices.
 package simd
 
 import (
@@ -54,9 +59,9 @@ const (
 	levelNEON
 )
 
-// active is the dispatch level: levelScalar means every On* gate reports
-// false. It is atomic only so tests can flip it under -race; production
-// code writes it once at init.
+// active is the dispatch level: levelScalar means every op runs its scalar
+// loop alone. It is atomic only so tests can flip it under -race;
+// production code writes it once at init.
 var active atomic.Int32
 
 // hwLevel is what the hardware supports, regardless of the current enable
@@ -97,16 +102,16 @@ func Available() string {
 	return "scalar"
 }
 
-// Disable forces every On* gate to false until Enable is called. It exists
-// for the differential test harnesses (scalar-vs-simd in one process);
-// production callers use FPC_DISABLE_SIMD=1 instead. Safe to call
-// concurrently with kernel use: callers that already passed an On* gate
-// finish on the simd path, which emits identical bytes anyway.
+// Disable makes every op run its scalar loop alone until Enable is called.
+// It exists for the differential test harnesses (scalar-vs-simd in one
+// process); production callers use FPC_DISABLE_SIMD=1 instead. Safe to
+// call concurrently with op use: an op that already read the level
+// finishes on the assembly, which emits identical bytes anyway.
 func Disable() { active.Store(levelScalar) }
 
 // Enable restores dispatch to the hardware-supported level (a no-op when
 // the build or CPU has no kernels).
 func Enable() { active.Store(hwLevel) }
 
-// Enabled reports whether any kernel family is currently dispatched.
+// Enabled reports whether any assembly is currently dispatched.
 func Enabled() bool { return active.Load() != levelScalar }

@@ -1,22 +1,26 @@
 package simd
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
+
+	"fpcompress/internal/wordio"
 )
 
-// The simd package's own differential harness: every wrapper is compared
-// against a locally-written scalar model (NOT the transforms package's
-// kernels — those comparisons live in transforms' kernels_test.go) across
-// the usual adversarial lengths and alignments. On builds without
-// assembly every wrapper declines and the loops are vacuous.
+// The simd package's own differential harness. Each op's scalar loop is
+// its reference of record, so every test runs the op under Disable (the
+// scalar body alone) and at the hardware level, across the usual
+// adversarial lengths and alignments, and requires identical results;
+// round trips check the scalar bodies against each other. Without
+// assembly in the build both runs take the scalar body, which still
+// executes every test. The bytes the scalar bodies emit are pinned by the
+// codec's golden digests and container pins in the root package.
 
 var testLengths = []int{0, 1, 3, 4, 7, 8, 11, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129, 512, 515, 1000, 4096, 4099}
 
-func refZig32(x uint32) uint32   { return (x << 1) ^ uint32(int32(x)>>31) }
-func refZig64(x uint64) uint64   { return (x << 1) ^ uint64(int64(x)>>63) }
-func refUnzig32(x uint32) uint32 { return (x >> 1) ^ -(x & 1) }
-func refUnzig64(x uint64) uint64 { return (x >> 1) ^ -(x & 1) }
+// testBlocks are the transpose block counts.
+var testBlocks = []int{1, 2, 3, 7, 8, 32, 33, 128, 129}
 
 func fill32(r *rand.Rand, s []uint32) {
 	for i := range s {
@@ -48,6 +52,35 @@ func fill64(r *rand.Rand, s []uint64) {
 	}
 }
 
+// record flattens what an op produced — the slice it wrote and its scalar
+// results — into one comparable word list.
+func record[T byte | uint32 | uint64](s []T, scalars ...uint64) []uint64 {
+	out := make([]uint64, 0, len(s)+len(scalars))
+	for _, v := range s {
+		out = append(out, uint64(v))
+	}
+	return append(out, scalars...)
+}
+
+// levels runs op under Disable and then at the hardware level and fails
+// where the two records differ. op must build fresh outputs on each call.
+func levels(t *testing.T, name string, op func() []uint64) {
+	t.Helper()
+	defer Enable()
+	Disable()
+	want := op()
+	Enable()
+	got := op()
+	if len(got) != len(want) {
+		t.Fatalf("%s: dispatched record has %d words, scalar %d", name, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: word %d: dispatched %#x, scalar %#x", name, i, got[i], want[i])
+		}
+	}
+}
+
 func TestActiveStrings(t *testing.T) {
 	a, hw := Active(), Available()
 	ok := map[string]bool{"scalar": true, "avx2": true, "neon": true}
@@ -62,11 +95,8 @@ func TestActiveStrings(t *testing.T) {
 func TestDisableEnable(t *testing.T) {
 	defer Enable()
 	Disable()
-	if Active() != "scalar" {
-		t.Fatalf("Active()=%q after Disable", Active())
-	}
-	if _, ok := Or32(make([]uint32, 1024)); ok {
-		t.Fatal("Or32 accepted work while disabled")
+	if Active() != "scalar" || Enabled() {
+		t.Fatalf("Active()=%q Enabled()=%v after Disable", Active(), Enabled())
 	}
 	Enable()
 	if Active() != Available() {
@@ -74,36 +104,71 @@ func TestDisableEnable(t *testing.T) {
 	}
 }
 
+// TestShortDstPanics: an output shorter than the job panics at every
+// level before anything is written, instead of a kernel storing past the
+// output's length into the rest of its backing array.
+func TestShortDstPanics(t *testing.T) {
+	defer Enable()
+	src32, src64, srcB := make([]uint32, 64), make([]uint64, 64), make([]byte, 512)
+	for i := range src32 {
+		src32[i], src64[i] = uint32(i*i+1), uint64(i*i+1)
+	}
+	for i := range srcB {
+		srcB[i] = byte(i | 1)
+	}
+	back32, back64, backB := make([]uint32, 64), make([]uint64, 64), make([]byte, 64)
+	ops := []struct {
+		name string
+		op   func()
+	}{
+		{"DiffZigOr32", func() { DiffZigOr32(back32[:16], src32, 0) }},
+		{"DiffZigOr64", func() { DiffZigOr64(back64[:16], src64, 0) }},
+		{"UnDiffZig32", func() { UnDiffZig32(back32[:16], src32, 0) }},
+		{"UnDiffZig64", func() { UnDiffZig64(back64[:16], src64, 0) }},
+		{"NonzeroBM", func() { NonzeroBM(backB[:16], srcB) }},
+		{"ChangeBM", func() { ChangeBM(backB[:16], srcB) }},
+		{"FCMHash64", func() { FCMHash64(back64[:16], src64[:16]) }},
+		{"BitFwd32", func() { BitFwd32(back32[:32], src32, 2) }},
+	}
+	for _, level := range []func(){Disable, Enable} {
+		level()
+		for _, c := range ops {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s at %s: short output did not panic", c.name, Active())
+					}
+				}()
+				c.op()
+			}()
+			for i := range back32 {
+				if back32[i] != 0 || back64[i] != 0 || backB[i] != 0 {
+					t.Fatalf("%s at %s: wrote into the backing array at %d", c.name, Active(), i)
+				}
+			}
+		}
+	}
+}
+
 func TestDiffZigOr32(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for _, n := range testLengths {
 		for off := 0; off < 4; off++ {
-			backing := make([]uint32, n+off)
-			src := backing[off:]
+			src := make([]uint32, n+off)[off:]
 			fill32(r, src)
 			prev := r.Uint32()
-			want := make([]uint32, n)
-			var wantOr uint32
-			p := prev
-			for i, v := range src {
-				z := refZig32(v - p)
-				p = v
-				want[i] = z
-				wantOr |= z
-			}
-			got := make([]uint32, n)
-			or, ok := DiffZigOr32(got, src, prev)
-			if !ok {
-				continue
-			}
-			if or != wantOr {
-				t.Fatalf("n=%d off=%d: or=%#x want %#x", n, off, or, wantOr)
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("n=%d off=%d i=%d: got %#x want %#x", n, off, i, got[i], want[i])
+			levels(t, "DiffZigOr32", func() []uint64 {
+				dst := make([]uint32, n)
+				or := DiffZigOr32(dst, src, prev)
+				back := make([]uint32, n)
+				UnDiffZig32(back, dst, prev)
+				for i := range src {
+					if back[i] != src[i] {
+						t.Fatalf("n=%d off=%d i=%d: round trip %#x, want %#x", n, off, i, back[i], src[i])
+					}
 				}
-			}
+				return record(dst, uint64(or))
+			})
 		}
 	}
 }
@@ -112,32 +177,21 @@ func TestDiffZigOr64(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	for _, n := range testLengths {
 		for off := 0; off < 4; off++ {
-			backing := make([]uint64, n+off)
-			src := backing[off:]
+			src := make([]uint64, n+off)[off:]
 			fill64(r, src)
 			prev := r.Uint64()
-			want := make([]uint64, n)
-			var wantOr uint64
-			p := prev
-			for i, v := range src {
-				z := refZig64(v - p)
-				p = v
-				want[i] = z
-				wantOr |= z
-			}
-			got := make([]uint64, n)
-			or, ok := DiffZigOr64(got, src, prev)
-			if !ok {
-				continue
-			}
-			if or != wantOr {
-				t.Fatalf("n=%d off=%d: or=%#x want %#x", n, off, or, wantOr)
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("n=%d off=%d i=%d: got %#x want %#x", n, off, i, got[i], want[i])
+			levels(t, "DiffZigOr64", func() []uint64 {
+				dst := make([]uint64, n)
+				or := DiffZigOr64(dst, src, prev)
+				back := make([]uint64, n)
+				UnDiffZig64(back, dst, prev)
+				for i := range src {
+					if back[i] != src[i] {
+						t.Fatalf("n=%d off=%d i=%d: round trip %#x, want %#x", n, off, i, back[i], src[i])
+					}
 				}
-			}
+				return record(dst, or)
+			})
 		}
 	}
 }
@@ -146,39 +200,18 @@ func TestUnDiffZig32(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for _, n := range testLengths {
 		for off := 0; off < 4; off++ {
-			backing := make([]uint32, n+off)
-			src := backing[off:]
+			src := make([]uint32, n+off)[off:]
 			fill32(r, src)
 			prev := r.Uint32()
-			want := make([]uint32, n)
-			p := prev
-			for i, v := range src {
-				p += refUnzig32(v)
-				want[i] = p
-			}
-			got := make([]uint32, n)
-			last, ok := UnDiffZig32(got, src, prev)
-			if !ok {
-				continue
-			}
-			if last != p {
-				t.Fatalf("n=%d off=%d: last=%#x want %#x", n, off, last, p)
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("n=%d off=%d i=%d: got %#x want %#x", n, off, i, got[i], want[i])
-				}
-			}
-			// Exact aliasing (dst == src) must work: the fused inverse
-			// decodes in place.
-			inplace := append([]uint32(nil), src...)
-			if _, ok := UnDiffZig32(inplace, inplace, prev); ok {
-				for i := range want {
-					if inplace[i] != want[i] {
-						t.Fatalf("n=%d off=%d i=%d (aliased): got %#x want %#x", n, off, i, inplace[i], want[i])
-					}
-				}
-			}
+			levels(t, "UnDiffZig32", func() []uint64 {
+				dst := make([]uint32, n)
+				last := UnDiffZig32(dst, src, prev)
+				// Exact aliasing (dst == src) must work: the fused inverse
+				// decodes in place.
+				inplace := append([]uint32(nil), src...)
+				UnDiffZig32(inplace, inplace, prev)
+				return append(record(dst, uint64(last)), record(inplace)...)
+			})
 		}
 	}
 }
@@ -187,37 +220,16 @@ func TestUnDiffZig64(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	for _, n := range testLengths {
 		for off := 0; off < 4; off++ {
-			backing := make([]uint64, n+off)
-			src := backing[off:]
+			src := make([]uint64, n+off)[off:]
 			fill64(r, src)
 			prev := r.Uint64()
-			want := make([]uint64, n)
-			p := prev
-			for i, v := range src {
-				p += refUnzig64(v)
-				want[i] = p
-			}
-			got := make([]uint64, n)
-			last, ok := UnDiffZig64(got, src, prev)
-			if !ok {
-				continue
-			}
-			if last != p {
-				t.Fatalf("n=%d off=%d: last=%#x want %#x", n, off, last, p)
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("n=%d off=%d i=%d: got %#x want %#x", n, off, i, got[i], want[i])
-				}
-			}
-			inplace := append([]uint64(nil), src...)
-			if _, ok := UnDiffZig64(inplace, inplace, prev); ok {
-				for i := range want {
-					if inplace[i] != want[i] {
-						t.Fatalf("n=%d off=%d i=%d (aliased): got %#x want %#x", n, off, i, inplace[i], want[i])
-					}
-				}
-			}
+			levels(t, "UnDiffZig64", func() []uint64 {
+				dst := make([]uint64, n)
+				last := UnDiffZig64(dst, src, prev)
+				inplace := append([]uint64(nil), src...)
+				UnDiffZig64(inplace, inplace, prev)
+				return append(record(dst, last), record(inplace)...)
+			})
 		}
 	}
 }
@@ -226,35 +238,13 @@ func TestOrScans(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	for _, n := range testLengths {
 		for off := 0; off < 4; off++ {
-			b32 := make([]uint32, n+off)
-			s32 := b32[off:]
+			s32 := make([]uint32, n+off)[off:]
 			fill32(r, s32)
-			var wantOr, wantZig uint32
-			for _, v := range s32 {
-				wantOr |= v
-				wantZig |= refZig32(v)
-			}
-			if got, ok := Or32(s32); ok && got != wantOr {
-				t.Fatalf("Or32 n=%d off=%d: got %#x want %#x", n, off, got, wantOr)
-			}
-			if got, ok := ZigOr32(s32); ok && got != wantZig {
-				t.Fatalf("ZigOr32 n=%d off=%d: got %#x want %#x", n, off, got, wantZig)
-			}
-
-			b64 := make([]uint64, n+off)
-			s64 := b64[off:]
+			s64 := make([]uint64, n+off)[off:]
 			fill64(r, s64)
-			var wantOr64, wantZig64 uint64
-			for _, v := range s64 {
-				wantOr64 |= v
-				wantZig64 |= refZig64(v)
-			}
-			if got, ok := Or64(s64); ok && got != wantOr64 {
-				t.Fatalf("Or64 n=%d off=%d: got %#x want %#x", n, off, got, wantOr64)
-			}
-			if got, ok := ZigOr64(s64); ok && got != wantZig64 {
-				t.Fatalf("ZigOr64 n=%d off=%d: got %#x want %#x", n, off, got, wantZig64)
-			}
+			levels(t, "OrScans", func() []uint64 {
+				return []uint64{uint64(Or32(s32)), uint64(ZigOr32(s32)), Or64(s64), ZigOr64(s64)}
+			})
 		}
 	}
 }
@@ -263,38 +253,27 @@ func TestNonzeroBM(t *testing.T) {
 	r := rand.New(rand.NewSource(6))
 	for _, n := range testLengths {
 		for off := 0; off < 8; off++ {
-			backing := make([]byte, n+off)
-			src := backing[off:]
+			src := make([]byte, n+off)[off:]
+			wantNZ := 0
 			for i := range src {
 				if r.Intn(3) == 0 {
 					src[i] = byte(r.Intn(256))
 				}
-			}
-			bmLen := (n + 7) / 8
-			want := make([]byte, bmLen)
-			wantNZ := 0
-			for i, c := range src {
-				if c != 0 {
-					want[i>>3] |= 0x80 >> (i & 7)
+				if src[i] != 0 {
 					wantNZ++
 				}
 			}
-			got := make([]byte, bmLen)
-			for i := range got {
-				got[i] = 0xAA // NonzeroBM must clear
-			}
-			nz, ok := NonzeroBM(got, src)
-			if !ok {
-				continue
-			}
-			if nz != wantNZ {
-				t.Fatalf("n=%d off=%d: nonzero=%d want %d", n, off, nz, wantNZ)
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("n=%d off=%d bm[%d]: got %08b want %08b", n, off, i, got[i], want[i])
+			levels(t, "NonzeroBM", func() []uint64 {
+				bm := make([]byte, (n+7)/8)
+				for i := range bm {
+					bm[i] = 0xAA // every bitmap byte must be written
 				}
-			}
+				nz := NonzeroBM(bm, src)
+				if nz != wantNZ {
+					t.Fatalf("n=%d off=%d: nonzero=%d, src has %d non-zero bytes", n, off, nz, wantNZ)
+				}
+				return record(bm, uint64(nz))
+			})
 		}
 	}
 }
@@ -303,8 +282,7 @@ func TestChangeBM(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for _, n := range testLengths {
 		for off := 0; off < 8; off++ {
-			backing := make([]byte, n+off)
-			cur := backing[off:]
+			cur := make([]byte, n+off)[off:]
 			// Runs of repeats with occasional changes, like real bitmap
 			// levels.
 			c := byte(0)
@@ -314,139 +292,75 @@ func TestChangeBM(t *testing.T) {
 				}
 				cur[i] = c
 			}
-			bmLen := (n + 7) / 8
-			want := make([]byte, bmLen)
-			prev := byte(0)
-			for i, v := range cur {
-				if v != prev {
-					want[i>>3] |= 0x80 >> (i & 7)
+			levels(t, "ChangeBM", func() []uint64 {
+				bm := make([]byte, (n+7)/8)
+				for i := range bm {
+					bm[i] = 0xAA
 				}
-				prev = v
-			}
-			got := make([]byte, bmLen)
-			for i := range got {
-				got[i] = 0xAA
-			}
-			if !ChangeBM(got, cur) {
-				continue
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("n=%d off=%d bm[%d]: got %08b want %08b", n, off, i, got[i], want[i])
-				}
-			}
+				ChangeBM(bm, cur)
+				return record(bm)
+			})
 		}
 	}
 }
 
-// refPack32 is the transforms scalar accumulator loop, verbatim.
-func refPack32(buf []byte, bp int, acc uint64, nacc uint, src []uint32, keep uint, zig bool) (int, uint64, uint) {
-	for _, v := range src {
-		if zig {
-			v = refZig32(v)
-		}
-		acc = acc<<keep | uint64(v)
-		nacc += keep
-		if nacc >= 32 {
-			nacc -= 32
-			w := uint32(acc >> nacc)
-			buf[bp] = byte(w >> 24)
-			buf[bp+1] = byte(w >> 16)
-			buf[bp+2] = byte(w >> 8)
-			buf[bp+3] = byte(w)
-			bp += 4
-			acc &= 1<<nacc - 1
+// packAndUnpack packs src after a random stream prefix, checks that
+// unpacking the finished stream gives src back, and returns the record of
+// the pack (its bytes and final accumulator state).
+func packAndUnpack[T uint32 | uint64](t *testing.T, r *rand.Rand, src []T, keep uint, zig bool,
+	pack func([]byte, int, uint64, uint, []T, uint, bool) (int, uint64, uint),
+	unpack func([]T, []byte, uint64, uint, bool) uint64) []uint64 {
+	nacc := uint(r.Intn(32))
+	acc := uint64(r.Uint32()) & (1<<nacc - 1)
+	bp := r.Intn(5)
+	buf := make([]byte, bp+(int(nacc)+len(src)*int(keep))/8+16)
+	pbp, pacc, pnacc := pack(buf, bp, acc, nacc, src, keep, zig)
+	rec := record(buf, uint64(pbp), pacc, uint64(pnacc))
+	// Flush the pending bits, then decode from the first field's bit.
+	binary.BigEndian.PutUint32(buf[pbp:], uint32(pacc<<(32-pnacc)))
+	back := make([]T, len(src))
+	end := unpack(back, buf, uint64(bp)*8+uint64(nacc), keep, zig)
+	if want := uint64(pbp)*8 + uint64(pnacc); end != want {
+		t.Fatalf("n=%d keep=%d zig=%v: unpack ended at bit %d, pack at %d", len(src), keep, zig, end, want)
+	}
+	for i := range src {
+		if back[i] != src[i] {
+			t.Fatalf("n=%d keep=%d zig=%v i=%d: round trip %#x, want %#x", len(src), keep, zig, i, back[i], src[i])
 		}
 	}
-	return bp, acc, nacc
-}
-
-func refPack64(buf []byte, bp int, acc uint64, nacc uint, src []uint64, keep uint, zig bool) (int, uint64, uint) {
-	flush := func(w uint32) {
-		buf[bp] = byte(w >> 24)
-		buf[bp+1] = byte(w >> 16)
-		buf[bp+2] = byte(w >> 8)
-		buf[bp+3] = byte(w)
-		bp += 4
-	}
-	if keep <= 32 {
-		for _, v := range src {
-			if zig {
-				v = refZig64(v)
-			}
-			acc = acc<<keep | v
-			nacc += keep
-			if nacc >= 32 {
-				nacc -= 32
-				flush(uint32(acc >> nacc))
-				acc &= 1<<nacc - 1
-			}
-		}
-		return bp, acc, nacc
-	}
-	hi := keep - 32
-	for _, v := range src {
-		if zig {
-			v = refZig64(v)
-		}
-		acc = acc<<hi | v>>32
-		nacc += hi
-		if nacc >= 32 {
-			nacc -= 32
-			flush(uint32(acc >> nacc))
-			acc &= 1<<nacc - 1
-		}
-		acc = acc<<32 | v&0xffffffff
-		flush(uint32(acc >> nacc))
-		acc &= 1<<nacc - 1
-	}
-	return bp, acc, nacc
+	return rec
 }
 
 func TestPack32(t *testing.T) {
-	r := rand.New(rand.NewSource(8))
 	for _, n := range testLengths {
 		for keep := uint(1); keep <= 32; keep++ {
 			for _, zig := range []bool{false, true} {
+				seed := int64(n)<<8 | int64(keep)<<1
+				r := rand.New(rand.NewSource(seed))
 				src := make([]uint32, n)
 				for i := range src {
 					src[i] = r.Uint32() & (1<<keep - 1)
-				}
-				if zig {
-					// Values must zigzag into keep bits: draw from unzig space.
-					for i := range src {
-						src[i] = refUnzig32(src[i])
+					if zig {
+						// Values must zigzag into keep bits: draw from
+						// unzig space.
+						src[i] = wordio.UnZigZag32(src[i])
 					}
 				}
-				nacc := uint(r.Intn(32))
-				acc := uint64(r.Uint32()) & (1<<nacc - 1)
-				bp := r.Intn(5)
-				size := bp + (int(nacc)+n*int(keep))/8 + 16
-				want := make([]byte, size)
-				got := make([]byte, size)
-				wbp, wacc, wnacc := refPack32(want, bp, acc, nacc, src, keep, zig)
-				gbp, gacc, gnacc, ok := Pack32(got, bp, acc, nacc, src, keep, zig)
-				if !ok {
-					continue
-				}
-				if gbp != wbp || gacc != wacc || gnacc != wnacc {
-					t.Fatalf("n=%d keep=%d zig=%v: state (%d,%#x,%d) want (%d,%#x,%d)", n, keep, zig, gbp, gacc, gnacc, wbp, wacc, wnacc)
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("n=%d keep=%d zig=%v byte %d: got %#x want %#x", n, keep, zig, i, got[i], want[i])
-					}
-				}
+				levels(t, "Pack32", func() []uint64 {
+					r := rand.New(rand.NewSource(seed))
+					return packAndUnpack(t, r, src, keep, zig, Pack32, Unpack32)
+				})
 			}
 		}
 	}
 }
 
 func TestPack64(t *testing.T) {
-	r := rand.New(rand.NewSource(9))
 	for _, n := range testLengths {
 		for keep := uint(1); keep <= 64; keep++ {
 			for _, zig := range []bool{false, true} {
+				seed := int64(n)<<8 | int64(keep)<<1
+				r := rand.New(rand.NewSource(seed))
 				src := make([]uint64, n)
 				for i := range src {
 					v := r.Uint64()
@@ -454,32 +368,26 @@ func TestPack64(t *testing.T) {
 						v &= 1<<keep - 1
 					}
 					if zig {
-						v = refUnzig64(v)
+						v = wordio.UnZigZag64(v)
 					}
 					src[i] = v
 				}
-				nacc := uint(r.Intn(32))
-				acc := uint64(r.Uint32()) & (1<<nacc - 1)
-				bp := r.Intn(5)
-				size := bp + (int(nacc)+n*int(keep))/8 + 16
-				want := make([]byte, size)
-				got := make([]byte, size)
-				wbp, wacc, wnacc := refPack64(want, bp, acc, nacc, src, keep, zig)
-				gbp, gacc, gnacc, ok := Pack64(got, bp, acc, nacc, src, keep, zig)
-				if !ok {
-					continue
-				}
-				if gbp != wbp || gacc != wacc || gnacc != wnacc {
-					t.Fatalf("n=%d keep=%d zig=%v: state (%d,%#x,%d) want (%d,%#x,%d)", n, keep, zig, gbp, gacc, gnacc, wbp, wacc, wnacc)
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("n=%d keep=%d zig=%v byte %d: got %#x want %#x", n, keep, zig, i, got[i], want[i])
-					}
-				}
+				levels(t, "Pack64", func() []uint64 {
+					r := rand.New(rand.NewSource(seed))
+					return packAndUnpack(t, r, src, keep, zig, Pack64, Unpack64)
+				})
 			}
 		}
 	}
+}
+
+// randomPad returns a bit stream holding n keep-bit fields from a random
+// start bit, padded with the 8 bytes the unpackers' load window reads.
+func randomPad(r *rand.Rand, n int, keep uint) ([]byte, uint64) {
+	pos := uint64(r.Intn(64))
+	pad := make([]byte, (pos+uint64(keep)*uint64(n)+7)/8+8)
+	r.Read(pad[:len(pad)-8])
+	return pad, pos
 }
 
 func TestUnpack32(t *testing.T) {
@@ -487,35 +395,11 @@ func TestUnpack32(t *testing.T) {
 	for _, n := range testLengths {
 		for keep := uint(1); keep <= 32; keep++ {
 			for _, unzig := range []bool{false, true} {
-				pos := uint64(r.Intn(64))
-				bits := pos + uint64(keep)*uint64(n)
-				pad := make([]byte, (bits+7)/8+8)
-				r.Read(pad[:len(pad)-8])
-				want := make([]uint32, n)
-				p := pos
-				mask := uint32(1)<<keep - 1
-				for i := range want {
-					x := beU64ref(pad[p>>3:])
-					v := uint32(x>>(64-keep-uint(p&7))) & mask
-					if unzig {
-						v = refUnzig32(v)
-					}
-					want[i] = v
-					p += uint64(keep)
-				}
-				got := make([]uint32, n)
-				np, ok := Unpack32(got, pad, pos, keep, unzig)
-				if !ok {
-					continue
-				}
-				if np != p {
-					t.Fatalf("n=%d keep=%d: pos=%d want %d", n, keep, np, p)
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("n=%d keep=%d unzig=%v i=%d: got %#x want %#x", n, keep, unzig, i, got[i], want[i])
-					}
-				}
+				pad, pos := randomPad(r, n, keep)
+				levels(t, "Unpack32", func() []uint64 {
+					dst := make([]uint32, n)
+					return record(dst, Unpack32(dst, pad, pos, keep, unzig))
+				})
 			}
 		}
 	}
@@ -524,173 +408,69 @@ func TestUnpack32(t *testing.T) {
 func TestUnpack64(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for _, n := range testLengths {
-		for keep := uint(1); keep <= 57; keep++ {
+		for keep := uint(1); keep <= 64; keep++ {
 			for _, unzig := range []bool{false, true} {
-				pos := uint64(r.Intn(64))
-				bits := pos + uint64(keep)*uint64(n)
-				pad := make([]byte, (bits+7)/8+8)
-				r.Read(pad[:len(pad)-8])
-				want := make([]uint64, n)
-				p := pos
-				mask := uint64(1)<<keep - 1
-				for i := range want {
-					x := beU64ref(pad[p>>3:])
-					v := (x >> (64 - keep - uint(p&7))) & mask
-					if unzig {
-						v = refUnzig64(v)
-					}
-					want[i] = v
-					p += uint64(keep)
-				}
-				got := make([]uint64, n)
-				np, ok := Unpack64(got, pad, pos, keep, unzig)
-				if !ok {
-					continue
-				}
-				if np != p {
-					t.Fatalf("n=%d keep=%d: pos=%d want %d", n, keep, np, p)
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("n=%d keep=%d unzig=%v i=%d: got %#x want %#x", n, keep, unzig, i, got[i], want[i])
-					}
-				}
+				pad, pos := randomPad(r, n, keep)
+				levels(t, "Unpack64", func() []uint64 {
+					dst := make([]uint64, n)
+					return record(dst, Unpack64(dst, pad, pos, keep, unzig))
+				})
 			}
 		}
-	}
-}
-
-func beU64ref(b []byte) uint64 {
-	return uint64(b[7]) | uint64(b[6])<<8 | uint64(b[5])<<16 | uint64(b[4])<<24 |
-		uint64(b[3])<<32 | uint64(b[2])<<40 | uint64(b[1])<<48 | uint64(b[0])<<56
-}
-
-// refTranspose32/64 are the Hacker's Delight in-place transposes from the
-// transforms package, re-stated as the model.
-func refTranspose32(a *[32]uint32) {
-	m := uint32(0x0000FFFF)
-	for j := uint(16); j != 0; j >>= 1 {
-		for k := 0; k < 32; k = (k + int(j) + 1) &^ int(j) {
-			t := (a[k] ^ (a[k+int(j)] >> j)) & m
-			a[k] ^= t
-			a[k+int(j)] ^= t << j
-		}
-		m ^= m << (j >> 1)
-	}
-}
-
-func refTranspose64(a *[64]uint64) {
-	m := uint64(0x00000000FFFFFFFF)
-	for j := uint(32); j != 0; j >>= 1 {
-		for k := 0; k < 64; k = (k + int(j) + 1) &^ int(j) {
-			t := (a[k] ^ (a[k+int(j)] >> j)) & m
-			a[k] ^= t
-			a[k+int(j)] ^= t << j
-		}
-		m ^= m << (j >> 1)
 	}
 }
 
 func TestBit32(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
-	for _, nb := range []int{1, 2, 3, 7, 8, 128, 129} {
+	for _, nb := range testBlocks {
 		src := make([]uint32, 32*nb)
 		fill32(r, src)
-		want := make([]uint32, 32*nb)
-		var blk [32]uint32
-		for k := 0; k < nb; k++ {
-			copy(blk[:], src[k*32:k*32+32])
-			refTranspose32(&blk)
-			for p := 0; p < 32; p++ {
-				want[p*nb+k] = blk[p]
+		levels(t, "Bit32", func() []uint64 {
+			planes := make([]uint32, 32*nb)
+			BitFwd32(planes, src, nb)
+			back := make([]uint32, 32*nb)
+			BitInv32(back, planes, nb)
+			for i := range src {
+				if back[i] != src[i] {
+					t.Fatalf("nb=%d word %d: round trip %#08x, want %#08x", nb, i, back[i], src[i])
+				}
 			}
-		}
-		got := make([]uint32, 32*nb)
-		if !BitFwd32(got, src, nb) {
-			t.Skip("no SIMD in this build")
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("fwd nb=%d word %d: got %#08x want %#08x", nb, i, got[i], want[i])
-			}
-		}
-		back := make([]uint32, 32*nb)
-		if !BitInv32(back, got, nb) {
-			t.Fatal("BitInv32 declined")
-		}
-		for i := range src {
-			if back[i] != src[i] {
-				t.Fatalf("inv nb=%d word %d: got %#08x want %#08x", nb, i, back[i], src[i])
-			}
-		}
+			return record(planes)
+		})
 	}
 }
 
 func TestBit64(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
-	for _, nb := range []int{1, 2, 3, 7, 8, 32, 33} {
+	for _, nb := range testBlocks {
 		src := make([]uint64, 64*nb)
 		fill64(r, src)
-		want := make([]uint64, 64*nb)
-		var blk [64]uint64
-		for k := 0; k < nb; k++ {
-			copy(blk[:], src[k*64:k*64+64])
-			refTranspose64(&blk)
-			for p := 0; p < 64; p++ {
-				want[p*nb+k] = blk[p]
+		levels(t, "Bit64", func() []uint64 {
+			planes := make([]uint64, 64*nb)
+			BitFwd64(planes, src, nb)
+			back := make([]uint64, 64*nb)
+			BitInv64(back, planes, nb)
+			for i := range src {
+				if back[i] != src[i] {
+					t.Fatalf("nb=%d word %d: round trip %#016x, want %#016x", nb, i, back[i], src[i])
+				}
 			}
-		}
-		got := make([]uint64, 64*nb)
-		if !BitFwd64(got, src, nb) {
-			t.Skip("no SIMD in this build")
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("fwd nb=%d word %d: got %#016x want %#016x", nb, i, got[i], want[i])
-			}
-		}
-		back := make([]uint64, 64*nb)
-		if !BitInv64(back, got, nb) {
-			t.Fatal("BitInv64 declined")
-		}
-		for i := range src {
-			if back[i] != src[i] {
-				t.Fatalf("inv nb=%d word %d: got %#016x want %#016x", nb, i, back[i], src[i])
-			}
-		}
+			return record(planes)
+		})
 	}
-}
-
-func refFCMHash(v1, v2, v3 uint64) uint64 {
-	x := v1 ^ (v2<<23 | v2>>41) ^ (v3<<47 | v3>>17)
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
 }
 
 func TestFCMHash64(t *testing.T) {
 	r := rand.New(rand.NewSource(14))
 	for _, n := range testLengths {
 		for off := 0; off < 4; off++ {
-			backing := make([]uint64, n+2+off)
-			src := backing[off:]
+			src := make([]uint64, n+2+off)[off:]
 			fill64(r, src)
-			want := make([]uint64, n)
-			for k := range want {
-				want[k] = refFCMHash(src[k+2], src[k+1], src[k])
-			}
-			got := make([]uint64, n)
-			if !FCMHash64(got, src) {
-				continue
-			}
-			for k := range want {
-				if got[k] != want[k] {
-					t.Fatalf("n=%d off=%d k=%d: got %#016x want %#016x", n, off, k, got[k], want[k])
-				}
-			}
+			levels(t, "FCMHash64", func() []uint64 {
+				dst := make([]uint64, n)
+				FCMHash64(dst, src)
+				return record(dst)
+			})
 		}
 	}
 }

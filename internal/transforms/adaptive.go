@@ -1,7 +1,6 @@
 package transforms
 
 import (
-	"encoding/binary"
 	"math/bits"
 	"slices"
 
@@ -147,9 +146,9 @@ func AdaptiveEncodeWords(dst []byte, sw []uint64, tail []byte, common bool) []by
 // Both regions run through a dense word slice — kept top pieces already
 // shifted down to their k-bit fields by the caller's bitmap pass (scratch,
 // len(sw) capacity, first nKept entries valid), bottoms masked to 64-k
-// bits in place — so the accumulator loop can run on the simd.Pack64
-// kernel, which (like the MPLG loop it was built for) ORs whole source
-// words and so requires every value to fit its field.
+// bits in place — so each region is one simd.Pack64 call, which (like
+// the MPLG encoder it was built for) ORs whole source words and so
+// requires every value to fit its field.
 func adaptivePackFast(dst []byte, sw, scratch []uint64, k, nKept int) []byte {
 	kw := uint(k)
 	bw := uint(64 - k)
@@ -170,44 +169,9 @@ func adaptivePackFast(dst []byte, sw, scratch []uint64, k, nKept int) []byte {
 
 // packDense appends len(vals) width-bit fields (every value already fits
 // its field) to buf at bit-aligned byte position bp and byte-aligns the
-// stream, returning the new position. The simd accumulator kernel runs
-// when dispatched; the scalar loop is the reference.
+// stream, returning the new position.
 func packDense(buf []byte, bp int, vals []uint64, width uint) int {
-	var acc uint64
-	var nacc uint
-	if nbp, a, na, ok := simd.Pack64(buf, bp, acc, nacc, vals, width, false); ok {
-		return BitFinish(buf, nbp, a, na)
-	}
-	if width <= 32 {
-		for _, v := range vals {
-			acc = acc<<width | v
-			nacc += width
-			if nacc >= 32 {
-				nacc -= 32
-				binary.BigEndian.PutUint32(buf[bp:], uint32(acc>>nacc))
-				bp += 4
-				acc &= 1<<nacc - 1
-			}
-		}
-	} else {
-		hi := width - 32
-		for _, v := range vals {
-			acc = acc<<hi | v>>32
-			nacc += hi
-			if nacc >= 32 {
-				nacc -= 32
-				binary.BigEndian.PutUint32(buf[bp:], uint32(acc>>nacc))
-				bp += 4
-				acc &= 1<<nacc - 1
-			}
-			// Appending 32 bits always reaches the flush threshold, and
-			// flushing subtracts the same 32, so nacc is unchanged.
-			acc = acc<<32 | v&0xffffffff
-			binary.BigEndian.PutUint32(buf[bp:], uint32(acc>>nacc))
-			bp += 4
-			acc &= 1<<nacc - 1
-		}
-	}
+	bp, acc, nacc := simd.Pack64(buf, bp, 0, 0, vals, width, false)
 	return BitFinish(buf, bp, acc, nacc)
 }
 
@@ -306,14 +270,14 @@ func adaptiveUnpack(ow []uint64, bm, kept, bot []byte, k int, repeat bool) {
 	for i := range ow {
 		var top uint64
 		if bm[i>>3]&(0x80>>(i&7)) != 0 {
-			top = LoadBits(pad, kpos, kw)
+			top = wordio.LoadBits(pad, kpos, kw)
 			kpos += kw
 		} else if repeat {
 			top = prevTop
 		}
 		var b uint64
 		if bw > 0 {
-			b = LoadBits(pad, bpos, bw)
+			b = wordio.LoadBits(pad, bpos, bw)
 			bpos += bw
 		}
 		ow[i] = top<<bw | b

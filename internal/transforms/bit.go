@@ -33,99 +33,9 @@ func (b Bit) Name() string {
 	return "BIT64"
 }
 
-// Transpose32 performs an in-place 32x32 bit-matrix transpose (Hacker's
-// Delight, fig. 7-3): on output a[i] bit (31-j) equals input a[j] bit
-// (31-i). Exported because the selector's BIT→RZE pricing reuses it to
-// materialize the plane-major zero bitmap from group ORs.
-func Transpose32(a *[32]uint32) {
-	m := uint32(0x0000FFFF)
-	for j := uint(16); j != 0; j >>= 1 {
-		for k := 0; k < 32; k = (k + int(j) + 1) &^ int(j) {
-			t := (a[k] ^ (a[k+int(j)] >> j)) & m
-			a[k] ^= t
-			a[k+int(j)] ^= t << j
-		}
-		m ^= m << (j >> 1)
-	}
-}
-
-// transpose64 performs an in-place 64x64 bit-matrix transpose.
-func transpose64(a *[64]uint64) {
-	m := uint64(0x00000000FFFFFFFF)
-	for j := uint(32); j != 0; j >>= 1 {
-		for k := 0; k < 64; k = (k + int(j) + 1) &^ int(j) {
-			t := (a[k] ^ (a[k+int(j)] >> j)) & m
-			a[k] ^= t
-			a[k+int(j)] ^= t << j
-		}
-		m ^= m << (j >> 1)
-	}
-}
-
 // Forward implements Transform.
 func (b Bit) Forward(src []byte) []byte {
 	return b.ForwardInto(nil, src)
-}
-
-// bitForward32 transposes directly on aliased words: each 32-word block is
-// copied into the register-resident tile, transposed, and scattered with
-// stride nb (the plane-major layout).
-func bitForward32(ow, sw []uint32, nb int) {
-	if nb > 0 && simd.BitFwd32(ow, sw, nb) {
-		return
-	}
-	var blk [32]uint32
-	for k := 0; k < nb; k++ {
-		copy(blk[:], sw[k*32:k*32+32])
-		Transpose32(&blk)
-		for plane := 0; plane < 32; plane++ {
-			ow[plane*nb+k] = blk[plane]
-		}
-	}
-}
-
-func bitForward64(ow, sw []uint64, nb int) {
-	if nb > 0 && simd.BitFwd64(ow, sw, nb) {
-		return
-	}
-	var blk [64]uint64
-	for k := 0; k < nb; k++ {
-		copy(blk[:], sw[k*64:k*64+64])
-		transpose64(&blk)
-		for plane := 0; plane < 64; plane++ {
-			ow[plane*nb+k] = blk[plane]
-		}
-	}
-}
-
-// bitInverse32 gathers each block's planes with stride nb, transposes, and
-// stores the block contiguously.
-func bitInverse32(ow, ew []uint32, nb int) {
-	if nb > 0 && simd.BitInv32(ow, ew, nb) {
-		return
-	}
-	var blk [32]uint32
-	for k := 0; k < nb; k++ {
-		for plane := 0; plane < 32; plane++ {
-			blk[plane] = ew[plane*nb+k]
-		}
-		Transpose32(&blk)
-		copy(ow[k*32:k*32+32], blk[:])
-	}
-}
-
-func bitInverse64(ow, ew []uint64, nb int) {
-	if nb > 0 && simd.BitInv64(ow, ew, nb) {
-		return
-	}
-	var blk [64]uint64
-	for k := 0; k < nb; k++ {
-		for plane := 0; plane < 64; plane++ {
-			blk[plane] = ew[plane*nb+k]
-		}
-		transpose64(&blk)
-		copy(ow[k*64:k*64+64], blk[:])
-	}
 }
 
 // ForwardInto implements Transform (see the package comment for the dst
@@ -140,7 +50,7 @@ func (b Bit) ForwardInto(dst, src []byte) []byte {
 		nb := len(sw.W) / 32
 		n = nb * 32 * 4
 		ow := wordio.Out32(out[:n])
-		bitForward32(ow.W, sw.W, nb)
+		simd.BitFwd32(ow.W, sw.W, nb)
 		ow.Done()
 		sw.Done()
 	} else {
@@ -148,7 +58,7 @@ func (b Bit) ForwardInto(dst, src []byte) []byte {
 		nb := len(sw.W) / 64
 		n = nb * 64 * 8
 		ow := wordio.Out64(out[:n])
-		bitForward64(ow.W, sw.W, nb)
+		simd.BitFwd64(ow.W, sw.W, nb)
 		ow.Done()
 		sw.Done()
 	}
@@ -182,7 +92,7 @@ func (b Bit) InverseInto(dst, enc []byte, maxDecoded int) ([]byte, error) {
 		nb := len(ew.W) / 32
 		n = nb * 32 * 4
 		ow := wordio.Out32(out[:n])
-		bitInverse32(ow.W, ew.W, nb)
+		simd.BitInv32(ow.W, ew.W, nb)
 		ow.Done()
 		ew.Done()
 	} else {
@@ -190,7 +100,7 @@ func (b Bit) InverseInto(dst, enc []byte, maxDecoded int) ([]byte, error) {
 		nb := len(ew.W) / 64
 		n = nb * 64 * 8
 		ow := wordio.Out64(out[:n])
-		bitInverse64(ow.W, ew.W, nb)
+		simd.BitInv64(ow.W, ew.W, nb)
 		ow.Done()
 		ew.Done()
 	}

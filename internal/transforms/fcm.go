@@ -88,11 +88,6 @@ func (f FCM) Name() string {
 // the intermediate FCM stream.
 func (FCM) EncodedCap(n int) int { return fcmHeaderLen + 2*n }
 
-// fcmHash hashes the three words preceding position i (missing ones are 0).
-func fcmHash(v1, v2, v3 uint64) uint64 {
-	return wordio.Mix64(v1 ^ bits.RotateLeft64(v2, 23) ^ bits.RotateLeft64(v3, 47))
-}
-
 // fcmTableBits sizes the direct-mapped last-occurrence table: 1<<12 slots
 // (16 kB of int32) holds a 16 kB chunk's 2048 words with few collisions
 // and clears with one memclr per encode.
@@ -139,21 +134,15 @@ func (f FCM) ForwardInto(dst, src []byte) []byte {
 }
 
 // fcmContextHashes fills hw (len(sw) entries) with every position's
-// context hash. Positions >= 3 have three real predecessors and are
-// hashed through the simd batch kernel when dispatched. The scalar loop is
-// the reference; both produce fcmHash exactly, so encoder output is
-// path-independent.
+// context hash: simd.FCMHash64 of its three predecessors, missing ones
+// taken as zero (the first three positions hash a zero-filled window).
 func fcmContextHashes(hw, sw []uint64) {
-	var v1, v2, v3 uint64
-	for i := 0; i < min(len(sw), 3); i++ {
-		hw[i] = fcmHash(v1, v2, v3)
-		v1, v2, v3 = sw[i], v1, v2
-	}
-	if len(sw) <= 3 || simd.FCMHash64(hw[3:], sw) {
-		return
-	}
-	for i := 3; i < len(sw); i++ {
-		hw[i] = fcmHash(sw[i-1], sw[i-2], sw[i-3])
+	var head [5]uint64
+	copy(head[3:], sw[:min(len(sw), 2)])
+	n := min(len(sw), 3)
+	simd.FCMHash64(hw[:n], head[:n+2])
+	if len(sw) > 3 {
+		simd.FCMHash64(hw[3:], sw)
 	}
 }
 

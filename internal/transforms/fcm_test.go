@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"fpcompress/internal/sdr"
+	"fpcompress/internal/simd"
 	"fpcompress/internal/wordio"
 )
 
@@ -18,11 +19,7 @@ func fcmForwardOracle(src []byte, window int) []byte {
 	n := len(src) / 8
 	words := wordio.Words64(src[:n*8], false)
 	hashes := make([]uint64, n)
-	var v1, v2, v3 uint64
-	for i, v := range words {
-		hashes[i] = fcmHash(v1, v2, v3)
-		v1, v2, v3 = v, v1, v2
-	}
+	simd.FCMHash64(hashes, append(make([]uint64, 3), words...))
 	vals, dists := make([]uint64, n), make([]uint64, n)
 	for i, v := range words {
 		vals[i] = v

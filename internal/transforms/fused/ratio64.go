@@ -58,13 +58,7 @@ func ratio64Forward(dst []byte, sw []uint64, tail []byte, gs *GateStats) []byte 
 	diff := wordio.Scratch64(len(sw))
 	defer diff.Done()
 	dw := diff.W
-	if _, okd := simd.DiffZigOr64(dw, sw, 0); !okd {
-		prev := uint64(0)
-		for i, v := range sw {
-			dw[i] = wordio.ZigZag64(v - prev)
-			prev = v
-		}
-	}
+	simd.DiffZigOr64(dw, sw, 0)
 	if gs != nil {
 		gs.Words = len(sw)
 		gs.Hist = [65]int{}

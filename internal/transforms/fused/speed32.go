@@ -79,17 +79,8 @@ func (k *Speed32) ForwardStatsInto(dst, src []byte, gs *GateStats) []byte {
 		}
 		sub := sw[start:end]
 		t := tile[:len(sub)]
-		m, simdOK := simd.DiffZigOr32(t, sub, prev)
-		if simdOK {
-			prev = sub[len(sub)-1]
-		} else {
-			for j, v := range sub {
-				z := wordio.ZigZag32(v - prev)
-				prev = v
-				t[j] = z
-				m |= z
-			}
-		}
+		m := simd.DiffZigOr32(t, sub, prev)
+		prev = sub[len(sub)-1]
 		if gs != nil {
 			// Group ORs of the diff words, 4 per full 32-word block, in the
 			// byte-swapped order the BIT32→RZE pricing expects. Diff words
@@ -112,12 +103,7 @@ func (k *Speed32) ForwardStatsInto(dst, src []byte, gs *GateStats) []byte {
 		if m >= 1<<31 {
 			// MPLG's enhancement: one extra magnitude-sign conversion.
 			flag, zig = 1, true
-			if m, simdOK = simd.ZigOr32(t); !simdOK {
-				m = 0
-				for _, z := range t {
-					m |= wordio.ZigZag32(z)
-				}
-			}
+			m = simd.ZigOr32(t)
 		}
 		keep := uint(32 - bits.LeadingZeros32(m))
 		acc = acc<<7 | flag<<6 | uint64(keep)
@@ -131,31 +117,7 @@ func (k *Speed32) ForwardStatsInto(dst, src []byte, gs *GateStats) []byte {
 		if keep == 0 {
 			continue
 		}
-		if p, a, na, ok := simd.Pack32(buf, bp, acc, nacc, t, keep, zig); ok {
-			bp, acc, nacc = p, a, na
-		} else if zig {
-			for _, z := range t {
-				acc = acc<<keep | uint64(wordio.ZigZag32(z))
-				nacc += keep
-				if nacc >= 32 {
-					nacc -= 32
-					binary.BigEndian.PutUint32(buf[bp:], uint32(acc>>nacc))
-					bp += 4
-					acc &= 1<<nacc - 1
-				}
-			}
-		} else {
-			for _, z := range t {
-				acc = acc<<keep | uint64(z)
-				nacc += keep
-				if nacc >= 32 {
-					nacc -= 32
-					binary.BigEndian.PutUint32(buf[bp:], uint32(acc>>nacc))
-					bp += 4
-					acc &= 1<<nacc - 1
-				}
-			}
-		}
+		bp, acc, nacc = simd.Pack32(buf, bp, acc, nacc, t, keep, zig)
 	}
 	bp = transforms.BitFinish(buf, bp, acc, nacc)
 	if gs != nil {
@@ -165,8 +127,9 @@ func (k *Speed32) ForwardStatsInto(dst, src []byte, gs *GateStats) []byte {
 }
 
 // InverseInto implements Kernel: unpack each subchunk's words from the bit
-// stream and run the un-zigzag + prefix-sum reconstruction in the same
-// loop, exactly composing MPLG32's and DIFFMS32's inverses.
+// stream into the stack tile and run the un-zigzag + prefix-sum
+// reconstruction over it, exactly composing MPLG32's and DIFFMS32's
+// inverses.
 func (k *Speed32) InverseInto(dst, enc []byte, maxDecoded int) ([]byte, error) {
 	declen64, n := bitio.Uvarint(enc)
 	if n == 0 {
@@ -228,39 +191,11 @@ func (k *Speed32) InverseInto(dst, enc []byte, maxDecoded int) ([]byte, error) {
 		if pos+keep*uint(len(sub)) > totalBits {
 			return nil, transforms.Corruptf("MPLG: truncated values")
 		}
-		// SIMD: recover the DIFFMS stream words into the tile, then run
-		// the un-zigzag + prefix-sum reconstruction over them.
-		if np, ok := simd.Unpack32(tile[:len(sub)], pad, uint64(pos), keep, hdr>>6 == 1); ok {
-			t := tile[:len(sub)]
-			if p2, ok2 := simd.UnDiffZig32(sub, t, prev); ok2 {
-				prev = p2
-			} else {
-				for j := range sub {
-					prev += wordio.UnZigZag32(t[j])
-					sub[j] = prev
-				}
-			}
-			pos = uint(np)
-			continue
-		}
-		mask := uint32(1)<<keep - 1
-		sh := 64 - keep
-		if hdr>>6 == 1 {
-			for j := range sub {
-				x := binary.BigEndian.Uint64(pad[pos>>3:])
-				z := wordio.UnZigZag32(uint32(x>>(sh-(pos&7))) & mask)
-				prev += wordio.UnZigZag32(z)
-				sub[j] = prev
-				pos += keep
-			}
-		} else {
-			for j := range sub {
-				x := binary.BigEndian.Uint64(pad[pos>>3:])
-				prev += wordio.UnZigZag32(uint32(x>>(sh-(pos&7))) & mask)
-				sub[j] = prev
-				pos += keep
-			}
-		}
+		// Recover the DIFFMS stream words into the tile, then run the
+		// un-zigzag + prefix-sum reconstruction over them.
+		t := tile[:len(sub)]
+		pos = uint(simd.Unpack32(t, pad, uint64(pos), keep, hdr>>6 == 1))
+		prev = simd.UnDiffZig32(sub, t, prev)
 	}
 	rest := int((pos + 7) / 8)
 	if len(body)-rest < tailLen {

@@ -69,40 +69,18 @@ func (k *Speed64) ForwardStatsInto(dst, src []byte, gs *GateStats) []byte {
 		}
 		sub := sw[start:end]
 		t := tile[:len(sub)]
-		m, simdOK := simd.DiffZigOr64(t, sub, prev)
-		if simdOK {
-			prev = sub[len(sub)-1]
-			if gs != nil {
-				for _, z := range t {
-					gs.Hist[bits.LeadingZeros64(z)]++
-				}
-			}
-		} else if gs != nil {
-			for j, v := range sub {
-				z := wordio.ZigZag64(v - prev)
-				prev = v
-				t[j] = z
-				m |= z
+		m := simd.DiffZigOr64(t, sub, prev)
+		prev = sub[len(sub)-1]
+		if gs != nil {
+			for _, z := range t {
 				gs.Hist[bits.LeadingZeros64(z)]++
-			}
-		} else {
-			for j, v := range sub {
-				z := wordio.ZigZag64(v - prev)
-				prev = v
-				t[j] = z
-				m |= z
 			}
 		}
 		var flag uint64
 		zig := false
 		if m >= 1<<63 {
 			flag, zig = 1, true
-			if m, simdOK = simd.ZigOr64(t); !simdOK {
-				m = 0
-				for _, z := range t {
-					m |= wordio.ZigZag64(z)
-				}
-			}
+			m = simd.ZigOr64(t)
 		}
 		keep := uint(64 - bits.LeadingZeros64(m))
 		acc = acc<<8 | flag<<7 | uint64(keep)
@@ -116,54 +94,15 @@ func (k *Speed64) ForwardStatsInto(dst, src []byte, gs *GateStats) []byte {
 		if keep == 0 {
 			continue
 		}
-		if p, a, na, ok := simd.Pack64(buf, bp, acc, nacc, t, keep, zig); ok {
-			bp, acc, nacc = p, a, na
-		} else if keep <= 32 {
-			for _, z := range t {
-				w := z
-				if zig {
-					w = wordio.ZigZag64(z)
-				}
-				acc = acc<<keep | w
-				nacc += keep
-				if nacc >= 32 {
-					nacc -= 32
-					binary.BigEndian.PutUint32(buf[bp:], uint32(acc>>nacc))
-					bp += 4
-					acc &= 1<<nacc - 1
-				}
-			}
-		} else {
-			hi := keep - 32
-			for _, z := range t {
-				w := z
-				if zig {
-					w = wordio.ZigZag64(z)
-				}
-				acc = acc<<hi | w>>32
-				nacc += hi
-				if nacc >= 32 {
-					nacc -= 32
-					binary.BigEndian.PutUint32(buf[bp:], uint32(acc>>nacc))
-					bp += 4
-					acc &= 1<<nacc - 1
-				}
-				// Appending 32 bits always reaches the flush threshold, and
-				// flushing subtracts the same 32, so nacc is unchanged.
-				acc = acc<<32 | w&0xffffffff
-				binary.BigEndian.PutUint32(buf[bp:], uint32(acc>>nacc))
-				bp += 4
-				acc &= 1<<nacc - 1
-			}
-		}
+		bp, acc, nacc = simd.Pack64(buf, bp, acc, nacc, t, keep, zig)
 	}
 	bp = transforms.BitFinish(buf, bp, acc, nacc)
 	return append(dst[:bp], tail...)
 }
 
 // InverseInto implements Kernel: MPLG64 unpack and DIFFMS64 prefix-sum
-// reconstruction fused into one pass, mirroring transforms.MPLG's 64-bit
-// decoder's bit stream handling exactly.
+// reconstruction fused per subchunk through the stack tile, mirroring
+// transforms.MPLG's 64-bit decoder's bit stream handling exactly.
 func (k *Speed64) InverseInto(dst, enc []byte, maxDecoded int) ([]byte, error) {
 	declen64, n := bitio.Uvarint(enc)
 	if n == 0 {
@@ -221,35 +160,11 @@ func (k *Speed64) InverseInto(dst, enc []byte, maxDecoded int) ([]byte, error) {
 		if pos+keep*uint(len(sub)) > totalBits {
 			return nil, transforms.Corruptf("MPLG: truncated values")
 		}
-		// SIMD: recover the DIFFMS stream words into the tile, then run
-		// the un-zigzag + prefix-sum reconstruction over them.
-		if np, ok := simd.Unpack64(tile[:len(sub)], pad, uint64(pos), keep, hdr>>7 == 1); ok {
-			t := tile[:len(sub)]
-			if p2, ok2 := simd.UnDiffZig64(sub, t, prev); ok2 {
-				prev = p2
-			} else {
-				for j := range sub {
-					prev += wordio.UnZigZag64(t[j])
-					sub[j] = prev
-				}
-			}
-			pos = uint(np)
-			continue
-		}
-		if hdr>>7 == 1 {
-			for j := range sub {
-				z := wordio.UnZigZag64(transforms.LoadBits(pad, pos, keep))
-				prev += wordio.UnZigZag64(z)
-				sub[j] = prev
-				pos += keep
-			}
-		} else {
-			for j := range sub {
-				prev += wordio.UnZigZag64(transforms.LoadBits(pad, pos, keep))
-				sub[j] = prev
-				pos += keep
-			}
-		}
+		// Recover the DIFFMS stream words into the tile, then run the
+		// un-zigzag + prefix-sum reconstruction over them.
+		t := tile[:len(sub)]
+		pos = uint(simd.Unpack64(t, pad, uint64(pos), keep, hdr>>7 == 1))
+		prev = simd.UnDiffZig64(sub, t, prev)
 	}
 	rest := int((pos + 7) / 8)
 	if len(body)-rest < tailLen {

@@ -29,10 +29,10 @@ const mplgSubchunk = 512
 // word. Trailing bytes that do not fill a word follow byte-aligned.
 //
 // Both directions run on the words of the decoded buffer, taken through
-// wordio's copy-in/copy-out: the encoder packs with a local 64-bit
-// accumulator flushed 32 bits at a time straight into the output buffer,
-// and the decoder reads through a 64-bit sliding load window over a
-// zero-padded copy of the bit stream.
+// wordio's copy-in/copy-out: the encoder packs (simd.Pack32/Pack64) with
+// a local 64-bit accumulator flushed 32 bits at a time straight into the
+// output buffer, and the decoder reads (simd.Unpack32/Unpack64) through a
+// 64-bit sliding load window over a zero-padded copy of the bit stream.
 type MPLG struct {
 	Word wordio.WordSize
 	// Subchunk overrides the 512-byte subchunk size for ablation
@@ -110,23 +110,13 @@ func (m MPLG) forward32(dst, src []byte, sw []uint32) []byte {
 		// The width scan uses OR rather than max: the OR of a set has the
 		// same bit length and the same top bit as its maximum, which are the
 		// only two properties keep and flag derive, and OR vectorizes.
-		orv, ok := simd.Or32(sub)
-		if !ok {
-			for _, v := range sub {
-				orv |= v
-			}
-		}
+		orv := simd.Or32(sub)
 		var flag uint64
 		zig := false
 		if orv >= 1<<31 {
 			// Enhancement: one more magnitude-sign conversion, then retry.
 			flag, zig = 1, true
-			if orv, ok = simd.ZigOr32(sub); !ok {
-				orv = 0
-				for _, v := range sub {
-					orv |= wordio.ZigZag32(v)
-				}
-			}
+			orv = simd.ZigOr32(sub)
 		}
 		keep := uint(32 - bits.LeadingZeros32(orv))
 		// 1-bit flag + 6-bit kept width, MSB-first.
@@ -142,38 +132,14 @@ func (m MPLG) forward32(dst, src []byte, sw []uint32) []byte {
 			continue
 		}
 		// Every value fits in keep bits by construction of orv.
-		if p, a, na, ok := simd.Pack32(buf, bp, acc, nacc, sub, keep, zig); ok {
-			bp, acc, nacc = p, a, na
-		} else if zig {
-			for _, v := range sub {
-				acc = acc<<keep | uint64(wordio.ZigZag32(v))
-				nacc += keep
-				if nacc >= 32 {
-					nacc -= 32
-					binary.BigEndian.PutUint32(buf[bp:], uint32(acc>>nacc))
-					bp += 4
-					acc &= 1<<nacc - 1
-				}
-			}
-		} else {
-			for _, v := range sub {
-				acc = acc<<keep | uint64(v)
-				nacc += keep
-				if nacc >= 32 {
-					nacc -= 32
-					binary.BigEndian.PutUint32(buf[bp:], uint32(acc>>nacc))
-					bp += 4
-					acc &= 1<<nacc - 1
-				}
-			}
-		}
+		bp, acc, nacc = simd.Pack32(buf, bp, acc, nacc, sub, keep, zig)
 	}
 	bp = BitFinish(buf, bp, acc, nacc)
 	return append(dst[:bp], tail...)
 }
 
-// forward64 is the 64-bit variant: kept widths above 32 bits are
-// written as two sub-32-bit fields so the accumulator invariant holds.
+// forward64 is the 64-bit variant (simd.Pack64 writes kept widths above
+// 32 bits as two sub-32-bit fields, so the accumulator invariant holds).
 func (m MPLG) forward64(dst, src []byte, sw []uint64) []byte {
 	nWords := len(src) / 8
 	tail := src[nWords*8:]
@@ -196,22 +162,12 @@ func (m MPLG) forward64(dst, src []byte, sw []uint64) []byte {
 		}
 		sub := sw[start:end]
 		// OR width scan; see forward32 for the OR/max equivalence.
-		orv, ok := simd.Or64(sub)
-		if !ok {
-			for _, v := range sub {
-				orv |= v
-			}
-		}
+		orv := simd.Or64(sub)
 		var flag uint64
 		zig := false
 		if orv >= 1<<63 {
 			flag, zig = 1, true
-			if orv, ok = simd.ZigOr64(sub); !ok {
-				orv = 0
-				for _, v := range sub {
-					orv |= wordio.ZigZag64(v)
-				}
-			}
+			orv = simd.ZigOr64(sub)
 		}
 		keep := uint(64 - bits.LeadingZeros64(orv))
 		// 1-bit flag + 7-bit kept width, MSB-first.
@@ -226,46 +182,7 @@ func (m MPLG) forward64(dst, src []byte, sw []uint64) []byte {
 		if keep == 0 {
 			continue
 		}
-		if p, a, na, ok := simd.Pack64(buf, bp, acc, nacc, sub, keep, zig); ok {
-			bp, acc, nacc = p, a, na
-		} else if keep <= 32 {
-			for _, v := range sub {
-				w := v
-				if zig {
-					w = wordio.ZigZag64(v)
-				}
-				acc = acc<<keep | w
-				nacc += keep
-				if nacc >= 32 {
-					nacc -= 32
-					binary.BigEndian.PutUint32(buf[bp:], uint32(acc>>nacc))
-					bp += 4
-					acc &= 1<<nacc - 1
-				}
-			}
-		} else {
-			hi := keep - 32
-			for _, v := range sub {
-				w := v
-				if zig {
-					w = wordio.ZigZag64(v)
-				}
-				acc = acc<<hi | w>>32
-				nacc += hi
-				if nacc >= 32 {
-					nacc -= 32
-					binary.BigEndian.PutUint32(buf[bp:], uint32(acc>>nacc))
-					bp += 4
-					acc &= 1<<nacc - 1
-				}
-				// Appending 32 bits always reaches the flush threshold, and
-				// flushing subtracts the same 32, so nacc is unchanged.
-				acc = acc<<32 | w&0xffffffff
-				binary.BigEndian.PutUint32(buf[bp:], uint32(acc>>nacc))
-				bp += 4
-				acc &= 1<<nacc - 1
-			}
-		}
+		bp, acc, nacc = simd.Pack64(buf, bp, acc, nacc, sub, keep, zig)
 	}
 	bp = BitFinish(buf, bp, acc, nacc)
 	return append(dst[:bp], tail...)
@@ -359,25 +276,7 @@ func (m MPLG) inverse32(ow []uint32, out, body []byte, nWords, wordsPer, tailLen
 		if pos+keep*uint(len(sub)) > totalBits {
 			return Corruptf("MPLG: truncated values")
 		}
-		if np, ok := simd.Unpack32(sub, pad, uint64(pos), keep, hdr>>6 == 1); ok {
-			pos = uint(np)
-			continue
-		}
-		mask := uint32(1)<<keep - 1
-		sh := 64 - keep
-		if hdr>>6 == 1 {
-			for j := range sub {
-				x := binary.BigEndian.Uint64(pad[pos>>3:])
-				sub[j] = wordio.UnZigZag32(uint32(x>>(sh-(pos&7))) & mask)
-				pos += keep
-			}
-		} else {
-			for j := range sub {
-				x := binary.BigEndian.Uint64(pad[pos>>3:])
-				sub[j] = uint32(x>>(sh-(pos&7))) & mask
-				pos += keep
-			}
-		}
+		pos = uint(simd.Unpack32(sub, pad, uint64(pos), keep, hdr>>6 == 1))
 	}
 	rest := int((pos + 7) / 8)
 	if len(body)-rest < tailLen {
@@ -388,7 +287,8 @@ func (m MPLG) inverse32(ow []uint32, out, body []byte, nWords, wordsPer, tailLen
 }
 
 // inverse64 is the 64-bit variant; kept widths above 57 bits can
-// straddle the load window by up to 7 bits, handled with one spill byte.
+// straddle the load window by up to 7 bits, which simd.Unpack64 reads
+// from one spill byte.
 func (m MPLG) inverse64(ow []uint64, out, body []byte, nWords, wordsPer, tailLen int) error {
 	bp := GetBuf()
 	defer PutBuf(bp)
@@ -419,21 +319,7 @@ func (m MPLG) inverse64(ow []uint64, out, body []byte, nWords, wordsPer, tailLen
 		if pos+keep*uint(len(sub)) > totalBits {
 			return Corruptf("MPLG: truncated values")
 		}
-		if np, ok := simd.Unpack64(sub, pad, uint64(pos), keep, hdr>>7 == 1); ok {
-			pos = uint(np)
-			continue
-		}
-		if hdr>>7 == 1 {
-			for j := range sub {
-				sub[j] = wordio.UnZigZag64(LoadBits(pad, pos, keep))
-				pos += keep
-			}
-		} else {
-			for j := range sub {
-				sub[j] = LoadBits(pad, pos, keep)
-				pos += keep
-			}
-		}
+		pos = uint(simd.Unpack64(sub, pad, uint64(pos), keep, hdr>>7 == 1))
 	}
 	rest := int((pos + 7) / 8)
 	if len(body)-rest < tailLen {

@@ -58,84 +58,11 @@ func (z RZE) Name() string {
 	return fmt.Sprintf("RZE%d", z.unit()*8)
 }
 
-// nonzeroMask8 returns one bit per byte of the little-endian word v, set
-// when that byte is non-zero, with the lowest-addressed byte in the most
-// significant result bit — the same MSB-first order as RZE's bitmaps
-// (byte j of v maps to 0x80 >> j).
-//
-// The SWAR: (v & 0x7f..) + 0x7f.. carries into bit 7 of any byte with a
-// low bit set; OR-ing v itself covers bytes whose only set bit is bit 7.
-// Multiplying the per-byte 0x01 mask by 0x8040201008040201 sums bit j*8
-// into bit 63-j (the products 8j+9k collide only mod 9, so no carries),
-// and the top byte of the product is the movemask.
-func nonzeroMask8(v uint64) byte {
-	m := (v | ((v & 0x7f7f7f7f7f7f7f7f) + 0x7f7f7f7f7f7f7f7f)) & 0x8080808080808080
-	return byte(((m >> 7) * 0x8040201008040201) >> 56)
-}
-
 // EncodeRepeatBitmap appends the repeat-eliminated recursive bitmap
 // encoding of b to out (exported for the SIMT kernels in internal/simt,
 // which must reproduce RZE's exact byte layout).
 func EncodeRepeatBitmap(b []byte, out []byte) []byte {
 	return appendRepeatBitmap(out, b)
-}
-
-// ZeroBitmap fills bm — which must hold (len(src)+7)/8 bytes — with RZE's
-// non-zero-byte bitmap of src (bit i set when src[i] != 0, MSB-first within
-// each byte) and returns the number of non-zero bytes. Together with
-// EncodeRepeatBitmap this lets the auto-mode selector price an RZE stage
-// exactly without encoding it: the output is always
-// uvarint(len) + repeat-bitmap + the non-zero bytes.
-func ZeroBitmap(bm, src []byte) int {
-	if nz, ok := simd.NonzeroBM(bm, src); ok {
-		return nz
-	}
-	clear(bm)
-	nonzero := 0
-	sw := wordio.In64(src)
-	for g, v := range sw.W {
-		if v == 0 {
-			continue
-		}
-		m := nonzeroMask8(v)
-		bm[g] = m
-		nonzero += bits.OnesCount8(m)
-	}
-	i := len(sw.W) * 8
-	sw.Done()
-	for ; i < len(src); i++ {
-		if src[i] != 0 {
-			bm[i>>3] |= 0x80 >> (i & 7)
-			nonzero++
-		}
-	}
-	return nonzero
-}
-
-// buildChangeBitmap fills bm (one bit per byte of cur, MSB-first) with the
-// changed-byte bitmap: bit set when the byte differs from its predecessor
-// (the byte before cur[0] is taken as zero). Full 8-byte groups use the
-// SWAR mask over the buffer's words; the tail goes byte by byte.
-func buildChangeBitmap(bm, cur []byte) {
-	if simd.ChangeBM(bm, cur) {
-		return
-	}
-	clear(bm)
-	prev := byte(0)
-	cw := wordio.In64(cur)
-	for g, v := range cw.W {
-		// Byte j of v<<8|prev is byte j's predecessor.
-		bm[g] = nonzeroMask8(v ^ (v<<8 | uint64(prev)))
-		prev = byte(v >> 56)
-	}
-	i := len(cw.W) * 8
-	cw.Done()
-	for ; i < len(cur); i++ {
-		if cur[i] != prev {
-			bm[i>>3] |= 0x80 >> (i & 7)
-		}
-		prev = cur[i]
-	}
 }
 
 // appendNonRepeats appends the bytes of lvl that differ from their
@@ -151,7 +78,7 @@ func appendNonRepeats(out, lvl []byte) []byte {
 			continue
 		}
 		base := g * 8
-		m := nonzeroMask8(x)
+		m := wordio.NonzeroMask8(x)
 		if m == 0xff {
 			out = append(out, lvl[base:base+8]...)
 			continue
@@ -200,7 +127,7 @@ func appendRepeatBitmap(out, b []byte) []byte {
 		start := (len(scratch) + 7) &^ 7
 		scratch = Grow(scratch, start-len(scratch)+bmLen)
 		bm := scratch[start : start+bmLen]
-		buildChangeBitmap(bm, cur)
+		simd.ChangeBM(bm, cur)
 		starts = append(starts, start)
 		lens = append(lens, bmLen)
 		cur = bm
@@ -239,7 +166,7 @@ func RepeatBitmapLen(b []byte) int {
 		start := (len(scratch) + 7) &^ 7
 		scratch = Grow(scratch, start-len(scratch)+bmLen)
 		bm := scratch[start : start+bmLen]
-		buildChangeBitmap(bm, cur)
+		simd.ChangeBM(bm, cur)
 		total += popcountBytes(bm)
 		cur = bm
 	}
@@ -382,7 +309,7 @@ func (z RZE) ForwardInto(dst, src []byte) []byte {
 	bp := GetBuf()
 	defer PutBuf(bp)
 	bm := wordio.Resize(bp, (len(src)+7)/8)
-	nonzero := ZeroBitmap(bm, src)
+	nonzero := simd.NonzeroBM(bm, src)
 	dst = slices.Grow(dst, bitio.UvarintLen(uint64(len(src)))+len(bm)+len(bm)/4+nonzero+16)
 	dst = bitio.AppendUvarint(dst, uint64(len(src)))
 	dst = appendRepeatBitmap(dst, bm)

@@ -36,33 +36,12 @@
 package transforms
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"slices"
 	"sync"
 )
-
-// LoadBits reads width bits (1 <= width <= 64) most-significant-bit-first
-// at bit offset pos of pad: one big-endian 64-bit load plus at most one
-// spill byte. pad must be padded so that 8 bytes past the byte holding the
-// last addressed bit are readable (the decoders copy their bit regions
-// into pooled scratch with 8 zero bytes appended for exactly this).
-func LoadBits(pad []byte, pos, width uint) uint64 {
-	off := pos & 7
-	x := binary.BigEndian.Uint64(pad[pos>>3:])
-	avail := 64 - off
-	if width <= avail {
-		v := x >> (avail - width)
-		if width < 64 {
-			v &= 1<<width - 1
-		}
-		return v
-	}
-	spill := width - avail // 1..7
-	return (x&(1<<avail-1))<<spill | uint64(pad[pos>>3+8])>>(8-spill)
-}
 
 // BitFinish spills a bit-packing accumulator's remaining pending bits,
 // zero-padded to a byte boundary exactly like bitio.Writer.Align, and

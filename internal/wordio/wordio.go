@@ -137,3 +137,38 @@ func Mix64(x uint64) uint64 {
 	x ^= x >> 31
 	return x
 }
+
+// NonzeroMask8 returns one bit per byte of the little-endian word v, set
+// when that byte is non-zero, with the lowest-addressed byte in the most
+// significant result bit — the MSB-first order of RZE's bitmaps (byte j
+// of v maps to 0x80 >> j).
+//
+// The SWAR: (v & 0x7f..) + 0x7f.. carries into bit 7 of any byte with a
+// low bit set; OR-ing v itself covers bytes whose only set bit is bit 7.
+// Multiplying the per-byte 0x01 mask by 0x8040201008040201 sums bit j*8
+// into bit 63-j (the products 8j+9k collide only mod 9, so no carries),
+// and the top byte of the product is the movemask.
+func NonzeroMask8(v uint64) byte {
+	m := (v | ((v & 0x7f7f7f7f7f7f7f7f) + 0x7f7f7f7f7f7f7f7f)) & 0x8080808080808080
+	return byte(((m >> 7) * 0x8040201008040201) >> 56)
+}
+
+// LoadBits reads width bits (1 <= width <= 64) most-significant-bit-first
+// at bit offset pos of pad: one big-endian 64-bit load plus at most one
+// spill byte. pad must be padded so that 8 bytes past the byte holding the
+// last addressed bit are readable (the decoders copy their bit regions
+// into pooled scratch with 8 zero bytes appended for exactly this).
+func LoadBits(pad []byte, pos, width uint) uint64 {
+	off := pos & 7
+	x := binary.BigEndian.Uint64(pad[pos>>3:])
+	avail := 64 - off
+	if width <= avail {
+		v := x >> (avail - width)
+		if width < 64 {
+			v &= 1<<width - 1
+		}
+		return v
+	}
+	spill := width - avail // 1..7
+	return (x&(1<<avail-1))<<spill | uint64(pad[pos>>3+8])>>(8-spill)
+}
