@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet check purego noasm crossarm fuzz-smoke chaos salvage scrub bench-server bench-core bench-auto bench-transforms bench-smoke fpcd clean
+.PHONY: all build test race vet check purego noasm crossarm fuzz-smoke corpus-check chaos salvage scrub bench-server bench-core bench-auto bench-transforms bench-smoke fpcd clean
 
 all: check
 
@@ -61,6 +61,19 @@ fuzz-smoke:
 	@for f in $(ROOT_FUZZERS); do \
 		$(GO) test . -run '^$$' -fuzz "^$$f$$" -fuzztime $(FUZZTIME) || exit 1; \
 	done
+
+# Regenerates the corrupt-container corpus into a temporary directory and
+# fails unless it matches testdata/corrupt/*.bin file for file and byte
+# for byte, so the generator and the checked-in seeds cannot drift apart.
+corpus-check:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) run testdata/corrupt/gen.go "$$tmp" >/dev/null && \
+	want=$$(ls testdata/corrupt/*.bin | wc -l) && got=$$(ls "$$tmp"/*.bin | wc -l) && \
+	if [ "$$want" -ne "$$got" ]; then \
+		echo "corpus-check: gen.go wrote $$got files, testdata/corrupt has $$want"; exit 1; \
+	fi && \
+	for f in testdata/corrupt/*.bin; do cmp "$$f" "$$tmp/$${f##*/}" || exit 1; done && \
+	echo "corpus-check: $$got/$$want files identical"
 
 # Seeded chaos soak: hundreds of requests through the deterministic
 # fault-injection layer (internal/faultnet) under the race detector.

@@ -441,9 +441,10 @@ func openFiles(args []string) (*input, *atomicOutput, error) {
 }
 
 // selectionStats prints the per-chunk pipeline selection breakdown of an
-// auto-mode (container v2) file: chunks and stored bytes per scheme, and
-// the cost model's predicted bytes next to the actual stored bytes for the
-// chunks where the recorded scheme was a modeled candidate.
+// auto-mode file (one with a per-chunk scheme table): chunks and stored
+// bytes per scheme, and the cost model's predicted bytes next to the actual
+// stored bytes for the chunks where the recorded scheme was a modeled
+// candidate.
 func selectionStats(path string, maxDecoded int) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -460,7 +461,7 @@ func selectionStats(path string, maxDecoded int) error {
 	if err != nil {
 		return err
 	}
-	if a.Select == nil || h.Version < 2 {
+	if a.Select == nil {
 		return fmt.Errorf("%s: %s containers carry no per-chunk scheme table (use -info)", path, a.Name())
 	}
 	// Decode (CRC-verified) to re-run the cost model on the original chunks.

@@ -16,6 +16,7 @@
 package container
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -34,49 +35,95 @@ const DefaultChunkSize = 16384
 // magic identifies the container format.
 var magic = [4]byte{'F', 'P', 'C', 'Z'}
 
-// formatVersion is the layout written for plain codecs; formatVersionV2
-// adds the per-chunk scheme table emitted for SchemeCodecs (auto mode).
-// Version 2 generalizes version 1's single raw-fallback flag: where v1
-// records only compressed-or-raw per chunk, v2 also records *which*
-// pipeline encoded each chunk, so one container can mix pipelines and
-// decode routes per chunk. Fixed algorithms keep writing version 1
-// byte-identically.
-//
-// formatVersionV3 is the opt-in self-healing layout (Params.Integrity /
-// Params.Parity): a flags byte, the per-chunk CRC32-C table the engine
-// already computes, optional XOR parity groups, and a metadata CRC32-C
-// covering everything before the payload (closing the v1/v2 gap where the
-// size and scheme tables sat outside any checksum). See integrity.go.
-//
-// formatVersionV4 is the windowed layout (Params.Windowed): the same flags
-// byte v3 introduced is always present and carries flagWindowed, recording
-// that every chunk was encoded with per-chunk (window-reset) predictor
-// state — so chunks decode independently even for algorithms whose default
-// mode runs a whole-input pre-stage. v4 makes the integrity tables
-// explicitly flagged (flagIntegrity) rather than implied by the version,
-// so a windowed container can be plain, scheme-routed, self-healing, or
-// any combination. Old decoders reject v4 by version — strict negotiation,
-// exactly like the v2 and v3 introductions — and this decoder rejects a v4
-// container without flagWindowed: v4 is emitted only for windowed data, so
-// the combination is corrupt.
+// layout is the set of optional sections a container carries, and the one
+// place that maps that set to the header's version and flags bytes. On top
+// of the paper's §3 container (header, size table, chunk payloads),
+// schemes adds a per-chunk scheme table for SchemeCodecs; integrity adds
+// the per-chunk and parity CRC tables under a metadata CRC32-C
+// (integrity.go); parity adds XOR parity groups, addressed through the
+// integrity tables; windowed adds no section but records that every chunk
+// was encoded with per-chunk (window-reset) predictor state. The writer
+// derives the set from Params and the codec; parseLayout accepts exactly
+// the (version, flags) pairs that version and flags produce.
+type layout struct {
+	schemes, parity, integrity, windowed bool
+}
+
+// Flags-byte bits. The flags byte follows the fixed header from version 3
+// on; version 3 implies the integrity tables, so only version 4 records
+// them as a bit.
 const (
-	formatVersion   = 1
-	formatVersionV2 = 2
-	formatVersionV3 = 3
-	formatVersionV4 = 4
+	flagSchemes   byte = 1 << 0
+	flagParity    byte = 1 << 1
+	flagWindowed  byte = 1 << 2
+	flagIntegrity byte = 1 << 3
 )
 
-// Header flag bits (v3 introduced the flags byte; v4 extends it). Unknown
-// bits are rejected per version: they would change the layout in ways the
-// decoder cannot skip.
-const (
-	flagSchemes     byte = 1 << 0 // per-chunk scheme table present
-	flagParity      byte = 1 << 1 // XOR parity groups present
-	flagWindowed    byte = 1 << 2 // v4: per-chunk (window-reset) predictor state
-	flagIntegrity   byte = 1 << 3 // v4: integrity tables present (implied by version in v3)
-	flagKnownMask        = flagSchemes | flagParity
-	flagKnownMaskV4      = flagSchemes | flagParity | flagWindowed | flagIntegrity
-)
+// version returns the header's version byte: the oldest layout version
+// that can express the set.
+func (l layout) version() byte {
+	switch {
+	case l.windowed:
+		return 4
+	case l.integrity:
+		return 3
+	case l.schemes:
+		return 2
+	}
+	return 1
+}
+
+// hasFlagsByte reports whether the header carries the flags byte
+// (versions 3 and 4).
+func (l layout) hasFlagsByte() bool { return l.integrity || l.windowed }
+
+// flags returns the flags byte (0 when the header has none).
+func (l layout) flags() byte {
+	if !l.hasFlagsByte() {
+		return 0
+	}
+	var f byte
+	if l.schemes {
+		f |= flagSchemes
+	}
+	if l.parity {
+		f |= flagParity
+	}
+	if l.windowed {
+		f |= flagWindowed
+		if l.integrity {
+			f |= flagIntegrity
+		}
+	}
+	return f
+}
+
+// parseLayout reads the magic, the version byte and, from version 3 on,
+// the flags byte, and returns the section set they declare. It accepts a
+// pair only if that set writes back the same two bytes and its parity has
+// integrity to address it: every pair no writer emits is ErrFormat.
+func parseLayout(data []byte) (layout, error) {
+	if len(data) < 10 || [4]byte(data[:4]) != magic {
+		return layout{}, fmt.Errorf("%w: bad magic", ErrFormat)
+	}
+	v, f := data[4], byte(0)
+	if v >= 3 {
+		if len(data) < 11 {
+			return layout{}, fmt.Errorf("%w: truncated v%d header", ErrFormat, v)
+		}
+		f = data[10]
+	}
+	l := layout{
+		schemes:   v == 2 || f&flagSchemes != 0,
+		parity:    f&flagParity != 0,
+		integrity: v == 3 || f&flagIntegrity != 0,
+		windowed:  f&flagWindowed != 0,
+	}
+	if l.version() != v || l.flags() != f || (l.parity && !l.integrity) {
+		return layout{}, fmt.Errorf("%w: version %d with flags %#02x is no written layout", ErrFormat, v, f)
+	}
+	return l, nil
+}
 
 // ErrFormat reports an invalid or corrupt container.
 var ErrFormat = errors.New("container: invalid format")
@@ -121,9 +168,9 @@ type IntoCodec interface {
 // (auto mode). ForwardSchemeInto appends the encoding of chunk to dst and
 // additionally returns the scheme byte identifying the pipeline used;
 // InverseSchemeInto decodes one chunk according to its recorded scheme.
-// The engine emits container format v2 for these codecs, storing one
-// scheme byte per chunk after the size table; scheme byte 0 is reserved
-// by the container for raw-fallback chunks, which never reach the codec.
+// The engine writes a scheme table for these codecs, one scheme byte per
+// chunk after the size table; scheme byte 0 is reserved by the container
+// for raw-fallback chunks, which never reach the codec.
 // Implementations must be safe for concurrent use and must not retain dst.
 type SchemeCodec interface {
 	Codec
@@ -157,24 +204,24 @@ type Params struct {
 	// length before any allocation. 0 means DefaultMaxDecoded; negative
 	// means no bound (trusted input only).
 	MaxDecoded int
-	// Integrity selects container format v3: the per-chunk CRC32-C table is
-	// stored (instead of folded into the whole-input CRC and discarded) and
-	// the header, size table, and scheme table are covered by their own
-	// CRC32-C. Costs 4 bytes per chunk plus 5 header bytes. Implied by
-	// Parity > 0.
+	// Integrity adds the integrity tables (version 3): the per-chunk
+	// CRC32-C table is stored (instead of folded into the whole-input CRC
+	// and discarded) and the header, size table, and scheme table are
+	// covered by their own CRC32-C. Costs 4 bytes per chunk plus 5 header
+	// bytes. Implied by Parity > 0.
 	Integrity bool
 	// Parity > 0 additionally appends one XOR parity chunk per group of
 	// Parity data chunks, letting decode reconstruct any single lost or
 	// corrupt chunk per group. Overhead is ~ChunkSize/Parity bytes per
 	// chunk-size worth of input plus 4 bytes per group.
 	Parity int
-	// Windowed selects container format v4: it records (via the flags byte)
-	// that every chunk was encoded with per-chunk predictor state — the
-	// codec resets any cross-chunk history at each chunk boundary — so
-	// chunks decode independently and random access works even for
-	// algorithms whose default mode runs a whole-input pre-stage. The
-	// container layer stores the flag and negotiates the version; producing
-	// actually window-reset chunk encodings is the codec's contract.
+	// Windowed selects version 4: it records (via the flags byte) that
+	// every chunk was encoded with per-chunk predictor state — the codec
+	// resets any cross-chunk history at each chunk boundary — so chunks
+	// decode independently and random access works even for algorithms
+	// whose default mode runs a whole-input pre-stage. The container layer
+	// stores the flag; producing actually window-reset chunk encodings is
+	// the codec's contract.
 	Windowed bool
 }
 
@@ -213,10 +260,9 @@ func (p Params) workers(nChunks int) int {
 
 // Header describes a parsed container.
 type Header struct {
-	// Version is the container layout version (1; 2 when the container
-	// carries a per-chunk scheme table; 3 for the self-healing layout; 4
-	// for the windowed layout, whose flags byte selects the optional
-	// tables).
+	// Version is the container's version byte, computed from its section
+	// set (see layout): 1 plain, 2 with a scheme table, 3 with integrity
+	// tables, 4 windowed.
 	Version     byte
 	Algorithm   byte
 	OriginalLen int
@@ -225,21 +271,21 @@ type Header struct {
 	// CRC is the CRC32-C of the original (pre-compression) bytes; verified
 	// after decompression so corruption that survives decoding is caught.
 	CRC uint32
-	// Flags is the v3/v4 flags byte (0 for v1/v2).
-	Flags byte
-	// ParityGroup is the v3 parity group size N (one XOR parity chunk per N
+	// layout is the container's section set.
+	layout layout
+	// ParityGroup is the parity group size N (one XOR parity chunk per N
 	// data chunks); 0 when the container carries no parity.
 	ParityGroup int
 	// entries[i] = compressed size <<1 | compressedFlag
 	entries []uint64
-	// schemes is the per-chunk scheme table (v2 always, v3 when flagged;
-	// nil otherwise); it aliases the parsed container.
+	// schemes is the per-chunk scheme table (nil without one); it aliases
+	// the parsed container.
 	schemes []byte
-	// chunkCRCs is the v3 per-chunk CRC32-C table (4 LE bytes per chunk,
-	// hashing each chunk's *original* bytes); nil for v1/v2. Aliases the
-	// parsed container.
+	// chunkCRCs is the per-chunk CRC32-C table (4 LE bytes per chunk,
+	// hashing each chunk's *original* bytes); nil without integrity
+	// tables. Aliases the parsed container.
 	chunkCRCs []byte
-	// parityCRCs is the v3 per-group parity-chunk CRC32-C table (4 LE bytes
+	// parityCRCs is the per-group parity-chunk CRC32-C table (4 LE bytes
 	// per group, hashing the stored parity bytes); nil without parity.
 	parityCRCs []byte
 	// offsets is the prefix sum over stored chunk sizes, computed once in
@@ -250,7 +296,7 @@ type Header struct {
 	// torn container may leave it shorter than the size table's total; the
 	// strict parse guarantees it complete.
 	payload []byte
-	// parity is the v3 parity payload region following the data payload
+	// parity is the parity payload region following the data payload
 	// (group g's bytes occupy [g*ChunkSize, g*ChunkSize+parityLen(g))); it
 	// too may be short after a salvage parse.
 	parity []byte
@@ -259,35 +305,20 @@ type Header struct {
 // Windowed reports whether the container records per-chunk (window-reset)
 // predictor state: every chunk decodes independently of its neighbors,
 // even for algorithms whose default mode runs a whole-input pre-stage.
-func (h *Header) Windowed() bool { return h.Flags&flagWindowed != 0 }
+func (h *Header) Windowed() bool { return h.layout.windowed }
 
-// hasIntegrity reports whether the container carries the integrity tables
-// (per-chunk CRCs, parity CRCs, metadata CRC): always in v3, flagged in v4.
-func (h *Header) hasIntegrity() bool {
-	return h.Version == formatVersionV3 ||
-		(h.Version >= formatVersionV4 && h.Flags&flagIntegrity != 0)
-}
-
-// IsWindowed peeks at a container's header bytes and reports whether it
-// uses the windowed (per-chunk predictor state) layout, without parsing
-// the tables. Callers use it to pick the matching codec mode before
-// decode; the full parse still validates the flags byte.
+// IsWindowed reads a container's version and flags bytes and reports
+// whether it uses the windowed (per-chunk predictor state) layout, without
+// parsing the tables. Callers use it to pick the matching codec mode
+// before decode.
 func IsWindowed(data []byte) (bool, error) {
-	if len(data) < 10 || [4]byte(data[:4]) != magic {
-		return false, fmt.Errorf("%w: bad magic", ErrFormat)
-	}
-	if data[4] < formatVersionV4 {
-		return false, nil
-	}
-	if len(data) < 11 {
-		return false, fmt.Errorf("%w: truncated v%d header", ErrFormat, data[4])
-	}
-	return data[10]&flagWindowed != 0, nil
+	l, err := parseLayout(data)
+	return l.windowed, err
 }
 
 // ChunkScheme returns chunk i's scheme byte: 0 for raw chunks and for
-// every chunk of a v1 container (whose single codec needs no routing),
-// otherwise the pipeline identifier recorded in the v2 scheme table.
+// every chunk of a container without a scheme table (whose single codec
+// needs no routing), otherwise the pipeline identifier recorded there.
 func (h *Header) ChunkScheme(i int) byte {
 	if h.schemes == nil {
 		return 0
@@ -335,7 +366,7 @@ type engineState struct {
 	pos     []int    // chunk i's offset within the payload (prefix sum of sizes)
 	crcs    []uint32 // CRC32-C of chunk i's original bytes
 	arenas  [][]byte // per-worker append-only encode arenas
-	parity  []byte   // concatenated XOR parity blocks (v3 parity encodes only)
+	parity  []byte   // concatenated XOR parity blocks (parity encodes only)
 	pcrcs   []uint32 // CRC32-C of each parity block
 }
 
@@ -395,36 +426,12 @@ func CompressAppend(dst, src []byte, algID byte, codec Codec, p Params) []byte {
 	defer putEngineState(st)
 	ic, hasInto := codec.(IntoCodec)
 	sc, hasScheme := codec.(SchemeCodec)
-	parityN := p.Parity
-	if parityN < 0 {
-		parityN = 0
-	}
-	integrity := p.Integrity || parityN > 0
-	version := byte(formatVersion)
-	if hasScheme {
-		version = formatVersionV2
-	}
-	var flags byte
-	if integrity {
-		version = formatVersionV3
-		if hasScheme {
-			flags |= flagSchemes
-		}
-		if parityN > 0 {
-			flags |= flagParity
-		}
-	}
-	if p.Windowed {
-		// v4 subsumes the v2/v3 layouts: the flags byte records which
-		// optional tables follow instead of the version implying them.
-		version = formatVersionV4
-		flags |= flagWindowed
-		if hasScheme {
-			flags |= flagSchemes
-		}
-		if integrity {
-			flags |= flagIntegrity
-		}
+	parityN := max(p.Parity, 0)
+	l := layout{
+		schemes:   hasScheme,
+		parity:    parityN > 0,
+		integrity: p.Integrity || parityN > 0,
+		windowed:  p.Windowed,
 	}
 
 	var next atomic.Int64
@@ -499,40 +506,8 @@ func CompressAppend(dst, src []byte, algID byte, codec Codec, p Params) []byte {
 		st.pcrcs = st.pcrcs[:0]
 	}
 
-	// Header and size table, laid out exactly as Assemble writes them (for
-	// v1); a v2 container additionally carries the scheme table between the
-	// size table and the payload, and a v3 container the flags byte, the
-	// integrity tables, and a metadata CRC (see integrity.go).
-	start := len(dst)
 	dst = slices.Grow(dst, total+len(st.parity)+len(st.sizes)*4+4*nChunks+4*len(st.pcrcs)+40)
-	dst = append(dst, magic[:]...)
-	dst = append(dst, version, algID)
-	dst = append(dst, byte(crc), byte(crc>>8), byte(crc>>16), byte(crc>>24))
-	if version >= formatVersionV3 {
-		dst = append(dst, flags)
-	}
-	dst = bitio.AppendUvarint(dst, uint64(len(src)))
-	dst = bitio.AppendUvarint(dst, uint64(cs))
-	dst = bitio.AppendUvarint(dst, uint64(nChunks))
-	if parityN > 0 {
-		dst = bitio.AppendUvarint(dst, uint64(parityN))
-	}
-	for i, s := range st.sizes {
-		dst = bitio.AppendUvarint(dst, uint64(s)<<1|uint64(st.flags[i]))
-	}
-	if hasScheme {
-		dst = append(dst, st.schemes...)
-	}
-	if integrity {
-		for _, c := range st.crcs {
-			dst = append(dst, byte(c), byte(c>>8), byte(c>>16), byte(c>>24))
-		}
-		for _, c := range st.pcrcs {
-			dst = append(dst, byte(c), byte(c>>8), byte(c>>16), byte(c>>24))
-		}
-		m := crc32.Checksum(dst[start:], crcTable)
-		dst = append(dst, byte(m), byte(m>>8), byte(m>>16), byte(m>>24))
-	}
+	dst = st.appendMeta(dst, l, algID, crc, len(src), cs, parityN)
 
 	// Parallel scatter: workers copy chunk outputs (and raw chunks straight
 	// from src) to their prefix-summed payload offsets.
@@ -574,28 +549,60 @@ func CompressAppend(dst, src []byte, algID byte, codec Codec, p Params) []byte {
 	return append(dst, st.parity...)
 }
 
-// Assemble builds the v1 container byte layout from already-compressed
-// chunk data: header, size table, then the payload (the chunks
-// concatenated in order). It is shared by the goroutine engine above and
-// by the SIMT-structured kernels in internal/simt, which scatter their
-// chunk outputs into the payload at offsets from a decoupled-look-back
-// scan — both must produce byte-identical containers. (Scheme-routing
-// codecs go through CompressAppend, which emits the v2 layout.)
-func Assemble(algID byte, crc uint32, srcLen, chunkSize int, sizes []int, rawFlags []bool, payload []byte) []byte {
-	out := make([]byte, 0, len(payload)+len(sizes)*3+32)
-	out = append(out, magic[:]...)
-	out = append(out, formatVersion, algID)
-	out = append(out, byte(crc), byte(crc>>8), byte(crc>>16), byte(crc>>24))
-	out = bitio.AppendUvarint(out, uint64(srcLen))
-	out = bitio.AppendUvarint(out, uint64(chunkSize))
-	out = bitio.AppendUvarint(out, uint64(len(sizes)))
-	for i, s := range sizes {
-		entry := uint64(s) << 1
-		if !rawFlags[i] {
-			entry |= 1
-		}
-		out = bitio.AppendUvarint(out, entry)
+// appendMeta appends everything before a container's payload: the fixed
+// header, the flags byte, the header varints, the size table and, as l
+// selects them, the scheme table and the integrity tables closed by the
+// metadata CRC32-C. The chunk records come from st.sizes, st.flags,
+// st.schemes, st.crcs and st.pcrcs.
+func (st *engineState) appendMeta(dst []byte, l layout, algID byte, crc uint32, srcLen, cs, parityN int) []byte {
+	start := len(dst)
+	dst = append(dst, magic[:]...)
+	dst = append(dst, l.version(), algID)
+	dst = binary.LittleEndian.AppendUint32(dst, crc)
+	if l.hasFlagsByte() {
+		dst = append(dst, l.flags())
 	}
+	dst = bitio.AppendUvarint(dst, uint64(srcLen))
+	dst = bitio.AppendUvarint(dst, uint64(cs))
+	dst = bitio.AppendUvarint(dst, uint64(len(st.sizes)))
+	if l.parity {
+		dst = bitio.AppendUvarint(dst, uint64(parityN))
+	}
+	for i, s := range st.sizes {
+		dst = bitio.AppendUvarint(dst, uint64(s)<<1|uint64(st.flags[i]))
+	}
+	if l.schemes {
+		dst = append(dst, st.schemes...)
+	}
+	if l.integrity {
+		for _, c := range st.crcs {
+			dst = binary.LittleEndian.AppendUint32(dst, c)
+		}
+		for _, c := range st.pcrcs {
+			dst = binary.LittleEndian.AppendUint32(dst, c)
+		}
+		dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start:], crcTable))
+	}
+	return dst
+}
+
+// Assemble builds the plain (version 1) container from already-compressed
+// chunk data through the same appendMeta as CompressAppend, then appends
+// the payload (the chunks concatenated in order). The SIMT-structured
+// kernels in internal/simt scatter their chunk outputs into the payload at
+// offsets from a decoupled-look-back scan and assemble through it, so both
+// engines produce byte-identical containers.
+func Assemble(algID byte, crc uint32, srcLen, chunkSize int, sizes []int, rawFlags []bool, payload []byte) []byte {
+	st := getEngineState(len(sizes), 1)
+	defer putEngineState(st)
+	copy(st.sizes, sizes)
+	for i, raw := range rawFlags {
+		st.flags[i] = 1
+		if raw {
+			st.flags[i] = 0
+		}
+	}
+	out := st.appendMeta(make([]byte, 0, len(payload)+len(sizes)*3+32), layout{}, algID, crc, srcLen, chunkSize, 0)
 	return append(out, payload...)
 }
 
@@ -648,45 +655,19 @@ func putHeader(h *Header) {
 // entry and offset tables when they are large enough. With lenient set, a
 // payload (or parity region) shorter than the metadata declares is
 // tolerated — salvage mode for torn containers; the metadata itself must
-// always be intact and, for v3, pass its own CRC32-C.
+// always be intact and, with integrity tables, pass its own CRC32-C.
 func (h *Header) parse(data []byte, lenient bool) error {
-	if len(data) < 10 || [4]byte(data[:4]) != magic {
-		return fmt.Errorf("%w: bad magic", ErrFormat)
+	l, err := parseLayout(data)
+	if err != nil {
+		return err
 	}
-	switch data[4] {
-	case formatVersion, formatVersionV2, formatVersionV3, formatVersionV4:
-	default:
-		return fmt.Errorf("%w: unsupported version %d", ErrFormat, data[4])
-	}
-	h.Version = data[4]
+	h.layout = l
+	h.Version = l.version()
 	h.Algorithm = data[5]
-	h.CRC = uint32(data[6]) | uint32(data[7])<<8 | uint32(data[8])<<16 | uint32(data[9])<<24
-	h.Flags = 0
+	h.CRC = binary.LittleEndian.Uint32(data[6:])
 	h.ParityGroup = 0
 	pos := 10
-	if h.Version >= formatVersionV3 {
-		if len(data) < 11 {
-			return fmt.Errorf("%w: truncated v%d header", ErrFormat, h.Version)
-		}
-		h.Flags = data[10]
-		known := byte(flagKnownMask)
-		if h.Version >= formatVersionV4 {
-			known = flagKnownMaskV4
-		}
-		if h.Flags&^known != 0 {
-			return fmt.Errorf("%w: unknown v%d flags %#02x", ErrFormat, h.Version, h.Flags)
-		}
-		if h.Version >= formatVersionV4 {
-			// v4 is emitted only for windowed encodings, and its parity
-			// table is keyed off the integrity flag; either inconsistency
-			// means the flags byte (or version) is corrupt.
-			if h.Flags&flagWindowed == 0 {
-				return fmt.Errorf("%w: v4 container without windowed flag", ErrFormat)
-			}
-			if h.Flags&flagParity != 0 && h.Flags&flagIntegrity == 0 {
-				return fmt.Errorf("%w: v4 parity flag without integrity flag", ErrFormat)
-			}
-		}
+	if l.hasFlagsByte() {
 		pos = 11
 	}
 	for _, dst := range []*int{&h.OriginalLen, &h.ChunkSize, &h.ChunkCount} {
@@ -697,7 +678,7 @@ func (h *Header) parse(data []byte, lenient bool) error {
 		*dst = int(v)
 		pos += n
 	}
-	if h.Flags&flagParity != 0 {
+	if l.parity {
 		v, n := bitio.Uvarint(data[pos:])
 		if n == 0 || v == 0 || v > uint64(1)<<32 {
 			return fmt.Errorf("%w: bad parity group size", ErrFormat)
@@ -755,7 +736,7 @@ func (h *Header) parse(data []byte, lenient bool) error {
 	h.chunkCRCs = nil
 	h.parityCRCs = nil
 	h.parity = nil
-	if h.Version == formatVersionV2 || h.Flags&flagSchemes != 0 {
+	if l.schemes {
 		// The scheme table is one byte per chunk between the size table and
 		// the payload. Its presence is checked before the payload-length
 		// equality so a truncated table fails with its own error, and the
@@ -774,7 +755,7 @@ func (h *Header) parse(data []byte, lenient bool) error {
 			}
 		}
 	}
-	if h.hasIntegrity() {
+	if l.integrity {
 		// Integrity tables: the per-chunk CRC32-C table, the per-group
 		// parity CRC table, then a metadata CRC32-C covering every byte so
 		// far. The metadata CRC is what makes the rest trustworthy — a
@@ -792,7 +773,7 @@ func (h *Header) parse(data []byte, lenient bool) error {
 			h.parityCRCs = data[pos : pos+4*pc]
 			pos += 4 * pc
 		}
-		stored := uint32(data[pos]) | uint32(data[pos+1])<<8 | uint32(data[pos+2])<<16 | uint32(data[pos+3])<<24
+		stored := binary.LittleEndian.Uint32(data[pos:])
 		if got := crc32.Checksum(data[:pos], crcTable); got != stored {
 			return fmt.Errorf("%w: got %08x, header says %08x", ErrHeaderChecksum, got, stored)
 		}
@@ -828,10 +809,10 @@ func (h *Header) CompressedPayloadLen() int { return len(h.payload) }
 var ErrBudget = errors.New("container: declared output exceeds decode budget")
 
 // schemeCodecFor validates the container's scheme table against the codec's
-// routing capability: a container carrying a scheme table (v2 always, v3
-// when flagged) can only decode through a SchemeCodec, and a SchemeCodec
-// can only decode containers that record schemes to route by. It returns
-// the scheme router to use, nil for the fixed-pipeline path.
+// routing capability: a container carrying a scheme table can only decode
+// through a SchemeCodec, and a SchemeCodec can only decode containers that
+// record schemes to route by. It returns the scheme router to use, nil for
+// the fixed-pipeline path.
 func (h *Header) schemeCodecFor(codec Codec) (SchemeCodec, error) {
 	sc, ok := codec.(SchemeCodec)
 	if h.schemes != nil {
@@ -844,34 +825,6 @@ func (h *Header) schemeCodecFor(codec Codec) (SchemeCodec, error) {
 		return nil, fmt.Errorf("%w: v%d container carries no scheme table for algorithm %d", ErrFormat, h.Version, h.Algorithm)
 	}
 	return nil, nil
-}
-
-// decodeChunk decodes chunk i into its exact decoded size, routing raw
-// chunks past the codec. enc must be the chunk's stored bytes. sc must be
-// h.schemeCodecFor(codec)'s result.
-func (h *Header) decodeChunk(i int, enc []byte, codec Codec, sc SchemeCodec) ([]byte, error) {
-	lo, hi := h.chunkSpan(i)
-	if h.entries[i]&1 == 0 {
-		// Raw chunk: stored verbatim, so its size must equal its span.
-		if len(enc) != hi-lo {
-			return nil, fmt.Errorf("%w: raw chunk %d has %d bytes, want %d", ErrFormat, i, len(enc), hi-lo)
-		}
-		return enc, nil
-	}
-	var dec []byte
-	var err error
-	if sc != nil {
-		dec, err = sc.InverseSchemeInto(nil, enc, h.schemes[i], hi-lo)
-	} else {
-		dec, err = inverse(codec, enc, hi-lo)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("chunk %d: %w", i, err)
-	}
-	if len(dec) != hi-lo {
-		return nil, fmt.Errorf("%w: chunk %d decoded to %d bytes, want %d", ErrFormat, i, len(dec), hi-lo)
-	}
-	return dec, nil
 }
 
 // Decompress reverses Compress. The codec must match the one recorded under
@@ -941,11 +894,11 @@ func DecompressAppend(dst []byte, data []byte, codec Codec, p Params) ([]byte, e
 		return nil, err
 	}
 	if h.chunkCRCs != nil {
-		// The self-healing layout (v3 always, v4 when flagged) verifies
-		// chunk by chunk against the stored CRC table and transparently
-		// repairs single-chunk-per-group damage from parity; anything
-		// beyond that is a typed ErrChunkCorrupt. A plain v4 container
-		// carries no integrity tables and takes the fast path below.
+		// A container with integrity tables verifies chunk by chunk
+		// against the stored CRC table and transparently repairs
+		// single-chunk-per-group damage from parity; anything beyond that
+		// is a typed ErrChunkCorrupt. Other containers take the fast path
+		// below.
 		rep := &Report{}
 		return h.decodeResilient(dst, codec, sc, p, rep, true)
 	}
@@ -1010,20 +963,15 @@ func (h *Header) ChunkPayload(i int) ([]byte, bool, error) {
 	return h.payload[h.offsets[i]:h.offsets[i+1]], h.entries[i]&1 == 0, nil
 }
 
-// DecompressChunk decodes a single chunk of a parsed container, enabling
-// random access without touching the rest of the block (each chunk is
-// independent by construction). The chunk's decoded bytes cover
-// [i*ChunkSize, min((i+1)*ChunkSize, OriginalLen)) of the original data.
-// No whole-data checksum can be verified on a single chunk; callers
-// needing end-to-end integrity should use Decompress.
-func (h *Header) DecompressChunk(i int, codec Codec) ([]byte, error) {
-	return h.DecompressChunkLimit(i, codec, DefaultMaxDecoded)
-}
-
-// DecompressChunkLimit is DecompressChunk with an explicit decode budget:
-// a chunk whose decoded span exceeds maxDecoded bytes is refused before
-// any allocation (maxDecoded < 0 means no bound). O(1) chunk lookup via
-// the offsets cached in Parse.
+// DecompressChunkLimit decodes a single chunk of a parsed container,
+// enabling random access without touching the rest of the block (each
+// chunk is independent by construction). The chunk's decoded bytes cover
+// [i*ChunkSize, min((i+1)*ChunkSize, OriginalLen)) of the original data. A
+// chunk whose span exceeds maxDecoded bytes is refused before any
+// allocation (maxDecoded < 0 means no bound). No whole-data checksum can be
+// verified on a single chunk; containers with integrity tables check the
+// chunk's own CRC32-C, others need Decompress for end-to-end integrity.
+// O(1) chunk lookup via the offsets cached in Parse.
 func (h *Header) DecompressChunkLimit(i int, codec Codec, maxDecoded int) ([]byte, error) {
 	if i < 0 || i >= h.ChunkCount {
 		return nil, fmt.Errorf("%w: chunk %d of %d", ErrFormat, i, h.ChunkCount)
@@ -1040,28 +988,25 @@ func (h *Header) DecompressChunkLimit(i int, codec Codec, maxDecoded int) ([]byt
 	if err != nil {
 		return nil, err
 	}
-	dec, err := h.decodeChunk(i, h.payload[h.offsets[i]:h.offsets[i+1]], codec, sc)
-	if err != nil {
+	ic, _ := codec.(IntoCodec)
+	dec := make([]byte, hi-lo)
+	if err := h.decodeChunkInto(i, dec, h.payload[h.offsets[i]:h.offsets[i+1]], codec, ic, sc); err != nil {
 		if h.chunkCRCs != nil {
-			// v3: a chunk that fails to decode is chunk-level corruption —
-			// typed so callers can distinguish it from header damage and
-			// attempt a parity repair.
+			// With integrity tables, a chunk that fails to decode is
+			// chunk-level corruption — typed so callers can distinguish it
+			// from header damage and attempt a parity repair.
 			return nil, fmt.Errorf("%w: %w", ErrChunkCorrupt, err)
 		}
 		return nil, err
 	}
 	if stored, ok := h.ChunkCRC(i); ok {
-		// v3: every random-access read is end-to-end verified against the
-		// stored per-chunk CRC — including raw chunks, which v1/v2 cannot
-		// check at all outside a whole-container decode.
+		// Every random-access read is end-to-end verified against the
+		// stored per-chunk CRC — including raw chunks, which containers
+		// without integrity tables cannot check outside a whole decode.
 		if got := crc32.Checksum(dec, crcTable); got != stored {
 			return nil, fmt.Errorf("%w: chunk %d CRC %08x, header says %08x", ErrChunkCorrupt, i, got, stored)
 		}
 		countVerified.Add(1)
-	}
-	if h.entries[i]&1 == 0 {
-		// Raw chunks alias the container; copy so callers own the bytes.
-		return append([]byte(nil), dec...), nil
 	}
 	return dec, nil
 }
@@ -1072,14 +1017,4 @@ func AlgorithmID(data []byte) (byte, error) {
 		return 0, fmt.Errorf("%w: bad magic", ErrFormat)
 	}
 	return data[5], nil
-}
-
-// HeaderOverhead computes the container's own bytes (header + size table)
-// for a given compressed blob; useful in ratio breakdowns.
-func HeaderOverhead(data []byte) (int, error) {
-	h, err := Parse(data)
-	if err != nil {
-		return 0, err
-	}
-	return len(data) - len(h.payload), nil
 }

@@ -201,10 +201,11 @@ func TestQuickRoundtrip(t *testing.T) {
 func TestHeaderOverheadSmall(t *testing.T) {
 	src := make([]byte, 1<<20)
 	blob := Compress(src, 1, shrinkCodec{}, Params{})
-	ovh, err := HeaderOverhead(blob)
+	h, err := Parse(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ovh := len(blob) - h.CompressedPayloadLen() - h.ParityPayloadLen()
 	// 64 chunks of 16 kB: expect well under 1% overhead.
 	if ovh > 1024 {
 		t.Errorf("header overhead %d bytes for 1 MiB input", ovh)

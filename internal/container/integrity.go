@@ -98,7 +98,7 @@ func (r *Report) init(h *Header) {
 	r.ChunkSize = h.ChunkSize
 	r.ParityGroup = h.ParityGroup
 	r.Windowed = h.Windowed()
-	r.Integrity = h.hasIntegrity()
+	r.Integrity = h.layout.integrity
 	if cap(r.States) < h.ChunkCount {
 		r.States = make([]ChunkState, h.ChunkCount)
 	}
@@ -231,7 +231,7 @@ func Counters() RepairCounters {
 }
 
 // ChunkCRC returns chunk i's stored CRC32-C (of its original bytes) and
-// whether the container records one (v3 only).
+// whether the container records one (integrity tables only).
 func (h *Header) ChunkCRC(i int) (uint32, bool) {
 	if h.chunkCRCs == nil {
 		return 0, false

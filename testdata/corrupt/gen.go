@@ -4,7 +4,10 @@
 // Every file is derived deterministically from a valid container so the
 // corpus stays reproducible:
 //
-//	go run testdata/corrupt/gen.go
+//	go run testdata/corrupt/gen.go [dir]
+//
+// It writes into dir (default testdata/corrupt); `make corpus-check`
+// regenerates into a temporary directory and compares byte for byte.
 //
 // Each file is a regression seed for a specific decoder hardening fix; see
 // README.md here and the "Decoder safety guarantees" section of FORMAT.md.
@@ -18,14 +21,31 @@ import (
 
 	"fpcompress"
 	"fpcompress/internal/bitio"
+	"fpcompress/internal/container"
 )
 
+// chunkOffsets parses a valid container and returns the byte offset of
+// every chunk boundary in its payload: offs[0] is the end of the metadata
+// (the payload start), offs[i] the start of chunk i, and the last entry
+// the end of the data payload, where the parity region (if any) begins.
+func chunkOffsets(blob []byte) (*container.Header, []int) {
+	h, err := container.Parse(blob)
+	if err != nil {
+		panic(err)
+	}
+	pos := len(blob) - h.CompressedPayloadLen() - h.ParityPayloadLen()
+	offs := []int{pos}
+	for i := 0; i < h.ChunkCount; i++ {
+		pos += h.ChunkStoredLen(i)
+		offs = append(offs, pos)
+	}
+	return h, offs
+}
+
 func main() {
-	dir := filepath.Dir(os.Args[0])
+	dir := "testdata/corrupt"
 	if len(os.Args) > 1 {
 		dir = os.Args[1]
-	} else {
-		dir = "testdata/corrupt"
 	}
 
 	vals := make([]float64, 4096)
@@ -101,22 +121,13 @@ func main() {
 		[]uint64{uint64(len(lie))<<1 | 1}, lie)
 
 	// Container v2 (per-chunk scheme table) seeds, derived from valid
-	// Auto32/Auto64 containers. schemeOffset walks the header to the first
-	// scheme-table byte; the table is not covered by the payload CRC, so a
-	// mutated scheme byte survives parsing and must be caught at routing.
+	// Auto32/Auto64 containers. schemeOffset finds the first scheme-table
+	// byte: the table is the last metadata section, one byte per chunk. It
+	// is not covered by the payload CRC, so a mutated scheme byte survives
+	// parsing and must be caught at routing.
 	schemeOffset := func(blob []byte) int {
-		pos := 10
-		var count uint64
-		for i := 0; i < 3; i++ {
-			v, n := bitio.Uvarint(blob[pos:])
-			count = v
-			pos += n
-		}
-		for i := uint64(0); i < count; i++ {
-			_, n := bitio.Uvarint(blob[pos:])
-			pos += n
-		}
-		return pos
+		h, offs := chunkOffsets(blob)
+		return offs[0] - h.ChunkCount
 	}
 
 	auto64, err := fpcompress.Compress(fpcompress.Auto64, fpcompress.Float64Bytes(vals), nil)
@@ -167,43 +178,9 @@ func main() {
 		[]uint64{256 << 1}, []byte{3}, make([]byte, 256))
 
 	// Container v3 (self-healing layout) seeds: per-chunk CRCs, checksummed
-	// metadata, optional XOR parity. v3Layout walks the written layout to
-	// the structural offsets the mutations below need: metaEnd (one past
-	// the stored metadata CRC), the payload chunk offsets, and the start of
-	// the parity region.
-	v3Layout := func(blob []byte) (metaEnd int, chunkOffs []int, parityStart int) {
-		flags := blob[10]
-		pos := 11
-		next := func() uint64 {
-			v, n := bitio.Uvarint(blob[pos:])
-			pos += n
-			return v
-		}
-		next() // original length
-		next() // chunk size
-		count := next()
-		groups := uint64(0)
-		if flags&2 != 0 {
-			pn := next()
-			groups = (count + pn - 1) / pn
-		}
-		sizes := make([]int, count)
-		for i := range sizes {
-			sizes[i] = int(next() >> 1)
-		}
-		if flags&1 != 0 {
-			pos += int(count) // per-chunk scheme table
-		}
-		pos += 4*int(count) + 4*int(groups) + 4 // CRC tables + metadata CRC
-		metaEnd = pos
-		chunkOffs = []int{pos}
-		for _, s := range sizes {
-			pos += s
-			chunkOffs = append(chunkOffs, pos)
-		}
-		return metaEnd, chunkOffs, pos
-	}
-
+	// metadata, optional XOR parity. The mutations below take their offsets
+	// from chunkOffsets: the metadata end (one past the stored metadata
+	// CRC), the payload chunk offsets, and the start of the parity region.
 	// 32 KiB of data in 4 KiB chunks: 8 chunks, 2 parity groups of 4.
 	v3opts := func(parity int) *fpcompress.Options {
 		return &fpcompress.Options{ChunkSize: 4096, Integrity: true, Parity: parity}
@@ -221,36 +198,36 @@ func main() {
 	// (strict decode fails with the typed chunk error; partial decode
 	// quarantines exactly that chunk and returns the rest).
 	cc := clone(v3i)
-	_, offs, _ := v3Layout(cc)
+	_, offs := chunkOffsets(cc)
 	cc[offs[1]] ^= 0xFF
 	files["v3-chunk-crc-flip.bin"] = cc
 
 	// The same flip with parity: strict decode must SUCCEED, transparently
 	// reconstructing the chunk (see selfHealingSeeds in the corpus test).
 	pr := clone(v3p)
-	_, offs, _ = v3Layout(pr)
+	_, offs = chunkOffsets(pr)
 	pr[offs[2]] ^= 0xFF
 	files["v3-parity-repairable.bin"] = pr
 
 	// A flipped byte inside a parity block while the data is clean: benign
 	// (strict decode succeeds without touching parity).
 	pc := clone(v3p)
-	_, _, pstart := v3Layout(pc)
-	pc[pstart] ^= 0xFF
+	_, offs = chunkOffsets(pc)
+	pc[offs[len(offs)-1]] ^= 0xFF
 	files["v3-parity-chunk-corrupt.bin"] = pc
 
 	// A torn tail: the writer died mid-payload, taking part of the last
 	// chunk and all parity with it. Strict parse rejects; salvage parse
 	// accepts and partial decode quarantines the missing range.
 	tt := clone(v3p)
-	_, offs, _ = v3Layout(tt)
+	_, offs = chunkOffsets(tt)
 	files["v3-torn-tail.bin"] = tt[:offs[len(offs)-1]-5]
 
 	// A flipped bit in the stored metadata CRC: nothing after the header
 	// can be trusted, so even partial decode refuses (typed header error).
 	mc := clone(v3i)
-	metaEnd, _, _ := v3Layout(mc)
-	mc[metaEnd-1] ^= 0x01
+	_, offs = chunkOffsets(mc)
+	mc[offs[0]-1] ^= 0x01
 	files["v3-meta-crc-flip.bin"] = mc
 
 	// A mutated scheme byte in a v3 auto container: unlike v2 (where the
@@ -260,22 +237,11 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
+	// Without parity the scheme table is followed by one 4-byte CRC per
+	// chunk and the 4-byte metadata CRC.
 	sv := clone(auto32v3)
-	if sv[10]&1 == 0 {
-		panic("expected a scheme table in the v3 auto container")
-	}
-	pos := 11
-	var cnt uint64
-	for i := 0; i < 3; i++ { // originalLen, chunkSize, chunkCount
-		v, n := bitio.Uvarint(sv[pos:])
-		cnt = v
-		pos += n
-	}
-	for i := uint64(0); i < cnt; i++ { // size table
-		_, n := bitio.Uvarint(sv[pos:])
-		pos += n
-	}
-	sv[pos] ^= 0xFF // first scheme byte
+	h, offs := chunkOffsets(sv)
+	sv[offs[0]-4-5*h.ChunkCount] ^= 0xFF // first scheme byte
 	files["v3-scheme-bitflip.bin"] = sv
 
 	// Container v4 (windowed FCM) seeds: v4 negotiates the window through
