@@ -13,8 +13,9 @@
 //
 // # Windowed mode
 //
-// DPratio's FCM pre-stage spans the whole input, which serializes it and
-// forfeits per-chunk random access. NewWindowed builds the windowed
+// DPratio's FCM pre-stage spans the whole input, which forfeits per-chunk
+// random access (it still runs on up to Parallelism workers, partitioned
+// by context hash rather than by chunk). NewWindowed builds the windowed
 // variant instead: the FCM predictor resets per container chunk (it moves
 // from the Pre stage into the chunk pipeline, in table mode), so chunks
 // encode and decode independently — parallel across workers, randomly
@@ -177,7 +178,11 @@ func (a *Algorithm) CompressAppend(dst, src []byte, p container.Params) []byte {
 	var pb *[]byte
 	if a.Pre != nil {
 		pb = preBufPool.Get().(*[]byte)
-		*pb = a.Pre.ForwardInto((*pb)[:0], src)
+		if f, ok := a.Pre.(workerStage); ok {
+			*pb = f.ForwardWorkers((*pb)[:0], src, p.Parallelism)
+		} else {
+			*pb = a.Pre.ForwardInto((*pb)[:0], src)
+		}
 		buf = *pb
 	}
 	dst = container.CompressAppend(dst, buf, byte(a.ID), a.ChunkCodec(), p)
@@ -234,13 +239,20 @@ func (a *Algorithm) preParams(p container.Params) container.Params {
 	return p
 }
 
+// workerStage is a whole-input pre-stage whose encode and decode take a
+// worker cap (0 = GOMAXPROCS), as transforms.FCM does; the worker count
+// never changes its bytes. CompressAppend and preInverse pass it p's
+// Parallelism, so the cap reaches the pre-stage as it reaches the chunks.
+type workerStage interface {
+	ForwardWorkers(dst, src []byte, workers int) []byte
+	InverseWorkers(dst, enc []byte, maxDecoded, workers int) ([]byte, error)
+}
+
 // preInverse decodes the pre-stage intermediate buf onto dst under p's
 // decode budget, passing p's worker cap to a pre-stage that takes one.
 func (a *Algorithm) preInverse(dst, buf []byte, p container.Params) ([]byte, error) {
 	budget := p.DecodeBudget()
-	if f, ok := a.Pre.(interface {
-		InverseWorkers(dst, enc []byte, maxDecoded, workers int) ([]byte, error)
-	}); ok {
+	if f, ok := a.Pre.(workerStage); ok {
 		return f.InverseWorkers(dst, buf, budget, p.Parallelism)
 	}
 	return a.Pre.InverseInto(dst, buf, budget)

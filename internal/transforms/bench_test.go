@@ -5,7 +5,8 @@ package transforms
 // pipeline hot path runs. BenchmarkForward/BenchmarkInverse feed `go test
 // -bench`; TestEmitTransformsBench writes BENCH_transforms.json at the
 // repository root with MB/s per kernel (regenerate with `make
-// bench-transforms`).
+// bench-transforms`). BenchmarkFCMForward measures the whole-input FCM
+// encoder across input sizes instead.
 
 import (
 	"encoding/json"
@@ -15,9 +16,11 @@ import (
 	"os"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"fpcompress/internal/sdr"
 	"fpcompress/internal/simd"
 	"fpcompress/internal/wordio"
 )
@@ -108,6 +111,41 @@ func BenchmarkInverse(b *testing.B) {
 					if dst, err = k.tr.InverseInto(dst[:off], enc, benchChunk); err != nil {
 						b.Fatal(err)
 					}
+				}
+			})
+		}
+	}
+}
+
+// fcmBenchData is 32 MiB of internal/sdr double-precision data: 32 KiB
+// slices taken from the 20 files in turn, so prefixes from 640 KiB on mix
+// all five domains.
+var fcmBenchData = sync.OnceValue(func() []byte {
+	const size, slice = 32 << 20, 32 << 10
+	files := sdr.DoubleFiles(sdr.Config{ValuesPerFile: (size/20/slice + 1) * slice / 8})
+	out := make([]byte, 0, size)
+	for off := 0; len(out) < size; off += slice {
+		for _, f := range files {
+			out = append(out, f.Data[off:off+slice]...)
+		}
+	}
+	return out[:size]
+})
+
+// BenchmarkFCMForward measures the whole-input FCM encoder from one chunk
+// to 32 MiB, at one worker and at GOMAXPROCS: the per-byte cost grows
+// where the working set leaves the cache.
+func BenchmarkFCMForward(b *testing.B) {
+	for _, size := range []int{16 << 10, 256 << 10, 2 << 20, 8 << 20, 32 << 20} {
+		for _, w := range []int{1, runtime.GOMAXPROCS(0)} {
+			b.Run(fmt.Sprintf("%dKiB/workers%d", size>>10, w), func(b *testing.B) {
+				src := fcmBenchData()[:size]
+				var dst []byte
+				b.SetBytes(int64(size))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					dst = FCM{}.ForwardWorkers(dst[:0], src, w)
 				}
 			})
 		}

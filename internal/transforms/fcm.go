@@ -1,6 +1,7 @@
 package transforms
 
 import (
+	"math"
 	"math/bits"
 	"math/rand/v2"
 	"runtime"
@@ -15,9 +16,10 @@ import (
 // hash are examined for an equal value, per paper §3.2.
 const fcmWindow = 4
 
-// fcmParallelMin is the word count above which the decoder switches to the
-// parallel union-find reconstruction.
-const fcmParallelMin = 1 << 16
+// fcmParallelMin is the word count from which the whole-input encoder and
+// decoder use more than one worker: the partitioned encoder and the
+// parallel union-find reconstruction. Tests lower it (see fcmPartWords).
+var fcmParallelMin = 1 << 16
 
 // FCM implements the Finite Context Method transformation (paper §3.2,
 // Figure 6), the first stage of DPratio and the paper's GPU-friendly
@@ -26,7 +28,8 @@ const fcmParallelMin = 1 << 16
 // earlier words with exactly the same context hash holds an equal value —
 // i.e. the same value was seen earlier in the same context. (The paper
 // finds these by sorting (hash, index) pairs; the encoder groups words by
-// exact hash instead and emits the same bytes, see fcmForwardChained.)
+// exact hash instead and emits the same bytes, on up to GOMAXPROCS
+// workers, see fcmForward.)
 // Matches are encoded as a backward distance; misses keep the raw value.
 // The output is a value array and a distance array (each exactly one word
 // per input word, so the stage doubles the data), which compress far
@@ -105,10 +108,18 @@ func (f FCM) Forward(src []byte) []byte {
 }
 
 // ForwardInto implements Transform (see the package comment for the dst
-// ownership contract). The value and distance arrays are written straight
-// into the output region; the hashes, slot table and chain links are
-// pooled scratch.
+// ownership contract), encoding with up to GOMAXPROCS workers.
 func (f FCM) ForwardInto(dst, src []byte) []byte {
+	return f.ForwardWorkers(dst, src, 0)
+}
+
+// ForwardWorkers is ForwardInto encoding with at most workers goroutines
+// (0 = GOMAXPROCS), so a caller's worker cap reaches the whole-input
+// encode. The value and distance arrays are written straight into the
+// output region; the hashes, positions, tables and chain links are pooled
+// scratch. The worker count never changes the encoded bytes, and the
+// Table encoder, which serves 16 kB chunks, always runs on one.
+func (f FCM) ForwardWorkers(dst, src []byte, workers int) []byte {
 	base := len(dst)
 	n := len(src) / 8
 	dst = Grow(dst, fcmHeaderLen+2*n*8+len(src)-n*8)
@@ -117,14 +128,12 @@ func (f FCM) ForwardInto(dst, src []byte) []byte {
 	sw := wordio.In64(src)
 	vw := wordio.Out64(out[fcmHeaderLen : fcmHeaderLen+n*8])
 	dw := wordio.Out64(out[fcmHeaderLen+n*8 : fcmHeaderLen+2*n*8])
-	// Each input word writes exactly one of the two arrays; the other entry
-	// must read as zero, so clear both first.
-	clear(vw.W)
-	clear(dw.W)
 	if f.Table {
 		fcmForwardTable(vw.W, dw.W, sw.W)
+	} else if uint64(n) <= fcmNarrowMax {
+		fcmForward[uint32](vw.W, dw.W, sw.W, f.window(), workers)
 	} else {
-		fcmForwardChained(vw.W, dw.W, sw.W, f.window())
+		fcmForward[uint64](vw.W, dw.W, sw.W, f.window(), workers)
 	}
 	dw.Done()
 	vw.Done()
@@ -133,86 +142,414 @@ func (f FCM) ForwardInto(dst, src []byte) []byte {
 	return dst
 }
 
-// fcmContextHashes fills hw (len(sw) entries) with every position's
-// context hash: simd.FCMHash64 of its three predecessors, missing ones
+// fcmContextHashes fills hw with the context hashes of positions lo,
+// lo+1, ...: simd.FCMHash64 of each one's three predecessors, missing ones
 // taken as zero (the first three positions hash a zero-filled window).
-func fcmContextHashes(hw, sw []uint64) {
-	var head [5]uint64
-	copy(head[3:], sw[:min(len(sw), 2)])
-	n := min(len(sw), 3)
-	simd.FCMHash64(hw[:n], head[:n+2])
-	if len(sw) > 3 {
-		simd.FCMHash64(hw[3:], sw)
+func fcmContextHashes(hw, sw []uint64, lo int) {
+	if lo < 3 {
+		var head [5]uint64
+		copy(head[3:], sw[:min(len(sw), 2)])
+		m := min(len(hw), 3-lo)
+		simd.FCMHash64(hw[:m], head[lo:lo+m+2])
+		hw, lo = hw[m:], lo+m
+	}
+	if len(hw) > 0 {
+		simd.FCMHash64(hw, sw[lo-3:lo-1+len(hw)])
 	}
 }
 
-// fcmSlotSeed keys the chain table's slot function. Mix64 is invertible,
-// so an unkeyed slot would let a crafted input steer every distinct hash
-// into one probe run and make the encode quadratic. The slot only decides
-// where a hash is stored, never which indices share it, so the output does
-// not depend on the seed.
+// fcmSlotSeed keys the whole-input encoder's table slots, Mix64(h ^ seed),
+// and its partitions, h*(seed|1). Mix64 is invertible, so unkeyed slots or
+// partitions would let a crafted input steer every distinct context into
+// one probe run or one partition and make the encode quadratic or serial.
+// The seed only decides where a context is stored, never which indices
+// share it, so the output does not depend on it.
 var fcmSlotSeed = rand.Uint64()
 
-// fcmChainPool recycles the chained encoder's slot table and prev links.
-var fcmChainPool = sync.Pool{New: func() any { return new([]uint32) }}
+// fcmPartWords is the encoder's target partition size in words: a
+// partition's hashes, values, positions, table and links then take about
+// 1 MiB, inside a 2 MiB L2. Tests shrink it (and fcmParallelMin) so that
+// small inputs take the partitioned and parallel paths.
+var fcmPartWords = 1 << 15
 
-// fcmForwardChained is the whole-input encoder. An open-addressed table
-// keyed by the exact 64-bit context hash holds each hash's newest index,
-// and prev links every index to the previous one with the same hash, so
-// each word walks its nearest window same-context predecessors, nearest
-// first, and takes the first equal value. The paper's stable sort of
-// (hash, index) pairs keeps index order within a hash, so the window
-// pairs it scans before a word are these same predecessors in the same
-// order: the bytes equal the sort's, found in one O(n) pass.
-func fcmForwardChained(vw, dw, sw []uint64, window int) {
+// fcmIndex is the encoder's position type. Tables and links hold a local
+// index+1 and positions a word index, so 32 bits serve up to fcmNarrowMax
+// words and larger inputs take the 64-bit instantiation.
+type fcmIndex interface{ uint32 | uint64 }
+
+// fcmNarrowMax is the largest word count encoded with 32-bit positions.
+const fcmNarrowMax = math.MaxUint32 - 1
+
+// fcmIndexPools recycle the encoder's position, table and link arrays,
+// one pool per fcmIndex type.
+var fcmIndexPools = [2]sync.Pool{
+	{New: func() any { return new([]uint32) }},
+	{New: func() any { return new([]uint64) }},
+}
+
+func fcmIndexPool[I fcmIndex]() *sync.Pool {
+	var z I
+	if _, narrow := any(z).(uint32); narrow {
+		return &fcmIndexPools[0]
+	}
+	return &fcmIndexPools[1]
+}
+
+// fcmPlan returns the encoder's worker count and partition bits for n
+// words under a cap of workers (0 = GOMAXPROCS): a partition per
+// fcmPartWords words, at least one per worker and at most fcmMaxParts.
+// One worker partitions only inputs of fcmSerialPartMin partitions or
+// more; below that its single table is cheaper than the extra passes.
+func fcmPlan(n, workers int) (w int, pbits uint) {
+	w = fcmResolveWorkers(n, workers)
+	if w == 1 && n < fcmSerialPartMin*fcmPartWords {
+		return 1, 0
+	}
+	p := min(max((n+fcmPartWords-1)/fcmPartWords, w), fcmMaxParts)
+	pbits = uint(bits.Len(uint(p - 1)))
+	return min(w, 1<<pbits), pbits
+}
+
+// fcmMaxParts caps the partition count. The scatter writes three streams
+// per partition; past 16 partitions, on a 2-vCPU Sapphire Rapids VM, it
+// slowed by more than the smaller tables saved.
+const fcmMaxParts = 16
+
+// fcmSerialPartMin is the input size, in partitions of fcmPartWords words,
+// from which a single worker partitions (16 MiB at the default size).
+const fcmSerialPartMin = 64
+
+// fcmForward is the whole-input encoder, the paper's hash join done as a
+// radix-partitioned one (Manegold et al.'s radix-cluster). The top pbits
+// of each context hash times an odd key drawn from fcmSlotSeed (a
+// multiply-shift hash) pick one of P = 1<<pbits partitions, and a stable
+// scatter gathers every partition's words in index order. A word's output
+// depends only on earlier words with the same hash, which share its
+// partition, so each partition is encoded on its own (fcmJoinPart), in any
+// order and on any worker, and the bytes do not depend on P or the worker
+// count. The steps, each spread over the workers:
+//
+//   - count: every block of indices hashes its words and counts them per
+//     partition;
+//   - scatter: each block hashes its words again and writes (hash, value,
+//     index) to its partitions' next positions, staging the hash and value
+//     in dw and vw, and each word's position to pos;
+//   - join: each partition finds its words' distances (0 for a literal)
+//     and stores them over its words' indices in at;
+//   - gather: every block reads its words' distances through pos and
+//     writes its output words.
+//
+// The hashes are computed twice rather than kept, so the scratch is two
+// positions per word. With one partition the words are already in order:
+// the join reads the hashes and sw in place and writes the output itself,
+// and there is nothing to count, scatter or gather.
+func fcmForward[I fcmIndex](vw, dw, sw []uint64, window, workers int) {
 	n := len(sw)
 	if n == 0 {
 		return
 	}
-	hs := wordio.Scratch64(n)
-	defer hs.Done()
-	hw := hs.W
-	fcmContextHashes(hw, sw)
-	tp, pp := fcmChainPool.Get().(*[]uint32), fcmChainPool.Get().(*[]uint32)
-	defer fcmChainPool.Put(tp)
-	defer fcmChainPool.Put(pp)
-	// A slot holds index+1 (0 = empty); at least 2n slots keep the load
-	// factor at or below one half.
-	tbits := bits.Len(uint(2*n - 1))
-	table := wordio.Resize(tp, 1<<tbits)
-	clear(table)
-	mask := uint64(len(table) - 1)
-	prev := wordio.Resize(pp, n)
-	seed := fcmSlotSeed
-	for i, h := range hw {
-		s := wordio.Mix64(h^seed) >> (64 - tbits)
-		p := uint32(0)
-		for {
-			j := table[s]
-			if j == 0 {
-				break
+	w, pbits := fcmPlan(n, workers)
+	if pbits == 0 {
+		hs := wordio.Scratch64(n)
+		fcmContextHashes(hs.W, sw, 0)
+		clear(vw)
+		clear(dw)
+		var j fcmJoin[I]
+		j.start(n, n)
+		fcmJoinPart(&j, hs.W, sw, vw, dw, window)
+		j.release()
+		hs.Done()
+		return
+	}
+	parts := 1 << pbits
+	shift := 64 - pbits
+	key := fcmSlotSeed | 1
+	// The index steps work on blocks a few times smaller than a worker's
+	// share, so that a worker starting late still finds blocks to take.
+	blocks := 4 * w
+	span := func(b int) (int, int) { return n * b / blocks, n * (b + 1) / blocks }
+	// Row b of cur holds block b's per-partition counts, then its next
+	// scatter positions. Rows are padded apart by a cache line so that the
+	// blocks' counters never share one.
+	stride := (parts+7)&^7 + 8
+	cur := make([]int, blocks*stride+parts+1)
+	start := cur[blocks*stride:]
+	pool := fcmIndexPool[I]()
+	ap, pp := pool.Get().(*[]I), pool.Get().(*[]I)
+	defer pool.Put(ap)
+	defer pool.Put(pp)
+	at, pos := wordio.Resize(ap, n), wordio.Resize(pp, n)
+	// A partition holding more than twice its share of words is skewed
+	// by repeated contexts: its table starts at twice the share and grows
+	// with its distinct hashes.
+	share := 2 * n >> pbits
+	joins := make([]fcmJoin[I], w)
+	fcmTeam(w,
+		fcmStep{blocks, func(_, b int) { // count
+			cnt := cur[b*stride : b*stride+parts]
+			hs := wordio.Scratch64(fcmHashStep)
+			for lo, hi := span(b); lo < hi; lo += fcmHashStep {
+				hb := hs.W[:min(fcmHashStep, hi-lo)]
+				fcmContextHashes(hb, sw, lo)
+				for _, h := range hb {
+					cnt[h*key>>shift]++
+				}
 			}
-			if hw[j-1] == h {
-				p = j
-				break
+			hs.Done()
+		}},
+		fcmStep{1, func(int, int) { // turn counts into scatter positions
+			k := 0
+			for p := range parts {
+				start[p] = k
+				for b := range blocks {
+					c := cur[b*stride+p]
+					cur[b*stride+p] = k
+					k += c
+				}
 			}
-			s = (s + 1) & mask
+			start[parts] = n
+		}},
+		fcmStep{blocks, func(_, b int) { // scatter
+			next := cur[b*stride : b*stride+parts]
+			hs := wordio.Scratch64(fcmHashStep)
+			for lo, hi := span(b); lo < hi; lo += fcmHashStep {
+				hb := hs.W[:min(fcmHashStep, hi-lo)]
+				fcmContextHashes(hb, sw, lo)
+				fcmScatter(hb, sw[lo:], next, key, shift, dw, vw, at, pos[lo:], I(lo))
+			}
+			hs.Done()
+		}},
+		fcmStep{parts, func(worker, p int) { // join
+			j := &joins[worker]
+			s, e := start[p], start[p+1]
+			j.start(e-s, share)
+			ds := wordio.Resize(j.dp, e-s)
+			clear(ds)
+			// The literals' values are already staged in vw, so the join
+			// stores each one back in place.
+			fcmJoinPart(j, dw[s:e], vw[s:e], vw[s:e], ds, window)
+			// Turn the partition-local distances into index distances
+			// over the words' indices, last word first: a word's match
+			// always precedes it, so its index is still there.
+			pat := at[s:e]
+			for k := len(ds) - 1; k >= 0; k-- {
+				if d := ds[k]; d != 0 {
+					pat[k] -= pat[k-int(d)]
+				} else {
+					pat[k] = 0
+				}
+			}
+		}},
+		fcmStep{blocks, func(_, b int) { // gather
+			lo, hi := span(b)
+			fcmGather(vw[lo:hi], dw[lo:hi], sw[lo:hi], pos[lo:hi], at)
+		}},
+	)
+	for i := range joins {
+		joins[i].release()
+	}
+}
+
+// fcmHashStep is how many context hashes the count and scatter steps
+// compute at a time: few enough to stay in L1 until used.
+const fcmHashStep = 2048
+
+// fcmScatter moves one step of words, with context hashes hs, values vs
+// and indices lo, lo+1, ..., to their partitions' next positions: the
+// hash to dw, the value to vw and the index to at, and each position to
+// pos.
+func fcmScatter[I fcmIndex](hs, vs []uint64, next []int, key uint64, shift uint, dw, vw []uint64, at, pos []I, lo I) {
+	vs, pos = vs[:len(hs)], pos[:len(hs)]
+	for i, h := range hs {
+		p := h * key >> (shift & 63)
+		k := next[p]
+		next[p] = k + 1
+		dw[k], vw[k], at[k], pos[i] = h, vs[i], lo+I(i), I(k)
+	}
+}
+
+// fcmStep is one step of a partitioned encode: blocks independent calls
+// of do, each given the calling worker and the block.
+type fcmStep struct {
+	blocks int
+	do     func(worker, block int)
+}
+
+// fcmTeam runs steps in order on w goroutines; the partitioned encoder and
+// the parallel decoder both run on it. Whichever goroutine is free
+// takes a step's next block, and none starts a step before every block of
+// the one before has finished. A goroutine waiting for those last blocks
+// yields rather than parks, and one that starts late joins at the current
+// step, so a slow thread wake-up costs the team only that thread's help.
+func fcmTeam(w int, steps ...fcmStep) {
+	claimed := make([]atomic.Int64, len(steps))
+	done := make([]atomic.Int64, len(steps))
+	run := func(worker int) {
+		for s, st := range steps {
+			for s > 0 && done[s-1].Load() < int64(steps[s-1].blocks) {
+				runtime.Gosched()
+			}
+			for {
+				b := int(claimed[s].Add(1)) - 1
+				if b >= st.blocks {
+					break
+				}
+				st.do(worker, b)
+				done[s].Add(1)
+			}
 		}
-		table[s] = uint32(i + 1)
-		prev[i] = p
-		v, d := sw[i], uint64(0)
-		for k := 0; p != 0 && k < window; k++ {
-			if sw[p-1] == v {
-				d = uint64(i + 1 - int(p))
+	}
+	var wg sync.WaitGroup
+	for worker := 1; worker < w; worker++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run(worker)
+		}()
+	}
+	run(0)
+	wg.Wait()
+}
+
+// fcmGather writes the output words of a run of indices, whose values
+// are sw and positions pos: each one's distance, read from dists at its
+// position, and its value if the distance is 0, else 0.
+func fcmGather[I fcmIndex](vw, dw, sw []uint64, pos, dists []I) {
+	vw, dw, pos = vw[:len(sw)], dw[:len(sw)], pos[:len(sw)]
+	for i, v := range sw {
+		d := uint64(dists[pos[i]])
+		// (d|-d)>>63 is 1 exactly when d != 0: a branch-free select, as a
+		// word's kind is unpredictable.
+		vw[i], dw[i] = v&((d|-d)>>63-1), d
+	}
+}
+
+// fcmJoin is one worker's join state for one partition: an
+// open-addressed table holding, per distinct hash, the local index+1
+// (0 = empty) of its newest word, and prev, linking every word to the
+// previous one with the same hash. The table has 1<<tbits slots; a hash's
+// home slot is the top tbits of Mix64(h ^ fcmSlotSeed). free counts the
+// distinct hashes the table takes before it must grow.
+type fcmJoin[I fcmIndex] struct {
+	table, prev []I
+	tp, pp, dp  *[]I // dp holds a partitioned encode's local distances
+	tbits       uint
+	free        int
+}
+
+// start sizes the state for a partition of n words. The table starts with
+// room for min(n, expect) words at load one half and doubles whenever
+// distinct hashes fill half of it, so a skewed partition (many words, few
+// contexts) keeps a small table.
+func (j *fcmJoin[I]) start(n, expect int) {
+	if j.tp == nil {
+		pool := fcmIndexPool[I]()
+		j.tp, j.pp, j.dp = pool.Get().(*[]I), pool.Get().(*[]I), pool.Get().(*[]I)
+	}
+	j.resize(uint(bits.Len(uint(2*max(min(n, expect), 1) - 1))))
+	j.prev = wordio.Resize(j.pp, n)
+}
+
+// release returns the scratch to its pools.
+func (j *fcmJoin[I]) release() {
+	if j.tp != nil {
+		pool := fcmIndexPool[I]()
+		pool.Put(j.tp)
+		pool.Put(j.pp)
+		pool.Put(j.dp)
+	}
+}
+
+// fcmJoinPart encodes one partition: the words with context hashes hs and
+// values vs, in index order. For word k it
+// writes the distance, counted in the partition's words, to dists[k] if
+// it is a match, and otherwise its value to lits[k]; the entries it skips
+// must already read as zero.
+func fcmJoinPart[I, D fcmIndex](j *fcmJoin[I], hs, vs, lits []uint64, dists []D, window int) {
+	for k := 0; k < len(hs); {
+		k, j.free = fcmJoinLoop(hs, vs, j.table, j.prev, j.free, 64-j.tbits, k, lits, dists, window)
+		if k < len(hs) {
+			j.grow(hs)
+		}
+	}
+}
+
+// fcmJoinLoop is fcmJoinPart's loop from word lo, over a table whose home
+// slots take the keyed hash bits from sh up. Each word walks its nearest
+// window same-hash predecessors, nearest first, and takes the first equal
+// value. The paper's stable sort of (hash, index) pairs keeps index order
+// within a hash, so the window pairs it scans before a word are these
+// same predecessors in the same order: the bytes equal the sort's. It
+// stops early, before the first word with a new hash once free is zero,
+// and returns where it stopped and the free count.
+func fcmJoinLoop[I, D fcmIndex](hs, vs []uint64, table, prev []I, free int, sh uint, lo int, lits []uint64, dists []D, window int) (int, int) {
+	mask, seed := uint64(len(table)-1), fcmSlotSeed
+	vs, lits, dists, prev = vs[:len(hs)], lits[:len(hs)], dists[:len(hs)], prev[:len(hs)]
+	for k := lo; k < len(hs); k++ {
+		h := hs[k]
+		slot := wordio.Mix64(h^seed) >> (sh & 63)
+		p := I(0)
+		for {
+			t := table[slot]
+			if t == 0 {
+				break
+			}
+			if hs[t-1] == h {
+				p = t
+				break
+			}
+			slot = (slot + 1) & mask
+		}
+		if p == 0 {
+			if free == 0 {
+				return k, 0
+			}
+			free--
+		}
+		table[slot] = I(k + 1)
+		prev[k] = p
+		v, d := vs[k], 0
+		for w := 0; p != 0 && w < window; w++ {
+			if vs[p-1] == v {
+				d = k + 1 - int(p)
 				break
 			}
 			p = prev[p-1]
 		}
 		if d != 0 {
-			dw[i] = d
+			dists[k] = D(d)
 		} else {
-			vw[i] = v
+			lits[k] = v
 		}
+	}
+	return len(hs), free
+}
+
+// resize makes the table an empty one of 1<<tbits slots, with room for
+// 1<<tbits/2 distinct hashes.
+func (j *fcmJoin[I]) resize(tbits uint) {
+	j.tbits = tbits
+	j.table = wordio.Resize(j.tp, 1<<tbits)
+	clear(j.table)
+	j.free = len(j.table) / 2
+}
+
+// grow doubles the table, reinserting every occupant; hs are the hashes
+// of the partition's words.
+func (j *fcmJoin[I]) grow(hs []uint64) {
+	old := append([]I(nil), j.table...)
+	j.resize(j.tbits + 1)
+	sh, mask := 64-j.tbits, uint64(len(j.table)-1)
+	for _, t := range old {
+		if t == 0 {
+			continue
+		}
+		j.free--
+		s := wordio.Mix64(hs[t-1]^fcmSlotSeed) >> sh
+		for j.table[s] != 0 {
+			s = (s + 1) & mask
+		}
+		j.table[s] = t
 	}
 }
 
@@ -228,14 +565,14 @@ func fcmForwardTable(vw, dw, sw []uint64) {
 	clear(table)
 	hw := wordio.Scratch64(len(sw))
 	defer hw.Done()
-	fcmContextHashes(hw.W, sw)
+	fcmContextHashes(hw.W, sw, 0)
 	for i, v := range sw {
 		slot := hw.W[i] >> (64 - fcmTableBits)
+		d := uint64(0)
 		if j := table[slot]; j != 0 && sw[j-1] == v {
-			dw[i] = uint64(i + 1 - int(j))
-		} else {
-			vw[i] = v
+			d, v = uint64(i+1-int(j)), 0
 		}
+		vw[i], dw[i] = v, d
 		table[slot] = int32(i + 1)
 	}
 }
@@ -354,41 +691,27 @@ func fcmResolveParallel(out, vals, dists []uint64, workers int) error {
 			return Corruptf("FCM: distance %d exceeds index %d", d, i)
 		}
 	}
-	var next atomic.Int64
 	const grain = 4096
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				lo := int(next.Add(grain)) - grain
-				if lo >= n {
-					return
-				}
-				hi := min(lo+grain, n)
-				for i := lo; i < hi; i++ {
-					d := atomic.LoadUint64(&dists[i])
-					if d == 0 {
-						out[i] = vals[i]
-						continue
-					}
-					j := i - int(d)
-					for {
-						dj := atomic.LoadUint64(&dists[j])
-						if dj == 0 {
-							break
-						}
-						j -= int(dj)
-					}
-					v := vals[j]
-					out[i] = v
-					vals[i] = v
-					atomic.StoreUint64(&dists[i], 0)
-				}
+	fcmTeam(workers, fcmStep{(n + grain - 1) / grain, func(_, b int) {
+		for i := b * grain; i < min((b+1)*grain, n); i++ {
+			d := atomic.LoadUint64(&dists[i])
+			if d == 0 {
+				out[i] = vals[i]
+				continue
 			}
-		}()
-	}
-	wg.Wait()
+			j := i - int(d)
+			for {
+				dj := atomic.LoadUint64(&dists[j])
+				if dj == 0 {
+					break
+				}
+				j -= int(dj)
+			}
+			v := vals[j]
+			out[i] = v
+			vals[i] = v
+			atomic.StoreUint64(&dists[i], 0)
+		}
+	}})
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"fpcompress/internal/sdr"
@@ -74,39 +75,57 @@ func fcmEncoderCorpus() [][]byte {
 	return corpus
 }
 
+// withFCMTuning lowers the whole-input FCM's worker gate and partition
+// size for one test, so that small inputs take the partitioned and
+// parallel paths.
+func withFCMTuning(tb testing.TB, parallelMin, partWords int) {
+	m, w := fcmParallelMin, fcmPartWords
+	tb.Cleanup(func() { fcmParallelMin, fcmPartWords = m, w })
+	fcmParallelMin, fcmPartWords = parallelMin, partWords
+}
+
 // FuzzFCMForward checks the whole-input encoder byte for byte against the
-// oracle at several match windows.
+// oracle at several match windows and at 1, 2 and 3 workers. The worker
+// gate and partition size are lowered so that inputs from 64 words run in
+// several partitions, and from 1024 words do so at one worker too.
 func FuzzFCMForward(f *testing.F) {
 	for _, src := range fcmEncoderCorpus() {
 		f.Add(src)
 	}
+	withFCMTuning(f, 64, 16)
 	f.Fuzz(func(t *testing.T, src []byte) {
 		// The oracle is quadratic; 4096 words keep an execution fast.
 		src = src[:min(len(src), 4096*8)]
 		for _, w := range []int{1, 4, 16} {
-			if got, want := (FCM{Window: w}).Forward(src), fcmForwardOracle(src, w); !bytes.Equal(got, want) {
-				t.Fatalf("window %d, %d bytes: encoder differs from oracle", w, len(src))
+			want := fcmForwardOracle(src, w)
+			for _, workers := range []int{1, 2, 3} {
+				if got := (FCM{Window: w}).ForwardWorkers(nil, src, workers); !bytes.Equal(got, want) {
+					t.Fatalf("window %d, %d workers, %d bytes: encoder differs from oracle", w, workers, len(src))
+				}
 			}
 		}
 	})
 }
 
-// TestFCMSlotSeedIndependent pins that the chain table's slot seed only
-// places hashes: two seeds give identical bytes.
+// TestFCMSlotSeedIndependent pins that the slot seed, which places hashes
+// in the join tables and picks each word's partition, never changes the
+// bytes: two seeds give identical output, on the corpus and on an input
+// that runs in many partitions.
 func TestFCMSlotSeedIndependent(t *testing.T) {
 	defer func(s uint64) { fcmSlotSeed = s }(fcmSlotSeed)
-	for i, src := range fcmEncoderCorpus() {
+	corpus := append(fcmEncoderCorpus(), smoothFloats64(3*fcmParallelMin, 7))
+	for i, src := range corpus {
 		fcmSlotSeed = 0
-		want := FCM{}.Forward(src)
+		want := FCM{}.ForwardWorkers(nil, src, 2)
 		fcmSlotSeed = 0x9e3779b97f4a7c15
-		if got := (FCM{}).Forward(src); !bytes.Equal(got, want) {
+		if got := (FCM{}).ForwardWorkers(nil, src, 2); !bytes.Equal(got, want) {
 			t.Errorf("corpus entry %d: output depends on the slot seed", i)
 		}
 	}
 }
 
-// TestFCMResolveWorkers pins the decoder's parallel gate: a cap of one
-// worker, or an input below the threshold, resolves sequentially.
+// TestFCMResolveWorkers pins the encoder's and decoder's parallel gate: a
+// cap of one worker, or an input below the threshold, runs on one.
 func TestFCMResolveWorkers(t *testing.T) {
 	for _, tc := range []struct{ n, workers, want int }{
 		{fcmParallelMin, 1, 1},
@@ -131,5 +150,95 @@ func TestFCMInverseWorkersIdentical(t *testing.T) {
 		if err != nil || !bytes.Equal(got, src) {
 			t.Errorf("workers %d: decode differs (err %v)", w, err)
 		}
+	}
+}
+
+// TestFCMForwardWorkersIdentical encodes inputs on both sides of the
+// parallel gate at several worker caps, and again with a partition size
+// small enough that one worker partitions too: the bytes never change.
+// The constant and periodic inputs have a handful of contexts, so nearly
+// every word lands in one partition.
+func TestFCMForwardWorkersIdentical(t *testing.T) {
+	words := func(n int, f func(i int) uint64) []byte {
+		w := make([]uint64, n)
+		for i := range w {
+			w[i] = f(i)
+		}
+		return wordio.Bytes64(w, n*8)
+	}
+	repeats := append(smoothFloats64(fcmParallelMin+1234, 6), 1, 2, 3)
+	copy(repeats[len(repeats)/2:], repeats) // far repeats give long distances
+	inputs := []struct {
+		name string
+		src  []byte
+	}{
+		{"below gate", smoothFloats64(fcmParallelMin-1, 5)},
+		{"above gate", repeats},
+		{"constant", words(fcmParallelMin+5, func(int) uint64 { return 7 })},
+		{"periodic", words(fcmParallelMin+5, func(i int) uint64 { return uint64(i % 3) })},
+	}
+	for _, in := range inputs {
+		want := FCM{}.ForwardWorkers(nil, in.src, 1)
+		for _, w := range []int{2, 3, 0} {
+			if got := (FCM{}).ForwardWorkers(nil, in.src, w); !bytes.Equal(got, want) {
+				t.Errorf("%s, %d workers: encoding differs from one worker", in.name, w)
+			}
+		}
+		t.Run(in.name+"/small partitions", func(t *testing.T) {
+			withFCMTuning(t, fcmParallelMin, 64)
+			for _, w := range []int{1, 2, 3} {
+				if got := (FCM{}).ForwardWorkers(nil, in.src, w); !bytes.Equal(got, want) {
+					t.Errorf("%d workers: encoding differs from one worker", w)
+				}
+			}
+		})
+	}
+}
+
+// TestFCMForwardWideIndex runs the 64-bit-position encoder, which inputs
+// past fcmNarrowMax words take, on the corpus and on small partitions: its
+// bytes equal the 32-bit one's. The limit leaves room for the tables'
+// index+1 entries in 32 bits.
+func TestFCMForwardWideIndex(t *testing.T) {
+	if uint64(fcmNarrowMax)+1 > math.MaxUint32 {
+		t.Fatalf("fcmNarrowMax %d leaves no room for index+1 in 32 bits", uint64(fcmNarrowMax))
+	}
+	withFCMTuning(t, 64, 16)
+	corpus := append(fcmEncoderCorpus(), smoothFloats64(5000, 8))
+	for i, src := range corpus {
+		sw := wordio.Words64(src[:len(src)/8*8], false)
+		for _, workers := range []int{1, 2, 3} {
+			var out [2][2][]uint64
+			for k := range out {
+				out[k] = [2][]uint64{make([]uint64, len(sw)), make([]uint64, len(sw))}
+			}
+			fcmForward[uint32](out[0][0], out[0][1], sw, fcmWindow, workers)
+			fcmForward[uint64](out[1][0], out[1][1], sw, fcmWindow, workers)
+			if !slices.Equal(out[0][0], out[1][0]) || !slices.Equal(out[0][1], out[1][1]) {
+				t.Errorf("corpus entry %d, %d workers: 64-bit positions change the encoding", i, workers)
+			}
+		}
+	}
+}
+
+// TestFCMJoinGrows starts a join's table far too small for its distinct
+// hashes, as in a partition skewed past its share, so the table grows
+// many times: the output equals a join sized for every word.
+func TestFCMJoinGrows(t *testing.T) {
+	src := smoothFloats64(5000, 9)
+	copy(src[len(src)/2:], src)
+	sw := wordio.Words64(src, false)
+	hw := make([]uint64, len(sw))
+	fcmContextHashes(hw, sw, 0)
+	var out [2][2][]uint64
+	for k, expect := range []int{len(sw), 1} {
+		out[k] = [2][]uint64{make([]uint64, len(sw)), make([]uint64, len(sw))}
+		var j fcmJoin[uint32]
+		j.start(len(sw), expect)
+		fcmJoinPart(&j, hw, sw, out[k][0], out[k][1], fcmWindow)
+		j.release()
+	}
+	if !slices.Equal(out[0][0], out[1][0]) || !slices.Equal(out[0][1], out[1][1]) {
+		t.Error("a growing join table changes the encoding")
 	}
 }
