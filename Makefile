@@ -26,12 +26,15 @@ vet:
 
 # The serving subsystem (internal/server) and the public client/stream
 # layer (root package) must stay clean under the race detector, and so
-# must the transform kernels and the fused single-pass kernels (the
-# differential offset tests cover both the aliased word views and the
-# copy-in/copy-out scratch route, and fused-vs-reference), and the
-# whole-input FCM's parallel encoder and decoder.
+# must the container engine's parallel encode, scatter and decode loops,
+# core's pre-stage plumbing, the transform kernels and the fused
+# single-pass kernels (the differential offset tests cover both the
+# aliased word views and the copy-in/copy-out scratch route, and
+# fused-vs-reference), and the whole-input FCM's parallel encoder and
+# decoder.
 race:
 	$(GO) test -race -count=1 ./internal/server/...
+	$(GO) test -race -count=1 ./internal/container/... ./internal/core/...
 	$(GO) test -race -count=1 -run 'Client|Stream' .
 	$(GO) test -race -count=1 -run 'TestKernel|TestFused|TestFCM|FuzzFCM' ./internal/transforms/...
 

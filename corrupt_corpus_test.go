@@ -5,7 +5,10 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
+
+	"fpcompress/internal/container"
 )
 
 // corpusFiles returns the checked-in corrupt-container seeds.
@@ -218,7 +221,8 @@ func TestCorruptCorpusV4(t *testing.T) {
 // containers: it must never panic, must respect the decode budget, and on
 // success its ChunkReport must be consistent with the returned bytes —
 // declared length honored, quarantined ranges zero-filled, and agreement
-// with the strict decoder whenever that one succeeds.
+// with the strict decoder whenever either one vouches for the data. One
+// and three workers must give the same bytes, errors and reports.
 func FuzzDecompressPartial(f *testing.F) {
 	for _, data := range corpusFiles(f) {
 		f.Add(data)
@@ -243,9 +247,27 @@ func FuzzDecompressPartial(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(wblob)
-	opts := &Options{MaxDecodedSize: 1 << 20}
+	// An empty container whose whole-input CRC is damaged: no chunk can
+	// carry the mismatch, so both decoders must refuse it.
+	empty, err := Compress(SPspeed, nil, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	empty[6] ^= 1
+	f.Add(empty)
+	opts := &Options{MaxDecodedSize: 1 << 20, Parallelism: 1}
+	opts3 := &Options{MaxDecodedSize: 1 << 20, Parallelism: 3}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec, rep, err := DecompressPartial(data, opts)
+		dec3, rep3, err3 := DecompressPartial(data, opts3)
+		if errText(err) != errText(err3) || !bytes.Equal(dec, dec3) || !sameStates(rep, rep3) {
+			t.Fatalf("partial decode differs between 1 and 3 workers: %v / %v", err, err3)
+		}
+		strict, serr := Decompress(data, opts)
+		strict3, serr3 := Decompress(data, opts3)
+		if errText(serr) != errText(serr3) || !bytes.Equal(strict, strict3) {
+			t.Fatalf("strict decode differs between 1 and 3 workers: %v / %v", serr, serr3)
+		}
 		if err != nil {
 			return // refused outright; the only contract is no panic
 		}
@@ -265,7 +287,7 @@ func FuzzDecompressPartial(f *testing.F) {
 				}
 			}
 		}
-		if strict, serr := Decompress(data, opts); serr == nil {
+		if serr == nil {
 			if !bytes.Equal(dec, strict) {
 				t.Fatal("partial and strict decode disagree on an intact container")
 			}
@@ -273,7 +295,34 @@ func FuzzDecompressPartial(f *testing.F) {
 				t.Fatalf("strict decode succeeded but the report claims damage: %s", rep.Summary())
 			}
 		}
+		// The converse needs the strict parse: a tail torn only in the
+		// parity region leaves every chunk intact yet fails it.
+		if _, perr := container.Parse(data); perr == nil && rep.AllOK() {
+			if serr != nil {
+				t.Fatalf("report %s vouches for every chunk but strict decode fails: %v", rep.Summary(), serr)
+			}
+			if !bytes.Equal(dec, strict) {
+				t.Fatal("partial and strict decode disagree on an intact container")
+			}
+		}
 	})
+}
+
+// errText is err's message, "" for nil.
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
+// sameStates reports whether two reports (either may be nil) hold the same
+// per-chunk states.
+func sameStates(a, b *ChunkReport) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return slices.Equal(a.States, b.States)
 }
 
 // FuzzContainerDecompress mutates the corrupt corpus (and a valid

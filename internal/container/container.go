@@ -354,20 +354,22 @@ func growExact(b []byte, n int) []byte {
 	return nb
 }
 
-// engineState holds the per-call bookkeeping of CompressAppend and
-// DecompressAppend (chunk records, per-chunk CRCs, per-worker arenas),
-// recycled through a pool so the steady state allocates none of it.
+// engineState holds the per-call bookkeeping of CompressAppend and the
+// decode loop (chunk records, per-chunk CRCs and states, per-worker
+// arenas), recycled through a pool so the steady state allocates none of it.
 type engineState struct {
-	sizes   []int    // compressed (or raw) size of chunk i
-	flags   []byte   // 1 = compressed, 0 = raw fallback
-	schemes []byte   // chunk i's scheme byte (SchemeCodec encodes only)
-	owner   []int32  // worker whose arena holds chunk i (-1 = raw, scattered from src)
-	off     []int    // chunk i's offset within its owner's arena
-	pos     []int    // chunk i's offset within the payload (prefix sum of sizes)
-	crcs    []uint32 // CRC32-C of chunk i's original bytes
-	arenas  [][]byte // per-worker append-only encode arenas
-	parity  []byte   // concatenated XOR parity blocks (parity encodes only)
-	pcrcs   []uint32 // CRC32-C of each parity block
+	sizes   []int        // compressed (or raw) size of chunk i
+	flags   []byte       // 1 = compressed, 0 = raw fallback
+	schemes []byte       // chunk i's scheme byte (SchemeCodec encodes only)
+	owner   []int32      // worker whose arena holds chunk i (-1 = raw, scattered from src)
+	off     []int        // chunk i's offset within its owner's arena
+	pos     []int        // chunk i's offset within the payload (prefix sum of sizes)
+	crcs    []uint32     // CRC32-C of chunk i's original bytes
+	states  []ChunkState // chunk i's decode outcome (strict decodes)
+	errs    []error      // why chunk i failed to decode or verify
+	arenas  [][]byte     // per-worker append-only encode arenas
+	parity  []byte       // concatenated XOR parity blocks (parity encodes only)
+	pcrcs   []uint32     // CRC32-C of each parity block
 }
 
 var enginePool = sync.Pool{New: func() any { return new(engineState) }}
@@ -382,6 +384,8 @@ func getEngineState(nChunks, nWorkers int) *engineState {
 		st.off = make([]int, nChunks)
 		st.pos = make([]int, nChunks)
 		st.crcs = make([]uint32, nChunks)
+		st.states = make([]ChunkState, nChunks)
+		st.errs = make([]error, nChunks)
 	}
 	st.sizes = st.sizes[:nChunks]
 	st.flags = st.flags[:nChunks]
@@ -390,6 +394,8 @@ func getEngineState(nChunks, nWorkers int) *engineState {
 	st.off = st.off[:nChunks]
 	st.pos = st.pos[:nChunks]
 	st.crcs = st.crcs[:nChunks]
+	st.states = st.states[:nChunks]
+	st.errs = st.errs[:nChunks]
 	for cap(st.arenas) < nWorkers {
 		st.arenas = append(st.arenas[:cap(st.arenas)], nil)
 	}
@@ -398,6 +404,43 @@ func getEngineState(nChunks, nWorkers int) *engineState {
 }
 
 func putEngineState(st *engineState) { enginePool.Put(st) }
+
+// forEachChunk hands the chunk indices 0..n-1 to nw workers, which claim
+// them in increasing order from one atomic counter (the paper's dynamic
+// worklist); one worker runs on the calling goroutine. fn(w, i) processes
+// chunk i on worker w. Once a call returns false no worker claims another
+// index, though calls already running finish. It returns how many indices
+// were claimed: exactly 0..claimed-1, each processed.
+func forEachChunk(nw, n int, fn func(w, i int) bool) (claimed int) {
+	if nw <= 1 {
+		for i := 0; i < n; i++ {
+			if !fn(0, i) {
+				return i + 1
+			}
+		}
+		return n
+	}
+	var next atomic.Int64
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for w := 0; w < nw; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				if !fn(w, i) {
+					stop.Store(true)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return min(int(next.Load()), n)
+}
 
 // scatterMinBytes is the payload size below which the scatter copy runs on
 // the calling goroutine; parallel memcpy only pays off once the data
@@ -434,55 +477,43 @@ func CompressAppend(dst, src []byte, algID byte, codec Codec, p Params) []byte {
 		windowed:  p.Windowed,
 	}
 
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			arena := st.arenas[worker][:0]
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= nChunks {
-					break
-				}
-				lo := i * cs
-				hi := lo + cs
-				if hi > len(src) {
-					hi = len(src)
-				}
-				chunk := src[lo:hi]
-				st.crcs[i] = crc32.Checksum(chunk, crcTable)
-				start := len(arena)
-				scheme := byte(0)
-				switch {
-				case hasScheme:
-					arena, scheme = sc.ForwardSchemeInto(arena, chunk)
-				case hasInto:
-					arena = ic.ForwardInto(arena, chunk)
-				default:
-					arena = append(arena, codec.Forward(chunk)...)
-				}
-				if encLen := len(arena) - start; encLen < len(chunk) {
-					st.sizes[i] = encLen
-					st.flags[i] = 1
-					st.schemes[i] = scheme
-					st.owner[i] = int32(worker)
-					st.off[i] = start
-				} else {
-					// Worst-case cap: emit the original data for chunks
-					// that do not compress (scheme byte 0 = raw).
-					arena = arena[:start]
-					st.sizes[i] = len(chunk)
-					st.flags[i] = 0
-					st.schemes[i] = 0
-					st.owner[i] = -1
-				}
-			}
-			st.arenas[worker] = arena
-		}(w)
+	for w := range st.arenas {
+		st.arenas[w] = st.arenas[w][:0]
 	}
-	wg.Wait()
+	forEachChunk(nw, nChunks, func(worker, i int) bool {
+		lo := i * cs
+		hi := min(lo+cs, len(src))
+		chunk := src[lo:hi]
+		st.crcs[i] = crc32.Checksum(chunk, crcTable)
+		arena := st.arenas[worker]
+		start := len(arena)
+		scheme := byte(0)
+		switch {
+		case hasScheme:
+			arena, scheme = sc.ForwardSchemeInto(arena, chunk)
+		case hasInto:
+			arena = ic.ForwardInto(arena, chunk)
+		default:
+			arena = append(arena, codec.Forward(chunk)...)
+		}
+		if encLen := len(arena) - start; encLen < len(chunk) {
+			st.sizes[i] = encLen
+			st.flags[i] = 1
+			st.schemes[i] = scheme
+			st.owner[i] = int32(worker)
+			st.off[i] = start
+		} else {
+			// Worst-case cap: emit the original data for chunks that do
+			// not compress (scheme byte 0 = raw).
+			arena = arena[:start]
+			st.sizes[i] = len(chunk)
+			st.flags[i] = 0
+			st.schemes[i] = 0
+			st.owner[i] = -1
+		}
+		st.arenas[worker] = arena
+		return true
+	})
 
 	// Scan: exact payload size and every chunk's payload offset.
 	total := 0
@@ -514,7 +545,11 @@ func CompressAppend(dst, src []byte, algID byte, codec Codec, p Params) []byte {
 	payloadStart := len(dst)
 	dst = growExact(dst, total)
 	payload := dst[payloadStart:]
-	scatter := func(i int) {
+	scatterW := nw
+	if total < scatterMinBytes {
+		scatterW = 1
+	}
+	forEachChunk(scatterW, nChunks, func(_, i int) bool {
 		var from []byte
 		if st.flags[i] == 0 {
 			lo := i * cs
@@ -524,28 +559,8 @@ func CompressAppend(dst, src []byte, algID byte, codec Codec, p Params) []byte {
 			from = a[st.off[i] : st.off[i]+st.sizes[i]]
 		}
 		copy(payload[st.pos[i]:st.pos[i]+st.sizes[i]], from)
-	}
-	if nw == 1 || total < scatterMinBytes {
-		for i := 0; i < nChunks; i++ {
-			scatter(i)
-		}
-		return append(dst, st.parity...)
-	}
-	next.Store(0)
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= nChunks {
-					return
-				}
-				scatter(i)
-			}
-		}()
-	}
-	wg.Wait()
+		return true
+	})
 	return append(dst, st.parity...)
 }
 
@@ -836,6 +851,38 @@ func Decompress(data []byte, codec Codec, p Params) ([]byte, error) {
 	return DecompressAppend(nil, data, codec, p)
 }
 
+// DecompressAppend is Decompress appending the reconstructed bytes to dst
+// (which may be nil) and returning the extended slice, with the same
+// append-semantics ownership contract as the transforms' *Into APIs.
+// Chunks decode directly into their final position in the pre-sized
+// output. A container with integrity tables verifies every chunk against
+// its stored CRC32-C and transparently repairs single-chunk-per-group
+// damage from parity; a chunk lost beyond that is a typed ErrChunkCorrupt.
+// A failed decode names the lowest failing chunk.
+func DecompressAppend(dst []byte, data []byte, codec Codec, p Params) ([]byte, error) {
+	return decompress(dst, data, codec, p, nil)
+}
+
+// decompress is the preamble of both decode entry points: it parses data
+// (leniently for a partial decode, rep non-nil), refuses a declared size
+// beyond p's decode budget before allocating anything, and resolves the
+// codec's scheme routing, then runs the decode loop.
+func decompress(dst, data []byte, codec Codec, p Params, rep *Report) ([]byte, error) {
+	h := headerPool.Get().(*Header)
+	defer putHeader(h)
+	if err := h.parse(data, rep != nil); err != nil {
+		return nil, err
+	}
+	if budget := p.DecodeBudget(); budget >= 0 && h.OriginalLen > budget {
+		return nil, fmt.Errorf("%w: %d bytes declared, budget %d", ErrBudget, h.OriginalLen, budget)
+	}
+	sc, err := h.schemeCodecFor(codec)
+	if err != nil {
+		return nil, err
+	}
+	return h.decode(dst, codec, sc, p, rep)
+}
+
 // decodeChunkInto decodes chunk i directly into span (its exact
 // original-data range within the output). Raw chunks are copied verbatim;
 // SchemeCodec and IntoCodec chunks decode in place with no intermediate
@@ -873,35 +920,55 @@ func (h *Header) decodeChunkInto(i int, span, enc []byte, codec Codec, ic IntoCo
 	return nil
 }
 
-// DecompressAppend is Decompress appending the reconstructed bytes to dst
-// (which may be nil) and returning the extended slice, with the same
-// append-semantics ownership contract as the transforms' *Into APIs.
-// Chunks decode directly into their final position in the pre-sized
-// output — no per-chunk buffer, no final copy — and each worker computes
-// its chunks' CRC32-C as it goes; the per-chunk CRCs are folded into the
-// whole-buffer checksum instead of a second serial pass over the output.
-func DecompressAppend(dst []byte, data []byte, codec Codec, p Params) ([]byte, error) {
-	h := headerPool.Get().(*Header)
-	defer putHeader(h)
-	if err := h.parse(data, false); err != nil {
-		return nil, err
+// verifyChunkInto decodes chunk i into span (its exact original-data
+// range) and checks its CRC32-C against the stored one, when the container
+// records one. It returns that CRC, which it takes even without a stored
+// one when withCRC is set. Chunk bytes a torn container lost, and a CRC
+// that differs from the stored one, are ErrChunkCorrupt; a chunk that
+// fails to decode returns decodeChunkInto's error.
+func (h *Header) verifyChunkInto(i int, span []byte, codec Codec, ic IntoCodec, sc SchemeCodec, withCRC bool) (uint32, error) {
+	if h.offsets[i+1] > len(h.payload) {
+		// Only possible on a salvage-parsed (torn) container.
+		return 0, fmt.Errorf("%w: chunk %d bytes missing (torn container)", ErrChunkCorrupt, i)
 	}
-	if budget := p.DecodeBudget(); budget >= 0 && h.OriginalLen > budget {
-		return nil, fmt.Errorf("%w: %d bytes declared, budget %d", ErrBudget, h.OriginalLen, budget)
+	if err := h.decodeChunkInto(i, span, h.payload[h.offsets[i]:h.offsets[i+1]], codec, ic, sc); err != nil {
+		return 0, err
 	}
-	sc, err := h.schemeCodecFor(codec)
-	if err != nil {
-		return nil, err
+	stored, ok := h.ChunkCRC(i)
+	if !ok && !withCRC {
+		return 0, nil
 	}
-	if h.chunkCRCs != nil {
-		// A container with integrity tables verifies chunk by chunk
-		// against the stored CRC table and transparently repairs
-		// single-chunk-per-group damage from parity; anything beyond that
-		// is a typed ErrChunkCorrupt. Other containers take the fast path
-		// below.
-		rep := &Report{}
-		return h.decodeResilient(dst, codec, sc, p, rep, true)
+	crc := crc32.Checksum(span, crcTable)
+	if ok && crc != stored {
+		return 0, fmt.Errorf("%w: chunk %d CRC %08x, header says %08x", ErrChunkCorrupt, i, crc, stored)
 	}
+	return crc, nil
+}
+
+// chunkCorrupt types a chunk failure in a container with integrity tables
+// as ErrChunkCorrupt wrapping its cause, so callers can tell chunk damage
+// from header damage and attempt a parity repair.
+func (h *Header) chunkCorrupt(err error) error {
+	if h.chunkCRCs == nil || errors.Is(err, ErrChunkCorrupt) {
+		return err
+	}
+	return fmt.Errorf("%w: %w", ErrChunkCorrupt, err)
+}
+
+// decode is the one chunk-decode loop, behind strict (rep nil) and partial
+// decodes alike. Each worker decodes its chunks into their spans of the
+// pre-sized output and takes their CRC32-C on the way, checking it against
+// the stored one when the container records it; the per-chunk CRCs fold
+// into the whole-input CRC instead of a second pass over the output. A
+// failed chunk is quarantined. With parity, or in partial mode, every chunk
+// decodes and the parity groups then repair what they can.
+//
+// Strict mode fails on the lowest chunk left quarantined, or on a
+// whole-input CRC mismatch. Partial mode fails only on the mismatch of an
+// empty container; otherwise it zero-fills the quarantined chunks,
+// demotes the chunks the whole-input CRC no longer vouches for to
+// ChunkUnverified, and records every outcome in rep.
+func (h *Header) decode(dst []byte, codec Codec, sc SchemeCodec, p Params, rep *Report) ([]byte, error) {
 	base := len(dst)
 	dst = growExact(dst, h.OriginalLen)
 	out := dst[base:]
@@ -909,44 +976,86 @@ func DecompressAppend(dst []byte, data []byte, codec Codec, p Params) ([]byte, e
 	nw := p.workers(h.ChunkCount)
 	st := getEngineState(h.ChunkCount, nw)
 	defer putEngineState(st)
-	var firstErr atomic.Pointer[error]
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= h.ChunkCount || firstErr.Load() != nil {
-					return
-				}
-				lo, hi := h.chunkSpan(i)
-				span := out[lo:hi]
-				if err := h.decodeChunkInto(i, span, h.payload[h.offsets[i]:h.offsets[i+1]], codec, ic, sc); err != nil {
-					// Copy before publishing: taking err's own address would
-					// make every iteration's err escape to the heap, even on
-					// the (universal) success path.
-					e := err
-					firstErr.CompareAndSwap(nil, &e)
-					return
-				}
-				st.crcs[i] = crc32.Checksum(span, crcTable)
+	states := st.states
+	if rep != nil {
+		rep.init(h)
+		states = rep.States
+	}
+	// Without parity a strict decode cannot recover a failed chunk, so the
+	// workers stop claiming chunks at the first failure. Claims are
+	// monotone, so every chunk below that failure has still been decoded:
+	// the lowest failing chunk does not depend on scheduling.
+	decodeAll := rep != nil || h.ParityGroup > 0
+	claimed := forEachChunk(nw, h.ChunkCount, func(_, i int) bool {
+		// Workers write disjoint indices of states, st.crcs and st.errs.
+		lo, hi := h.chunkSpan(i)
+		crc, err := h.verifyChunkInto(i, out[lo:hi], codec, ic, sc, true)
+		if err != nil {
+			states[i], st.errs[i] = ChunkQuarantined, err
+			return decodeAll
+		}
+		states[i], st.crcs[i] = ChunkOK, crc
+		return true
+	})
+	if h.ParityGroup > 0 {
+		h.repairGroups(out, states, st)
+	}
+	verified, lost, first := 0, 0, -1
+	for i, s := range states[:claimed] {
+		switch s {
+		case ChunkOK:
+			verified++
+		case ChunkQuarantined:
+			if lost == 0 {
+				first = i
 			}
-		}()
+			lost++
+		}
 	}
-	wg.Wait()
-	if ep := firstErr.Load(); ep != nil {
-		return nil, *ep
+	if h.chunkCRCs != nil {
+		countVerified.Add(uint64(verified))
 	}
-	got := uint32(0)
-	if h.ChunkCount > 0 {
-		got = combineChunkCRCs(st.crcs, h.ChunkSize, h.OriginalLen-(h.ChunkCount-1)*h.ChunkSize)
+	countQuarantined.Add(uint64(lost))
+	var err error
+	if lost > 0 {
+		err = h.chunkCorrupt(st.errs[first])
+		clear(st.errs[:claimed])
+	} else if got := h.wholeCRC(st.crcs); got != h.CRC {
+		err = fmt.Errorf("%w: got %08x, header says %08x", ErrChecksum, got, h.CRC)
 	}
-	if got != h.CRC {
-		return nil, fmt.Errorf("%w: got %08x, header says %08x", ErrChecksum, got, h.CRC)
+	// An empty container has no chunk to carry a whole-input CRC mismatch,
+	// so a partial decode fails on it as a strict one does.
+	if err != nil && (rep == nil || h.ChunkCount == 0) {
+		return nil, err
+	}
+	if rep == nil {
+		return dst, nil
+	}
+	for i, s := range states {
+		if s == ChunkQuarantined {
+			lo, hi := h.chunkSpan(i)
+			clear(out[lo:hi]) // failed decodes must not leak garbage
+		}
+	}
+	// The whole-input CRC vouches for v1/v2 chunks only when every chunk
+	// decoded, and for any layout only when it matches.
+	if err != nil && (lost == 0 || h.chunkCRCs == nil) {
+		for i, s := range states {
+			if s == ChunkOK || s == ChunkRepaired {
+				states[i] = ChunkUnverified
+			}
+		}
 	}
 	return dst, nil
+}
+
+// wholeCRC folds the per-chunk CRC32-Cs of a fully decoded container into
+// the CRC32-C of its whole original input.
+func (h *Header) wholeCRC(crcs []uint32) uint32 {
+	if h.ChunkCount == 0 {
+		return 0
+	}
+	return combineChunkCRCs(crcs, h.ChunkSize, h.OriginalLen-(h.ChunkCount-1)*h.ChunkSize)
 }
 
 // ChunkPayload returns the stored bytes of chunk i and whether the chunk
@@ -980,32 +1089,19 @@ func (h *Header) DecompressChunkLimit(i int, codec Codec, maxDecoded int) ([]byt
 	if maxDecoded >= 0 && hi-lo > maxDecoded {
 		return nil, fmt.Errorf("%w: chunk %d spans %d bytes, budget %d", ErrBudget, i, hi-lo, maxDecoded)
 	}
-	if h.offsets[i+1] > len(h.payload) {
-		// Only possible on a salvage-parsed (torn) container.
-		return nil, fmt.Errorf("%w: chunk %d bytes missing (torn container)", ErrChunkCorrupt, i)
-	}
 	sc, err := h.schemeCodecFor(codec)
 	if err != nil {
 		return nil, err
 	}
 	ic, _ := codec.(IntoCodec)
 	dec := make([]byte, hi-lo)
-	if err := h.decodeChunkInto(i, dec, h.payload[h.offsets[i]:h.offsets[i+1]], codec, ic, sc); err != nil {
-		if h.chunkCRCs != nil {
-			// With integrity tables, a chunk that fails to decode is
-			// chunk-level corruption — typed so callers can distinguish it
-			// from header damage and attempt a parity repair.
-			return nil, fmt.Errorf("%w: %w", ErrChunkCorrupt, err)
-		}
-		return nil, err
+	// Every random-access read of a container with integrity tables is
+	// end-to-end verified against the stored per-chunk CRC — including raw
+	// chunks, which other containers cannot check outside a whole decode.
+	if _, err := h.verifyChunkInto(i, dec, codec, ic, sc, false); err != nil {
+		return nil, h.chunkCorrupt(err)
 	}
-	if stored, ok := h.ChunkCRC(i); ok {
-		// Every random-access read is end-to-end verified against the
-		// stored per-chunk CRC — including raw chunks, which containers
-		// without integrity tables cannot check outside a whole decode.
-		if got := crc32.Checksum(dec, crcTable); got != stored {
-			return nil, fmt.Errorf("%w: chunk %d CRC %08x, header says %08x", ErrChunkCorrupt, i, got, stored)
-		}
+	if h.chunkCRCs != nil {
 		countVerified.Add(1)
 	}
 	return dec, nil

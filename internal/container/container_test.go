@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // xorCodec is a trivial invertible per-chunk codec for engine tests: it
@@ -183,6 +186,74 @@ func TestDecompressSurfacesChunkErrors(t *testing.T) {
 	blob[off] ^= 0xFF
 	if _, err := Decompress(blob, shrinkCodec{}, Params{}); err == nil {
 		t.Error("payload corruption not detected")
+	}
+}
+
+// gateCodec is shrinkCodec whose failing decode of the chunk whose first
+// byte is low waits until a failing decode of another chunk has returned,
+// so the higher of two corrupt chunks always fails first in time.
+type gateCodec struct {
+	low        byte
+	highFailed chan struct{}
+	once       *sync.Once
+}
+
+func (c gateCodec) Forward(chunk []byte) []byte { return shrinkCodec{}.Forward(chunk) }
+
+func (c gateCodec) Inverse(enc []byte) ([]byte, error) {
+	dec, err := shrinkCodec{}.Inverse(enc)
+	if err == nil || c.highFailed == nil {
+		return dec, err
+	}
+	if enc[4] != c.low {
+		c.once.Do(func() { close(c.highFailed) })
+		return dec, err
+	}
+	select {
+	case <-c.highFailed:
+	case <-time.After(10 * time.Second): // a loop that never reaches the high chunk
+	}
+	return dec, err
+}
+
+// TestDecompressLowestChunkError pins the strict decode's error to the
+// lowest failing chunk, whatever the worker count and however the workers
+// are scheduled: the codec holds the lower corrupt chunk back until the
+// higher one has failed.
+func TestDecompressLowestChunkError(t *testing.T) {
+	const cs, low, high = 1024, 5, 40
+	src := make([]byte, 64<<10)
+	for i := 0; i < len(src)/cs; i++ {
+		src[i*cs], src[i*cs+1] = byte(i+1), 0xA5 // first byte marks the chunk
+	}
+	for _, p := range []Params{{ChunkSize: cs}, {ChunkSize: cs, Integrity: true}} {
+		blob := Compress(src, 1, shrinkCodec{}, p)
+		for _, i := range []int{low, high} {
+			lo, _ := chunkStoredRange(t, blob, i)
+			copy(blob[lo:lo+4], []byte{0xFF, 0xFF, 0xFF, 0xFF}) // length field: bad length
+		}
+		var want string
+		for _, workers := range []int{1, 2, 4} {
+			codec := gateCodec{low: low + 1}
+			if workers > 1 {
+				codec.highFailed, codec.once = make(chan struct{}), new(sync.Once)
+			}
+			_, err := Decompress(blob, codec, Params{Parallelism: workers})
+			if err == nil {
+				t.Fatalf("integrity %v, %d workers: corrupt chunks decoded", p.Integrity, workers)
+			}
+			if !strings.Contains(err.Error(), "chunk 5: bad length") {
+				t.Errorf("integrity %v, %d workers: error %q, want chunk %d's", p.Integrity, workers, err, low)
+			}
+			if p.Integrity != errors.Is(err, ErrChunkCorrupt) {
+				t.Errorf("integrity %v, %d workers: error %q, ErrChunkCorrupt %v", p.Integrity, workers, err, !p.Integrity)
+			}
+			if workers == 1 {
+				want = err.Error()
+			} else if err.Error() != want {
+				t.Errorf("integrity %v: %d workers report %q, 1 worker %q", p.Integrity, workers, err, want)
+			}
+		}
 	}
 }
 

@@ -11,17 +11,19 @@ package container
 // chunks — so any single lost or corrupt chunk per group is reconstructed
 // at decode time without re-encoding anything.
 //
-// On top of the layout this file implements the degraded-decode layer:
-// DecompressPartial verifies chunk by chunk, repairs from parity where
-// possible, quarantines (zero-fills) what it cannot, and reports per-chunk
-// outcomes instead of one fatal error.
+// On top of the layout this file holds the degraded-decode entry points
+// and the parity repair. DecompressPartial runs the same decode loop as a
+// strict decode (container.go's decode): it verifies chunk by chunk,
+// repairs from parity where possible, quarantines (zero-fills) what it
+// cannot, and reports per-chunk outcomes instead of one fatal error. One
+// parity rebuild (rebuildChunk) serves the whole-container repair and the
+// ranged one (DecompressChunkRepair).
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"sync"
 	"sync/atomic"
 )
 
@@ -31,9 +33,10 @@ import (
 // parsing refuses the container.
 var ErrHeaderChecksum = fmt.Errorf("%w: metadata checksum mismatch", ErrFormat)
 
-// ErrChunkCorrupt reports one or more chunks that failed verification and
-// could not be repaired from parity. Strict decode fails with it; the
-// degraded path (DecompressPartial) quarantines instead.
+// ErrChunkCorrupt reports a chunk that failed verification and could not
+// be repaired from parity. Strict decode fails with it, wrapping the
+// lowest such chunk's cause; the degraded path (DecompressPartial)
+// quarantines instead.
 var ErrChunkCorrupt = errors.New("container: chunk corrupt beyond repair")
 
 // ChunkState is the per-chunk outcome of a verifying decode.
@@ -346,7 +349,8 @@ func (st *engineState) buildParity(src []byte, cs, n int) {
 // recover. It returns the decoded bytes together with a per-chunk Report
 // instead of one fatal error; the error is non-nil only when the container
 // is unusable outright (unparseable or checksum-failed metadata, decode
-// budget exceeded, or a codec that cannot route the container's chunks).
+// budget exceeded, a codec that cannot route the container's chunks, or an
+// empty container whose whole-input CRC fails).
 func DecompressPartial(data []byte, codec Codec, p Params) ([]byte, *Report, error) {
 	return DecompressPartialAppend(nil, data, codec, p)
 }
@@ -355,151 +359,54 @@ func DecompressPartial(data []byte, codec Codec, p Params) ([]byte, *Report, err
 // be nil), with the same append-semantics ownership contract as
 // DecompressAppend.
 func DecompressPartialAppend(dst, data []byte, codec Codec, p Params) ([]byte, *Report, error) {
-	h := headerPool.Get().(*Header)
-	defer putHeader(h)
-	if err := h.parse(data, true); err != nil {
-		return nil, nil, err
-	}
-	if budget := p.DecodeBudget(); budget >= 0 && h.OriginalLen > budget {
-		return nil, nil, fmt.Errorf("%w: %d bytes declared, budget %d", ErrBudget, h.OriginalLen, budget)
-	}
-	sc, err := h.schemeCodecFor(codec)
+	rep := new(Report)
+	out, err := decompress(dst, data, codec, p, rep)
 	if err != nil {
 		return nil, nil, err
-	}
-	rep := &Report{}
-	out, err := h.decodeResilient(dst, codec, sc, p, rep, false)
-	if err != nil {
-		return nil, rep, err
 	}
 	return out, rep, nil
 }
 
-// decodeResilient is the verifying decode shared by the strict v3 path and
-// the degraded path. Every chunk decodes into its span of the pre-sized
-// output and is verified against its stored CRC32-C (when the container
-// records one); failed chunks are repaired from parity where possible and
-// zero-filled otherwise. In strict mode any chunk left quarantined (or a
-// failed whole-input CRC) is an error; in partial mode the outcome lands in
-// rep and the error is always nil.
-func (h *Header) decodeResilient(dst []byte, codec Codec, sc SchemeCodec, p Params, rep *Report, strict bool) ([]byte, error) {
-	rep.init(h)
-	base := len(dst)
-	dst = growExact(dst, h.OriginalLen)
-	out := dst[base:]
-	ic, _ := codec.(IntoCodec)
-	nw := p.workers(h.ChunkCount)
-	st := getEngineState(h.ChunkCount, nw)
-	defer putEngineState(st)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= h.ChunkCount {
-					return
-				}
-				// Workers write disjoint indices of rep.States and st.crcs.
-				if h.offsets[i+1] > len(h.payload) {
-					rep.States[i] = ChunkQuarantined // torn off the tail
-					continue
-				}
-				lo, hi := h.chunkSpan(i)
-				span := out[lo:hi]
-				if err := h.decodeChunkInto(i, span, h.payload[h.offsets[i]:h.offsets[i+1]], codec, ic, sc); err != nil {
-					rep.States[i] = ChunkQuarantined
-					continue
-				}
-				crc := crc32.Checksum(span, crcTable)
-				st.crcs[i] = crc
-				if stored, ok := h.ChunkCRC(i); ok && crc != stored {
-					rep.States[i] = ChunkQuarantined
-					continue
-				}
-				rep.States[i] = ChunkOK
-			}
-		}()
+// rebuildChunk reconstructs chunk lost into span from its XOR parity
+// group: the group's parity block, present and passing its stored CRC32-C,
+// XORed with every other chunk of the group as chunk(j) supplies it. The
+// result is accepted only if it matches the lost chunk's stored CRC32-C;
+// otherwise span holds garbage and rebuildChunk reports false.
+func (h *Header) rebuildChunk(lost int, span []byte, chunk func(j int) ([]byte, bool)) bool {
+	g := lost / h.ParityGroup
+	pb, ok := h.parityBlock(g)
+	if !ok || crc32.Checksum(pb, crcTable) != h.parityCRC(g) {
+		return false // the parity block itself is damaged
 	}
-	wg.Wait()
-	if h.chunkCRCs != nil {
-		c := rep.Counts()
-		countVerified.Add(uint64(c.OK))
-	}
-	if h.ParityGroup > 0 {
-		h.repairGroups(out, rep, st)
-	}
-	// Zero-fill quarantined spans so failed decodes cannot leak garbage,
-	// and tally the final losses.
-	quarantined := 0
-	for i, s := range rep.States {
-		if s != ChunkQuarantined {
+	copy(span, pb)
+	first := g * h.ParityGroup
+	for j := first; j < min(first+h.ParityGroup, h.ChunkCount); j++ {
+		if j == lost {
 			continue
 		}
-		quarantined++
-		lo, hi := h.chunkSpan(i)
-		clear(out[lo:hi])
+		b, ok := chunk(j)
+		if !ok {
+			return false // a second loss in the group
+		}
+		m := min(len(b), len(span))
+		xorInto(span[:m], b[:m])
 	}
-	countQuarantined.Add(uint64(quarantined))
-	if h.chunkCRCs == nil {
-		// v1/v2: no per-chunk CRCs. The whole-input CRC verifies the lot
-		// only when every chunk decoded; otherwise the survivors decoded
-		// structurally but their integrity cannot be established.
-		demote := quarantined > 0
-		if !demote && h.ChunkCount > 0 {
-			got := combineChunkCRCs(st.crcs, h.ChunkSize, h.OriginalLen-(h.ChunkCount-1)*h.ChunkSize)
-			demote = got != h.CRC
-		}
-		if demote {
-			for i, s := range rep.States {
-				if s == ChunkOK {
-					rep.States[i] = ChunkUnverified
-				}
-			}
-		}
-	} else if quarantined == 0 && h.ChunkCount > 0 {
-		// v3 invariant: the combined per-chunk CRCs must reproduce the
-		// whole-input CRC (both sit inside the checksummed metadata).
-		got := combineChunkCRCs(st.crcs, h.ChunkSize, h.OriginalLen-(h.ChunkCount-1)*h.ChunkSize)
-		if got != h.CRC {
-			if strict {
-				return nil, fmt.Errorf("%w: got %08x, header says %08x", ErrChecksum, got, h.CRC)
-			}
-			for i, s := range rep.States {
-				if s == ChunkOK || s == ChunkRepaired {
-					rep.States[i] = ChunkUnverified
-				}
-			}
-		}
-	}
-	if strict && quarantined > 0 {
-		first := -1
-		for i, s := range rep.States {
-			if s == ChunkQuarantined {
-				first = i
-				break
-			}
-		}
-		return nil, fmt.Errorf("%w: chunk %d (%d of %d lost)", ErrChunkCorrupt, first, quarantined, h.ChunkCount)
-	}
-	return dst, nil
+	stored, ok := h.ChunkCRC(lost)
+	return ok && crc32.Checksum(span, crcTable) == stored
 }
 
-// repairGroups reconstructs single-chunk losses from XOR parity: for every
-// group with exactly one quarantined chunk whose parity block is present
-// and passes its own CRC, the lost span is rebuilt as parity XOR the other
-// (already decoded) chunks of the group and re-verified against the lost
-// chunk's stored CRC32-C before being accepted.
-func (h *Header) repairGroups(out []byte, rep *Report, st *engineState) {
-	n := h.ParityGroup
+// repairGroups rebuilds the one quarantined chunk of every group that has
+// exactly one, from the group's other chunks already decoded into out.
+func (h *Header) repairGroups(out []byte, states []ChunkState, st *engineState) {
+	fromOut := func(j int) ([]byte, bool) {
+		lo, hi := h.chunkSpan(j)
+		return out[lo:hi], true
+	}
 	for g := 0; g < h.parityGroups(); g++ {
-		first := g * n
-		end := min(first+n, h.ChunkCount)
+		first := g * h.ParityGroup
 		lost, bad := -1, 0
-		for i := first; i < end; i++ {
-			if rep.States[i] == ChunkQuarantined {
+		for i := first; i < min(first+h.ParityGroup, h.ChunkCount); i++ {
+			if states[i] == ChunkQuarantined {
 				bad++
 				lost = i
 			}
@@ -507,27 +414,12 @@ func (h *Header) repairGroups(out []byte, rep *Report, st *engineState) {
 		if bad != 1 {
 			continue // nothing lost, or beyond single-loss repair
 		}
-		pb, ok := h.parityBlock(g)
-		if !ok || crc32.Checksum(pb, crcTable) != h.parityCRC(g) {
-			continue // the parity block itself is damaged
-		}
 		lo, hi := h.chunkSpan(lost)
-		span := out[lo:hi]
-		copy(span, pb)
-		for i := first; i < end; i++ {
-			if i == lost {
-				continue
-			}
-			jlo, jhi := h.chunkSpan(i)
-			m := min(jhi-jlo, len(span))
-			xorInto(span[:m], out[jlo:jlo+m])
+		if !h.rebuildChunk(lost, out[lo:hi], fromOut) {
+			continue // stays quarantined
 		}
-		stored, _ := h.ChunkCRC(lost)
-		if crc32.Checksum(span, crcTable) != stored {
-			continue // reconstruction failed to verify; stays quarantined
-		}
-		rep.States[lost] = ChunkRepaired
-		st.crcs[lost] = stored
+		states[lost], st.errs[lost] = ChunkRepaired, nil
+		st.crcs[lost], _ = h.ChunkCRC(lost)
 		countRepaired.Add(1)
 	}
 }
@@ -547,47 +439,16 @@ func (h *Header) DecompressChunkRepair(i int, codec Codec, maxDecoded int) ([]by
 		return nil, ChunkSkipped, err
 	}
 	if h.ParityGroup > 0 {
-		if b, ok := h.repairChunkAlone(i, codec, maxDecoded); ok {
+		lo, hi := h.chunkSpan(i)
+		span := make([]byte, hi-lo)
+		if h.rebuildChunk(i, span, func(j int) ([]byte, bool) {
+			b, err := h.DecompressChunkLimit(j, codec, maxDecoded)
+			return b, err == nil
+		}) {
 			countRepaired.Add(1)
-			return b, ChunkRepaired, nil
+			return span, ChunkRepaired, nil
 		}
 	}
 	countQuarantined.Add(1)
 	return nil, ChunkQuarantined, err
-}
-
-// repairChunkAlone reconstructs chunk lost from its parity group without a
-// whole-container decode: every other chunk of the group is decoded (and
-// verified) independently, XORed with the parity block, and the result
-// checked against the lost chunk's stored CRC32-C.
-func (h *Header) repairChunkAlone(lost int, codec Codec, maxDecoded int) ([]byte, bool) {
-	g := lost / h.ParityGroup
-	if h.parityCRCs == nil || g >= h.parityGroups() {
-		return nil, false
-	}
-	pb, ok := h.parityBlock(g)
-	if !ok || crc32.Checksum(pb, crcTable) != h.parityCRC(g) {
-		return nil, false
-	}
-	lo, hi := h.chunkSpan(lost)
-	span := make([]byte, hi-lo)
-	copy(span, pb)
-	first := g * h.ParityGroup
-	end := min(first+h.ParityGroup, h.ChunkCount)
-	for j := first; j < end; j++ {
-		if j == lost {
-			continue
-		}
-		dec, err := h.DecompressChunkLimit(j, codec, maxDecoded)
-		if err != nil {
-			return nil, false // a second loss in the group
-		}
-		m := min(len(dec), len(span))
-		xorInto(span[:m], dec[:m])
-	}
-	stored, ok := h.ChunkCRC(lost)
-	if !ok || crc32.Checksum(span, crcTable) != stored {
-		return nil, false
-	}
-	return span, true
 }

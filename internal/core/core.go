@@ -207,22 +207,42 @@ func (a *Algorithm) Decompress(data []byte, p container.Params) ([]byte, error) 
 // When a pre-stage is present its encoded intermediate decodes into a
 // pooled buffer; otherwise chunks decode straight into dst.
 func (a *Algorithm) DecompressAppend(dst []byte, data []byte, p container.Params) ([]byte, error) {
+	out, _, err := a.decompress(dst, data, p, false)
+	return out, err
+}
+
+// decompress is the body of DecompressAppend and, with partial set,
+// DecompressPartialAppend: the container decodes strictly or partially,
+// and a pre-stage then inverts the intermediate out of a pooled buffer.
+func (a *Algorithm) decompress(dst, data []byte, p container.Params, partial bool) ([]byte, *container.Report, error) {
 	if err := a.checkContainer(data); err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	chunks := func(dst []byte, p container.Params) ([]byte, *container.Report, error) {
+		if partial {
+			return container.DecompressPartialAppend(dst, data, a.ChunkCodec(), p)
+		}
+		out, err := container.DecompressAppend(dst, data, a.ChunkCodec(), p)
+		return out, nil, err
 	}
 	if a.Pre == nil {
-		return container.DecompressAppend(dst, data, a.ChunkCodec(), p)
+		return chunks(dst, p)
 	}
 	pb := preBufPool.Get().(*[]byte)
-	buf, err := container.DecompressAppend((*pb)[:0], data, a.ChunkCodec(), a.preParams(p))
+	defer preBufPool.Put(pb)
+	buf, rep, err := chunks((*pb)[:0], a.preParams(p))
 	if err != nil {
-		preBufPool.Put(pb)
-		return nil, err
+		return nil, rep, err
 	}
 	*pb = buf
+	if rep != nil && !rep.AllOK() {
+		return nil, rep, fmt.Errorf("%w: %s (%s)", ErrPreStagePartial, a.ID, rep.Summary())
+	}
 	out, err := a.preInverse(dst, buf, p)
-	preBufPool.Put(pb)
-	return out, err
+	if err != nil {
+		return nil, rep, err
+	}
+	return out, rep, nil
 }
 
 // preParams scales the container-level decode budget in p by the
@@ -307,29 +327,7 @@ func (a *Algorithm) DecompressPartial(data []byte, p container.Params) ([]byte, 
 // DecompressPartialAppend is DecompressPartial appending to dst (which may
 // be nil), with append-semantics buffer ownership.
 func (a *Algorithm) DecompressPartialAppend(dst, data []byte, p container.Params) ([]byte, *container.Report, error) {
-	if err := a.checkContainer(data); err != nil {
-		return nil, nil, err
-	}
-	if a.Pre == nil {
-		return container.DecompressPartialAppend(dst, data, a.ChunkCodec(), p)
-	}
-	pb := preBufPool.Get().(*[]byte)
-	buf, rep, err := container.DecompressPartialAppend((*pb)[:0], data, a.ChunkCodec(), a.preParams(p))
-	if err != nil {
-		preBufPool.Put(pb)
-		return nil, rep, err
-	}
-	*pb = buf
-	if !rep.AllOK() {
-		preBufPool.Put(pb)
-		return nil, rep, fmt.Errorf("%w: %s (%s)", ErrPreStagePartial, a.ID, rep.Summary())
-	}
-	out, err := a.preInverse(dst, buf, p)
-	preBufPool.Put(pb)
-	if err != nil {
-		return nil, rep, err
-	}
-	return out, rep, nil
+	return a.decompress(dst, data, p, true)
 }
 
 // chunkCodec adapts a transform pipeline to the container.IntoCodec

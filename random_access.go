@@ -36,6 +36,22 @@ type RandomAccess struct {
 // chunk later decodes under the opts.MaxDecodedSize budget (which bounds
 // the per-read allocation; the paper's default chunks are 16 kB).
 func OpenRandomAccess(data []byte, opts *Options) (*RandomAccess, error) {
+	return openRandomAccess(data, opts, container.Parse)
+}
+
+// OpenRandomAccessPartial is OpenRandomAccess for damaged blocks: it
+// tolerates torn tails (payload bytes missing off the end) that strict
+// parsing rejects, so the surviving chunks stay readable via ReadAtPartial.
+// Self-healing (v3) metadata must still pass its own CRC32-C — with the
+// tables unverifiable nothing can be located, and ErrHeaderCorrupt is
+// returned.
+func OpenRandomAccessPartial(data []byte, opts *Options) (*RandomAccess, error) {
+	return openRandomAccess(data, opts, container.ParseSalvage)
+}
+
+// openRandomAccess opens data for ranged reads with the given container
+// parser (strict or salvage).
+func openRandomAccess(data []byte, opts *Options, parse func([]byte) (*container.Header, error)) (*RandomAccess, error) {
 	a, err := core.FromContainer(data)
 	if err != nil {
 		return nil, err
@@ -43,7 +59,7 @@ func OpenRandomAccess(data []byte, opts *Options) (*RandomAccess, error) {
 	if a.Pre != nil {
 		return nil, ErrNoRandomAccess
 	}
-	h, err := container.Parse(data)
+	h, err := parse(data)
 	if err != nil {
 		return nil, err
 	}
@@ -66,49 +82,7 @@ func (ra *RandomAccess) ChunkSize() int { return ra.header.ChunkSize }
 // data, so io.SectionReader, io.ReadFull, and errors.Is(err, io.EOF)
 // compose with it.
 func (ra *RandomAccess) ReadAt(p []byte, off int64) (int, error) {
-	if off < 0 {
-		return 0, fmt.Errorf("fpcompress: negative offset %d", off)
-	}
-	n := 0
-	cs := ra.header.ChunkSize
-	for n < len(p) && off+int64(n) < int64(ra.header.OriginalLen) {
-		pos := int(off) + n
-		ci := pos / cs
-		dec, err := ra.header.DecompressChunkLimit(ci, ra.codec, ra.maxDecoded)
-		if err != nil {
-			return n, err
-		}
-		n += copy(p[n:], dec[pos-ci*cs:])
-	}
-	if n < len(p) {
-		return n, io.EOF
-	}
-	return n, nil
-}
-
-// OpenRandomAccessPartial is OpenRandomAccess for damaged blocks: it
-// tolerates torn tails (payload bytes missing off the end) that strict
-// parsing rejects, so the surviving chunks stay readable via ReadAtPartial.
-// Self-healing (v3) metadata must still pass its own CRC32-C — with the
-// tables unverifiable nothing can be located, and ErrHeaderCorrupt is
-// returned.
-func OpenRandomAccessPartial(data []byte, opts *Options) (*RandomAccess, error) {
-	a, err := core.FromContainer(data)
-	if err != nil {
-		return nil, err
-	}
-	if a.Pre != nil {
-		return nil, ErrNoRandomAccess
-	}
-	h, err := container.ParseSalvage(data)
-	if err != nil {
-		return nil, err
-	}
-	return &RandomAccess{
-		header:     h,
-		codec:      a.ChunkCodec(),
-		maxDecoded: opts.params().DecodeBudget(),
-	}, nil
+	return ra.readAt(p, off, nil)
 }
 
 // ReadAtPartial is ReadAt for damaged blocks: chunk-level corruption is
@@ -121,32 +95,45 @@ func OpenRandomAccessPartial(data []byte, opts *Options) (*RandomAccess, error) 
 // recovered so far.
 func (ra *RandomAccess) ReadAtPartial(p []byte, off int64) (int, *ChunkReport, error) {
 	rep := ra.header.NewReport()
+	n, err := ra.readAt(p, off, rep)
+	return n, rep, err
+}
+
+// readAt is the ranged-read loop of ReadAt (rep nil: a chunk failure fails
+// the read, with no parity repair) and ReadAtPartial (chunks are repaired
+// where possible, zero-filled otherwise, and their outcomes land in rep).
+func (ra *RandomAccess) readAt(p []byte, off int64, rep *ChunkReport) (int, error) {
 	if off < 0 {
-		return 0, rep, fmt.Errorf("fpcompress: negative offset %d", off)
+		return 0, fmt.Errorf("fpcompress: negative offset %d", off)
 	}
 	n := 0
 	cs := ra.header.ChunkSize
 	for n < len(p) && off+int64(n) < int64(ra.header.OriginalLen) {
 		pos := int(off) + n
 		ci := pos / cs
-		dec, state, err := ra.header.DecompressChunkRepair(ci, ra.codec, ra.maxDecoded)
-		rep.States[ci] = state
-		if state == ChunkQuarantined {
-			_, hi := rep.Span(ci)
-			m := min(hi-pos, len(p)-n)
-			clear(p[n : n+m])
-			n += m
-			continue
+		var dec []byte
+		var err error
+		if rep == nil {
+			dec, err = ra.header.DecompressChunkLimit(ci, ra.codec, ra.maxDecoded)
+		} else {
+			dec, rep.States[ci], err = ra.header.DecompressChunkRepair(ci, ra.codec, ra.maxDecoded)
+			if rep.States[ci] == ChunkQuarantined {
+				_, hi := rep.Span(ci)
+				m := min(hi-pos, len(p)-n)
+				clear(p[n : n+m])
+				n += m
+				continue
+			}
 		}
 		if err != nil {
-			return n, rep, err
+			return n, err
 		}
 		n += copy(p[n:], dec[pos-ci*cs:])
 	}
 	if n < len(p) {
-		return n, rep, io.EOF
+		return n, io.EOF
 	}
-	return n, rep, nil
+	return n, nil
 }
 
 // errShortRead is the typed error Float32At/Float64At return for requests
