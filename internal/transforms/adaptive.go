@@ -29,29 +29,85 @@ import (
 // k*cnt[k] is computed from a prefix sum over the histogram bins — no need
 // to try all splits against the data.
 
-// computeLead fills lead with each word's eliminable-leading-bit
-// count — leading zeros for RAZE, leading bits shared with the previous
-// word (the first compared against zero) for RARE, selected by common —
-// accumulating the split-model histogram in the same pass so the encoder
-// never rescans lead just to bin it (bestSplitHist consumes hist
-// directly).
-func computeLead(lead []int, hist *[65]int, sw []uint64, common bool) {
-	lead = lead[:len(sw)]
+// adaptiveHist returns the split-model histogram of sw: hist[l] counts
+// the words with exactly l eliminable leading bits — leading zeros for
+// RAZE, leading bits shared with the previous word (the first compared
+// against zero) for RARE, selected by common. Four interleaved
+// sub-histograms keep consecutive equal counts (smooth data) from
+// serializing on one bin's increment.
+func adaptiveHist(sw []uint64, common bool) [65]int {
+	var h [4][65]int
+	i := 0
+	prev := uint64(0)
+	if common {
+		for ; i+4 <= len(sw); i += 4 {
+			s := sw[i : i+4 : i+4]
+			v0, v1, v2, v3 := s[0], s[1], s[2], s[3]
+			h[0][bits.LeadingZeros64(v0^prev)]++
+			h[1][bits.LeadingZeros64(v1^v0)]++
+			h[2][bits.LeadingZeros64(v2^v1)]++
+			h[3][bits.LeadingZeros64(v3^v2)]++
+			prev = v3
+		}
+	} else {
+		for ; i+4 <= len(sw); i += 4 {
+			s := sw[i : i+4 : i+4]
+			h[0][bits.LeadingZeros64(s[0])]++
+			h[1][bits.LeadingZeros64(s[1])]++
+			h[2][bits.LeadingZeros64(s[2])]++
+			h[3][bits.LeadingZeros64(s[3])]++
+		}
+	}
+	for _, v := range sw[i:] {
+		if common {
+			h[0][bits.LeadingZeros64(v^prev)]++
+			prev = v
+		} else {
+			h[0][bits.LeadingZeros64(v)]++
+		}
+	}
+	var hist [65]int
+	for l := range hist {
+		hist[l] = h[0][l] + h[1][l] + h[2][l] + h[3][l]
+	}
+	return hist
+}
+
+// adaptiveKept marks in bm (zeroed, (len(sw)+7)/8 bytes) the words whose
+// top k bits (1 <= k <= 64) must be stored — nonzero for RAZE, different
+// from the previous word's for RARE, exactly the words with fewer than k
+// eliminable leading bits — and gathers those tops, shifted down to their
+// k-bit fields, into the front of tops. It writes every word's (64-k)-bit
+// bottom to bots and returns the number of kept tops; tops and bots hold
+// len(sw) words. A word's top k bits are nonzero exactly when it exceeds
+// the all-ones bottom mask, so the test is one compare.
+func adaptiveKept(bm []byte, tops, bots, sw []uint64, k int, common bool) int {
+	lim := ^uint64(0) >> uint(k)
+	bw := uint(64-k) & 63
+	bots = bots[:len(sw)]
+	nKept := 0
 	if common {
 		prev := uint64(0)
 		for i, v := range sw {
-			l := bits.LeadingZeros64(v ^ prev)
-			lead[i] = l
-			hist[l]++
+			bots[i] = v & lim
+			if v^prev > lim {
+				bm[i>>3] |= 0x80 >> (i & 7)
+				tops[nKept] = v >> bw
+				nKept++
+			}
 			prev = v
 		}
-		return
+		return nKept
 	}
 	for i, v := range sw {
-		l := bits.LeadingZeros64(v)
-		lead[i] = l
-		hist[l]++
+		bots[i] = v & lim
+		if v > lim {
+			bm[i>>3] |= 0x80 >> (i & 7)
+			tops[nKept] = v >> bw
+			nKept++
+		}
 	}
+	return nKept
 }
 
 // bestSplitHist returns the k in [0,64] minimizing the modeled encoded
@@ -82,9 +138,9 @@ func SplitModelBits(hist *[65]int, n int) int {
 }
 
 // adaptiveForwardInto encodes src for either RAZE or RARE (selected by
-// common) appending to dst; all scratch (the lead counts and the
-// elimination bitmap) is pooled, and the kept/bottom pieces are bit-packed
-// directly into dst.
+// common) appending to dst; all scratch (the elimination bitmap and the
+// split tops and bottoms) is pooled, and the kept/bottom pieces are
+// bit-packed directly into dst.
 func adaptiveForwardInto(dst, src []byte, common bool) []byte {
 	sw := wordio.In64(src)
 	defer sw.Done()
@@ -97,11 +153,7 @@ func adaptiveForwardInto(dst, src []byte, common bool) []byte {
 // ratio kernels call it with their register-resident diff stream.
 func AdaptiveEncodeWords(dst []byte, sw []uint64, tail []byte, common bool) []byte {
 	n := len(sw)
-	lp := intPool.Get().(*[]int)
-	defer intPool.Put(lp)
-	lead := wordio.Resize(lp, n)
-	var hist [65]int
-	computeLead(lead, &hist, sw, common)
+	hist := adaptiveHist(sw, common)
 	k, _ := bestSplitHist(&hist, n)
 
 	dst = slices.Grow(dst, n*8+len(tail)+n+32)
@@ -119,50 +171,24 @@ func AdaptiveEncodeWords(dst []byte, sw []uint64, tail []byte, common bool) []by
 	defer PutBuf(bp)
 	bm := wordio.Resize(bp, (n+7)/8)
 	clear(bm)
-	scratch := wordio.Scratch64(n)
+	scratch := wordio.Scratch64(2 * n)
 	defer scratch.Done()
-	bw := uint(64 - k)
-	nKept := 0
-	for i, v := range sw {
-		if lead[i] < k { // top piece must be emitted
-			bm[i>>3] |= 0x80 >> (i & 7)
-			scratch.W[nKept] = v >> bw
-			nKept++
-		}
-	}
+	tops, bots := scratch.W[:n], scratch.W[n:]
+	nKept := adaptiveKept(bm, tops, bots, sw, k, common)
 	dst = appendRepeatBitmap(dst, bm)
-	// Kept top pieces then bottom pieces, each padded to a byte boundary —
-	// the same layout PackWidth64 produces, without the intermediate
-	// []uint64 slices.
-	dst = adaptivePackFast(dst, sw, scratch.W, k, nKept)
-	return append(dst, tail...)
+	return append(adaptivePack(dst, tops[:nKept], bots, k), tail...)
 }
 
-// adaptivePackFast emits the kept-then-bottom bit layout with a
-// register-resident accumulator flushed 32 bits at a time into pre-grown
-// dst (see mplg.go for the nacc < 32 invariant); fields wider than 32 bits
-// are written as two sub-32-bit halves.
-//
-// Both regions run through a dense word slice — kept top pieces already
-// shifted down to their k-bit fields by the caller's bitmap pass (scratch,
-// len(sw) capacity, first nKept entries valid), bottoms masked to 64-k
-// bits in place — so each region is one simd.Pack64 call, which (like
-// the MPLG encoder it was built for) ORs whole source words and so
-// requires every value to fit its field.
-func adaptivePackFast(dst []byte, sw, scratch []uint64, k, nKept int) []byte {
-	kw := uint(k)
+// adaptivePack appends the kept k-bit tops, then the (64-k)-bit bottoms,
+// each region byte-aligned and each one simd.Pack64 call, which ORs whole
+// source words and so requires every value to fit its field.
+func adaptivePack(dst []byte, tops, bots []uint64, k int) []byte {
 	bw := uint(64 - k)
 	start := len(dst)
-	dst = Grow(dst, (nKept*k+7)/8+(len(sw)*int(bw)+7)/8+8)
-	buf := dst
-	bp := start
-	bp = packDense(buf, bp, scratch[:nKept], kw)
+	dst = Grow(dst, (len(tops)*k+7)/8+(len(bots)*int(bw)+7)/8+8)
+	bp := packDense(dst, start, tops, uint(k))
 	if bw > 0 {
-		mask := uint64(1)<<bw - 1
-		for i, v := range sw {
-			scratch[i] = v & mask
-		}
-		bp = packDense(buf, bp, scratch, bw)
+		bp = packDense(dst, bp, bots, bw)
 	}
 	return dst[:bp]
 }
@@ -240,7 +266,7 @@ func adaptiveInverseInto(dst, enc []byte, repeat bool, maxDecoded int) ([]byte, 
 	// Both bit regions are exactly sized, so the reads cannot run short: no
 	// per-read truncation handling.
 	ow := wordio.Out64(out)
-	adaptiveUnpack(ow.W, bm, kept, bot, k, repeat)
+	adaptiveUnpack(ow.W, bm, kept, bot, k, nKept, repeat)
 	ow.Done()
 	if tailLen > 0 {
 		if len(body) < tailLen {
@@ -251,37 +277,72 @@ func adaptiveInverseInto(dst, enc []byte, repeat bool, maxDecoded int) ([]byte, 
 	return dst, nil
 }
 
-// adaptiveUnpack reassembles the words through a 64-bit load window
-// over a zero-padded pooled copy of the kept and bottom regions (two bit
-// cursors, every read one load plus shifts). The regions' exact sizing is
-// the caller's responsibility.
-func adaptiveUnpack(ow []uint64, bm, kept, bot []byte, k int, repeat bool) {
+// adaptiveUnpack reassembles the words in three bulk passes over a
+// zero-padded pooled copy of the kept and bottom regions (the 8 bytes of
+// slack simd.Unpack64 reads past the last field): the (64-k)-bit bottoms
+// unpack straight into ow, the nKept k-bit tops into pooled scratch, and
+// adaptiveMerge ORs every word's top into place. The regions' exact
+// sizing, and nKept matching the bitmap's set bits below len(ow), are the
+// caller's responsibility.
+func adaptiveUnpack(ow []uint64, bm, kept, bot []byte, k, nKept int, repeat bool) {
 	sp := GetBuf()
 	defer PutBuf(sp)
 	pad := wordio.Resize(sp, len(kept)+len(bot)+8)
 	copy(pad, kept)
 	copy(pad[len(kept):], bot)
 	clear(pad[len(kept)+len(bot):])
-	kw := uint(k)
 	bw := uint(64 - k)
-	kpos := uint(0)
-	bpos := uint(len(kept)) * 8
-	prevTop := uint64(0)
-	for i := range ow {
-		var top uint64
-		if bm[i>>3]&(0x80>>(i&7)) != 0 {
-			top = wordio.LoadBits(pad, kpos, kw)
-			kpos += kw
-		} else if repeat {
-			top = prevTop
+	if bw > 0 {
+		simd.Unpack64(ow, pad, uint64(len(kept))*8, bw, false)
+	} else {
+		clear(ow)
+	}
+	tops := wordio.Scratch64(1 + nKept)
+	defer tops.Done()
+	tops.W[0] = 0
+	simd.Unpack64(tops.W[1:], pad, 0, uint(k), false)
+	adaptiveMerge(ow, bm, tops.W, bw, repeat)
+}
+
+// adaptiveMerge ORs each word's top piece, shifted up by bw, into ow a
+// bitmap byte at a time: the next kept top for a set bit, otherwise zero
+// (RAZE, so an all-zero byte costs nothing) or the previous word's top
+// (RARE, one OR per word for an all-zero byte). An all-one byte takes the
+// next eight tops in either mode. tops[0] is a zero sentinel and tops[1:]
+// the kept tops, so with j counting the set bits so far, tops[j] is the
+// current RARE top and no word needs a branch. The pad bits of the final
+// partial byte are masked off, so only words below len(ow) consume tops.
+func adaptiveMerge(ow []uint64, bm []byte, tops []uint64, bw uint, repeat bool) {
+	bw &= 63
+	j := uint(0)
+	for b := 0; b*8 < len(ow); b++ {
+		o := ow[b*8 : min(b*8+8, len(ow))]
+		c := uint(bm[b] & byte(0xff<<(8-len(o))))
+		switch {
+		case c == 0 && !repeat:
+		case c == 0:
+			top := tops[j] << bw
+			for x := range o {
+				o[x] |= top
+			}
+		case c == 0xff:
+			t := tops[j+1 : j+9 : j+9]
+			for x := range o {
+				o[x] |= t[x] << bw
+			}
+			j += 8
+		case !repeat:
+			for x := range o {
+				bit := c >> (7 - x) & 1
+				j += bit
+				o[x] |= tops[j] << bw & -uint64(bit)
+			}
+		default:
+			for x := range o {
+				j += c >> (7 - x) & 1
+				o[x] |= tops[j] << bw
+			}
 		}
-		var b uint64
-		if bw > 0 {
-			b = wordio.LoadBits(pad, bpos, bw)
-			bpos += bw
-		}
-		ow[i] = top<<bw | b
-		prevTop = top
 	}
 }
 

@@ -2,7 +2,8 @@ package fused
 
 // Fused-kernel microbenchmarks over one 16 KiB chunk, paired against
 // their stage-by-stage reference pipelines so the fusion win is measured
-// directly. BenchmarkFusedForward/BenchmarkFusedInverse feed `go test
+// directly; Ratio64 also runs on an FCM-stream chunk of internal/sdr
+// data (the sdr-fcm rows), the traffic whole-input DPratio feeds it. BenchmarkFusedForward/BenchmarkFusedInverse feed `go test
 // -bench`; TestEmitFusedBench merges fused rows into the repository-root
 // BENCH_transforms.json written by the transforms emitter (regenerate
 // both with `make bench-transforms`).
@@ -14,10 +15,13 @@ import (
 	"math"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"fpcompress/internal/sdr"
 	"fpcompress/internal/simd"
+	"fpcompress/internal/transforms"
 	"fpcompress/internal/wordio"
 )
 
@@ -39,6 +43,20 @@ func benchData(word wordio.WordSize) []byte {
 	}
 	return b
 }
+
+// dpRatioChunk is the chunk whole-input DPratio's Ratio64 kernel sees: the
+// FCM stream of the 20 internal/sdr double-precision files (one chunk of
+// values each, concatenated), cut at the 16 KiB that straddle the
+// stream's value/distance boundary, so it holds both halves.
+var dpRatioChunk = sync.OnceValue(func() []byte {
+	var src []byte
+	for _, f := range sdr.DoubleFiles(sdr.Config{ValuesPerFile: benchChunk / 8}) {
+		src = append(src, f.Data...)
+	}
+	stream := transforms.FCM{}.ForwardInto(nil, src)
+	mid := len(stream) / 2
+	return stream[mid-benchChunk/2 : mid+benchChunk/2]
+})
 
 type benchFused struct {
 	k    Kernel
@@ -86,6 +104,16 @@ func BenchmarkFusedForward(b *testing.B) {
 			}
 		})
 	}
+	b.Run(sharedRatio64.Name()+"/sdr-fcm", func(b *testing.B) {
+		src := dpRatioChunk()
+		var dst []byte
+		b.SetBytes(benchChunk)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			dst = sharedRatio64.ForwardInto(dst[:0], src)
+		}
+	})
 }
 
 func BenchmarkFusedInverse(b *testing.B) {
@@ -106,6 +134,19 @@ func BenchmarkFusedInverse(b *testing.B) {
 			})
 		}
 	}
+	b.Run(sharedRatio64.Name()+"/sdr-fcm", func(b *testing.B) {
+		enc := sharedRatio64.ForwardInto(nil, dpRatioChunk())
+		var dst []byte
+		var err error
+		b.SetBytes(benchChunk)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if dst, err = sharedRatio64.InverseInto(dst[:0], enc, benchChunk); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // transformBenchResult/Report mirror the transforms emitter's JSON schema

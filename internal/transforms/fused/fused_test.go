@@ -294,17 +294,11 @@ func TestFusedGateStats(t *testing.T) {
 			t.Fatalf("len %d: 64-bit histogram differs", n)
 		}
 
-		// Ratio64's stats pass runs over the same diff stream, so it must
-		// produce the identical histogram alongside a reference-identical
-		// encode.
+		// Ratio64 keeps no gate statistics; its encode over the same diff
+		// stream must still be reference-identical.
 		kr := NewRatio64()
-		var gsr GateStats
-		encr := kr.ForwardStatsInto(nil, data, &gsr)
-		if want := kr.Pipeline().ForwardInto(nil, data); !bytes.Equal(encr, want) {
-			t.Fatalf("len %d: ratio64 stats forward differs from reference", n)
-		}
-		if gsr.Words != words || gsr.Hist != hist {
-			t.Fatalf("len %d: ratio64 gate stats differ", n)
+		if enc, want := kr.ForwardInto(nil, data), kr.Pipeline().ForwardInto(nil, data); !bytes.Equal(enc, want) {
+			t.Fatalf("len %d: ratio64 forward differs from reference", n)
 		}
 	}
 }

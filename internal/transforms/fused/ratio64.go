@@ -1,8 +1,6 @@
 package fused
 
 import (
-	"math/bits"
-
 	"fpcompress/internal/bitio"
 	"fpcompress/internal/simd"
 	"fpcompress/internal/transforms"
@@ -37,35 +35,20 @@ func (k *Ratio64) Pipeline() transforms.Pipeline { return k.ref }
 
 // ForwardInto implements Kernel.
 func (k *Ratio64) ForwardInto(dst, src []byte) []byte {
-	return k.ForwardStatsInto(dst, src, nil)
-}
-
-// ForwardStatsInto is ForwardInto plus the selector gate's leading-zero
-// histogram of the diff stream (the RAZE→RARE cost-model input),
-// accumulated over the pooled diff words the fused pass materializes
-// anyway. gs may be nil.
-func (k *Ratio64) ForwardStatsInto(dst, src []byte, gs *GateStats) []byte {
 	in := wordio.In64(src)
 	defer in.Done()
-	return ratio64Forward(dst, in.W, src[len(in.W)*8:], gs)
+	return ratio64Forward(dst, in.W, src[len(in.W)*8:])
 }
 
 // ratio64Forward is the shared fused core: diff+zigzag sw into pooled
 // words, RAZE-encode them (with the verbatim tail) into pooled bytes, and
 // RARE-encode that stream into dst. Byte-identical to the stage-by-stage
 // DIFFMS64→RAZE→RARE pipeline.
-func ratio64Forward(dst []byte, sw []uint64, tail []byte, gs *GateStats) []byte {
+func ratio64Forward(dst []byte, sw []uint64, tail []byte) []byte {
 	diff := wordio.Scratch64(len(sw))
 	defer diff.Done()
 	dw := diff.W
 	simd.DiffZigOr64(dw, sw, 0)
-	if gs != nil {
-		gs.Words = len(sw)
-		gs.Hist = [65]int{}
-		for _, z := range dw {
-			gs.Hist[bits.LeadingZeros64(z)]++
-		}
-	}
 	rp := transforms.GetBuf()
 	defer transforms.PutBuf(rp)
 	razed := transforms.AdaptiveEncodeWords((*rp)[:0], dw, tail, false)
@@ -73,35 +56,40 @@ func ratio64Forward(dst []byte, sw []uint64, tail []byte, gs *GateStats) []byte 
 	return transforms.RARE{}.ForwardInto(dst, razed)
 }
 
-// InverseInto implements Kernel: RARE and RAZE decode under the pipeline's
-// interior stage budget through pooled scratch, and the final DIFFMS64
-// prefix-sum reconstruction (already a fused one-pass kernel) writes into
-// dst; the decoded length is then checked against maxDecoded exactly, as
-// Pipeline.InverseInto does.
+// InverseInto implements Kernel: ratio64Inverse decodes under the
+// pipeline's interior stage budget, and the decoded length is then checked
+// against maxDecoded exactly, as Pipeline.InverseInto does.
 func (k *Ratio64) InverseInto(dst, enc []byte, maxDecoded int) ([]byte, error) {
-	sb := transforms.StageBudget(maxDecoded)
+	out, err := ratio64Inverse(dst, enc, transforms.StageBudget(maxDecoded))
+	if err != nil {
+		return nil, err
+	}
+	if maxDecoded >= 0 && len(out)-len(dst) > maxDecoded {
+		return nil, transforms.Corruptf("pipeline: decoded length %d exceeds budget %d", len(out)-len(dst), maxDecoded)
+	}
+	return out, nil
+}
+
+// ratio64Inverse appends the RARE → RAZE → DIFFMS64 decode of enc to dst,
+// every stage under the stage budget sb: RARE and RAZE decode into pooled
+// scratch, and the DIFFMS64 prefix sum writes into dst. It serves Ratio64
+// and both FCMRatio64 segments.
+func ratio64Inverse(dst, enc []byte, sb int) ([]byte, error) {
 	rp := transforms.GetBuf()
 	defer transforms.PutBuf(rp)
 	bitted, err := transforms.RARE{}.InverseInto((*rp)[:0], enc, sb)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	*rp = bitted
 	zp := transforms.GetBuf()
 	defer transforms.PutBuf(zp)
 	diffed, err := transforms.RAZE{}.InverseInto((*zp)[:0], bitted, sb)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	*zp = diffed
-	if maxDecoded >= 0 && len(diffed) > maxDecoded {
-		return nil, transforms.Corruptf("pipeline: decoded length %d exceeds budget %d", len(diffed), maxDecoded)
-	}
-	out, err := transforms.DiffMS{Word: wordio.W64}.InverseInto(dst, diffed, maxDecoded)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return transforms.DiffMS{Word: wordio.W64}.InverseInto(dst, diffed, sb)
 }
 
 // FCMRatio64 is the fused windowed-DPratio kernel, FCMW64's one-pass
@@ -146,11 +134,11 @@ func (k *FCMRatio64) ForwardInto(dst, src []byte) []byte {
 	splitW := transforms.FCMWSplit(len(src)) / 8
 	ap := transforms.GetBuf()
 	defer transforms.PutBuf(ap)
-	encA := ratio64Forward((*ap)[:0], fw[:splitW], nil, nil)
+	encA := ratio64Forward((*ap)[:0], fw[:splitW], nil)
 	*ap = encA
 	dst = bitio.AppendUvarint(dst, uint64(len(encA)))
 	dst = append(dst, encA...)
-	return ratio64Forward(dst, fw[splitW:], fcmOut[len(fw)*8:], nil)
+	return ratio64Forward(dst, fw[splitW:], fcmOut[len(fw)*8:])
 }
 
 // InverseInto implements Kernel: each segment's Ratio64 stages decode
@@ -166,12 +154,12 @@ func (k *FCMRatio64) InverseInto(dst, enc []byte, maxDecoded int) ([]byte, error
 	sb := transforms.StageBudget(maxDecoded)
 	sp := transforms.GetBuf()
 	defer transforms.PutBuf(sp)
-	stream, err := fcmwSegInverse((*sp)[:0], enc[m:m+int(lenA)], sb)
+	stream, err := ratio64Inverse((*sp)[:0], enc[m:m+int(lenA)], sb)
 	if err != nil {
 		*sp = stream
 		return nil, transforms.Corruptf("fcmw: value segment: %v", err)
 	}
-	stream, err = fcmwSegInverse(stream, enc[m+int(lenA):], sb)
+	stream, err = ratio64Inverse(stream, enc[m+int(lenA):], sb)
 	*sp = stream
 	if err != nil {
 		return nil, transforms.Corruptf("fcmw: distance segment: %v", err)
@@ -184,24 +172,4 @@ func (k *FCMRatio64) InverseInto(dst, enc []byte, maxDecoded int) ([]byte, error
 		return nil, transforms.Corruptf("pipeline: decoded length %d exceeds budget %d", len(out)-len(dst), maxDecoded)
 	}
 	return out, nil
-}
-
-// fcmwSegInverse appends one FCMW segment's decode (RARE → RAZE →
-// DIFFMS64) to dst under the stage budget.
-func fcmwSegInverse(dst, enc []byte, sb int) ([]byte, error) {
-	rp := transforms.GetBuf()
-	defer transforms.PutBuf(rp)
-	bitted, err := transforms.RARE{}.InverseInto((*rp)[:0], enc, sb)
-	if err != nil {
-		return dst, err
-	}
-	*rp = bitted
-	zp := transforms.GetBuf()
-	defer transforms.PutBuf(zp)
-	diffed, err := transforms.RAZE{}.InverseInto((*zp)[:0], bitted, sb)
-	if err != nil {
-		return dst, err
-	}
-	*zp = diffed
-	return transforms.DiffMS{Word: wordio.W64}.InverseInto(dst, diffed, sb)
 }

@@ -17,7 +17,11 @@ const fuzzBudget = 1 << 20
 // arbitrary bytes: decoding must never panic, never report success with
 // more than the budgeted bytes, and genuine encodings must keep round-
 // tripping (the fuzzer mutates from those seeds).
-func fuzzInverse(f *testing.F, trs ...Transform) {
+func fuzzInverse(f *testing.F, trs ...Transform) { fuzzInverseWith(f, nil, trs...) }
+
+// fuzzInverseWith is fuzzInverse plus an optional per-input check run
+// before the shared ones.
+func fuzzInverseWith(f *testing.F, check func(t *testing.T, enc []byte), trs ...Transform) {
 	f.Add([]byte{})
 	f.Add([]byte{0x80})
 	f.Add(bitio.AppendUvarint(nil, 1<<40))
@@ -28,6 +32,9 @@ func fuzzInverse(f *testing.F, trs ...Transform) {
 		f.Add(tr.Forward([]byte{1}))
 	}
 	f.Fuzz(func(t *testing.T, enc []byte) {
+		if check != nil {
+			check(t, enc)
+		}
 		for _, tr := range trs {
 			dec, err := tr.InverseLimit(enc, fuzzBudget)
 			if err != nil {
@@ -88,11 +95,31 @@ func FuzzFCMInverse(f *testing.F) {
 }
 
 func FuzzRAZEInverse(f *testing.F) {
-	fuzzInverse(f, RAZE{})
+	fuzzAdaptiveInverse(f, RAZE{}, false)
 }
 
 func FuzzRAREInverse(f *testing.F) {
-	fuzzInverse(f, RARE{})
+	fuzzAdaptiveInverse(f, RARE{}, true)
+}
+
+// fuzzAdaptiveInverse fuzzes RAZE or RARE from the hand-built stream seeds
+// (every split k, partial bitmap bytes with pad bits set, 0-7 byte tails),
+// and holds the decoder to the word-at-a-time reference: every input must
+// fail with the same error or decode to the same bytes.
+func fuzzAdaptiveInverse(f *testing.F, tr Transform, repeat bool) {
+	for _, s := range adaptiveSeeds() {
+		f.Add(s)
+	}
+	fuzzInverseWith(f, func(t *testing.T, enc []byte) {
+		got, err := tr.InverseLimit(enc, fuzzBudget)
+		want, werr := refAdaptiveInverse(enc, repeat, fuzzBudget)
+		if (err == nil) != (werr == nil) || err != nil && err.Error() != werr.Error() {
+			t.Fatalf("%s: error %v, reference error %v", tr.Name(), err, werr)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: decode differs from the reference decoder", tr.Name())
+		}
+	}, tr)
 }
 
 // FuzzPipelineInverse drives the full DPratio chunk pipeline — the deepest

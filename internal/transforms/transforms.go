@@ -124,10 +124,6 @@ func GetBuf() *[]byte { return bufPool.Get().(*[]byte) }
 // PutBuf returns a buffer taken with GetBuf.
 func PutBuf(p *[]byte) { bufPool.Put(p) }
 
-// intPool holds reusable []int scratch (the adaptive transforms' per-word
-// lead counts).
-var intPool = sync.Pool{New: func() any { return new([]int) }}
-
 // Transform is one reversible stage of a compression pipeline. Forward may
 // return a slice longer or shorter than src; Inverse must reproduce the
 // exact Forward input.

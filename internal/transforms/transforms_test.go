@@ -428,38 +428,6 @@ func TestRAREEliminatesCommonPrefixes(t *testing.T) {
 	roundtrip(t, RARE{}, src)
 }
 
-// TestAdaptiveSplitModel cross-checks bestSplitHist's closed-form size
-// against a brute-force bit count.
-func TestAdaptiveSplitModel(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	words := make([]uint64, 512)
-	for i := range words {
-		words[i] = uint64(rng.Int63()) >> uint(rng.Intn(64))
-	}
-	lead := make([]int, len(words))
-	var hist [65]int
-	computeLead(lead, &hist, words, false)
-	k, _ := bestSplitHist(&hist, len(words))
-	model := func(k int) int {
-		if k == 0 {
-			return 64 * len(words)
-		}
-		kept := 0
-		for _, l := range lead {
-			if l < k {
-				kept++
-			}
-		}
-		return len(words) + kept*k + (64-k)*len(words)
-	}
-	best := model(k)
-	for kk := 0; kk <= 64; kk++ {
-		if model(kk) < best {
-			t.Fatalf("bestSplitHist picked k=%d (size %d) but k=%d gives %d", k, best, kk, model(kk))
-		}
-	}
-}
-
 // TestPipelineInverseOrder ensures Pipeline applies inverses in reverse.
 func TestPipelineInverseOrder(t *testing.T) {
 	p := Pipeline{
