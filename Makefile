@@ -30,8 +30,7 @@ vet:
 # core's pre-stage plumbing, the transform kernels and the fused
 # single-pass kernels (the differential offset tests cover both the
 # aliased word views and the copy-in/copy-out scratch route, and
-# fused-vs-reference), and the whole-input FCM's parallel encoder and
-# decoder.
+# fused-vs-reference), and the whole-input FCM's parallel encoder.
 race:
 	$(GO) test -race -count=1 ./internal/server/...
 	$(GO) test -race -count=1 ./internal/container/... ./internal/core/...

@@ -238,7 +238,7 @@ func (a *Algorithm) decompress(dst, data []byte, p container.Params, partial boo
 	if rep != nil && !rep.AllOK() {
 		return nil, rep, fmt.Errorf("%w: %s (%s)", ErrPreStagePartial, a.ID, rep.Summary())
 	}
-	out, err := a.preInverse(dst, buf, p)
+	out, err := a.Pre.InverseInto(dst, buf, p.DecodeBudget())
 	if err != nil {
 		return nil, rep, err
 	}
@@ -259,23 +259,12 @@ func (a *Algorithm) preParams(p container.Params) container.Params {
 	return p
 }
 
-// workerStage is a whole-input pre-stage whose encode and decode take a
-// worker cap (0 = GOMAXPROCS), as transforms.FCM does; the worker count
-// never changes its bytes. CompressAppend and preInverse pass it p's
-// Parallelism, so the cap reaches the pre-stage as it reaches the chunks.
+// workerStage is a whole-input pre-stage whose encode takes a worker cap
+// (0 = GOMAXPROCS), as transforms.FCM does; the worker count never
+// changes its bytes. CompressAppend passes it p's Parallelism, so the cap
+// reaches the pre-stage as it reaches the chunks.
 type workerStage interface {
 	ForwardWorkers(dst, src []byte, workers int) []byte
-	InverseWorkers(dst, enc []byte, maxDecoded, workers int) ([]byte, error)
-}
-
-// preInverse decodes the pre-stage intermediate buf onto dst under p's
-// decode budget, passing p's worker cap to a pre-stage that takes one.
-func (a *Algorithm) preInverse(dst, buf []byte, p container.Params) ([]byte, error) {
-	budget := p.DecodeBudget()
-	if f, ok := a.Pre.(workerStage); ok {
-		return f.InverseWorkers(dst, buf, budget, p.Parallelism)
-	}
-	return a.Pre.InverseInto(dst, buf, budget)
 }
 
 // ErrWindowedMismatch reports a container whose windowed flag disagrees

@@ -188,8 +188,9 @@ func TestParallelCompressionIsDeterministic(t *testing.T) {
 }
 
 // TestPreStageDecodeParallelism decodes one whole-input DPratio container,
-// large enough for the FCM pre-stage's parallel resolver, at several
-// worker caps through both decode entry points: the bytes never change.
+// large enough for the FCM pre-stage's parallel encoder and with far
+// repeats, at several worker caps through both decode entry points: the
+// bytes never change.
 func TestPreStageDecodeParallelism(t *testing.T) {
 	src := smoothDP(1<<17, 12)
 	copy(src[len(src)/2:], src) // far repeats give FCM distance chains

@@ -383,15 +383,28 @@ func Unpack32(dst []uint32, pad []byte, pos uint64, keep uint, unzig bool) uint6
 	return pos
 }
 
-// Unpack64 is the 64-bit variant of Unpack32 (keep <= 64). A field wider
-// than 57 bits can straddle the load window by up to 7 bits, which
-// wordio.LoadBits reads from one spill byte.
+// Unpack64 is the 64-bit variant of Unpack32 (keep <= 64). A field of up
+// to 57 bits lies inside one load window. A wider one can straddle it by
+// up to 7 bits, so its window is the load shifted left by pos&7 with the
+// next (spill) byte shifted in below; such a field's last byte lies at
+// least 7 bytes past its first, so the spill byte is inside pad.
 func Unpack64(dst []uint64, pad []byte, pos uint64, keep uint, unzig bool) uint64 {
 	n, pos := accelUnpack64(dst, pad, pos, keep, unzig)
 	dst = dst[n:]
-	for i := range dst {
-		dst[i] = wordio.LoadBits(pad, uint(pos), keep)
-		pos += uint64(keep)
+	sh := 64 - keep
+	if keep <= 57 {
+		mask := uint64(1)<<keep - 1
+		for i := range dst {
+			x := binary.BigEndian.Uint64(pad[pos>>3:])
+			dst[i] = x >> (sh - uint(pos&7)) & mask
+			pos += uint64(keep)
+		}
+	} else {
+		for i := range dst {
+			b, off := pad[pos>>3:], uint(pos&7)
+			dst[i] = (binary.BigEndian.Uint64(b)<<off | uint64(b[8])>>(8-off)) >> sh
+			pos += uint64(keep)
+		}
 	}
 	if unzig {
 		for i, v := range dst {

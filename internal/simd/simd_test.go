@@ -420,6 +420,42 @@ func TestUnpack64(t *testing.T) {
 	}
 }
 
+// TestUnpack64Wide checks Unpack64's scalar body, which the dispatch
+// levels are compared against, field by field against wordio.LoadBits
+// for the widths around its 57-bit window switch, from every start bit
+// within a byte, on a stream whose pad is the 8 zero bytes past its last
+// field byte and no more.
+func TestUnpack64Wide(t *testing.T) {
+	defer Enable()
+	Disable()
+	r := rand.New(rand.NewSource(16))
+	for keep := uint(55); keep <= 64; keep++ {
+		for off := uint64(0); off < 8; off++ {
+			for _, n := range []int{1, 2, 5, 67} {
+				pos := 8*uint64(r.Intn(3)) + off
+				pad := make([]byte, (pos+uint64(keep)*uint64(n)+7)/8+8)
+				r.Read(pad[:len(pad)-8])
+				for _, unzig := range []bool{false, true} {
+					dst := make([]uint64, n)
+					end := Unpack64(dst, pad, pos, keep, unzig)
+					if want := pos + uint64(keep)*uint64(n); end != want {
+						t.Fatalf("keep=%d pos=%d n=%d: ended at bit %d, want %d", keep, pos, n, end, want)
+					}
+					for i, got := range dst {
+						want := wordio.LoadBits(pad, uint(pos)+uint(i)*keep, keep)
+						if unzig {
+							want = wordio.UnZigZag64(want)
+						}
+						if got != want {
+							t.Fatalf("keep=%d pos=%d n=%d unzig=%v field %d: %#x, LoadBits %#x", keep, pos, n, unzig, i, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestBit32(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
 	for _, nb := range testBlocks {

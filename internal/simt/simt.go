@@ -3,7 +3,8 @@
 // log-step scans (for DIFFMS decoding and RZE compaction), warp-shuffle
 // bit transposition (for BIT), parallel max reductions (for MPLG), and
 // Merrill & Garland's decoupled look-back scan (for communicating chunk
-// write positions between thread blocks).
+// write positions between thread blocks). FCM's parallel "find" decoder
+// is modelled in the tests only (fcm_test.go).
 //
 // Every routine here is a *parallel formulation* — data flows exactly as
 // it would between GPU lanes, in log-step rounds — and is cross-checked in

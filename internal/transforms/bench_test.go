@@ -5,8 +5,8 @@ package transforms
 // pipeline hot path runs. BenchmarkForward/BenchmarkInverse feed `go test
 // -bench`; TestEmitTransformsBench writes BENCH_transforms.json at the
 // repository root with MB/s per kernel (regenerate with `make
-// bench-transforms`). BenchmarkFCMForward measures the whole-input FCM
-// encoder across input sizes instead.
+// bench-transforms`). BenchmarkFCMForward and BenchmarkFCMInverse measure
+// the whole-input FCM encoder and decoder across input sizes instead.
 
 import (
 	"encoding/json"
@@ -146,6 +146,32 @@ func BenchmarkFCMForward(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					dst = FCM{}.ForwardWorkers(dst[:0], src, w)
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkFCMInverse measures the whole-input FCM decoder over the same
+// sizes, decoding into a reused dst and into a nil one (which allocates
+// the output every time).
+func BenchmarkFCMInverse(b *testing.B) {
+	for _, size := range []int{16 << 10, 256 << 10, 2 << 20, 8 << 20, 32 << 20} {
+		for _, dstKind := range []string{"reused", "nil"} {
+			b.Run(fmt.Sprintf("%dKiB/%s", size>>10, dstKind), func(b *testing.B) {
+				enc := FCM{}.Forward(fcmBenchData()[:size])
+				var dst []byte
+				b.SetBytes(int64(size))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					out, err := FCM{}.InverseInto(dst[:0], enc, NoLimit)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if dstKind == "reused" {
+						dst = out
+					}
 				}
 			})
 		}

@@ -16,9 +16,8 @@ import (
 // hash are examined for an equal value, per paper §3.2.
 const fcmWindow = 4
 
-// fcmParallelMin is the word count from which the whole-input encoder and
-// decoder use more than one worker: the partitioned encoder and the
-// parallel union-find reconstruction. Tests lower it (see fcmPartWords).
+// fcmParallelMin is the word count from which the whole-input encoder
+// uses more than one worker. Tests lower it (see fcmPartWords).
 var fcmParallelMin = 1 << 16
 
 // FCM implements the Finite Context Method transformation (paper §3.2,
@@ -195,13 +194,25 @@ func fcmIndexPool[I fcmIndex]() *sync.Pool {
 	return &fcmIndexPools[1]
 }
 
+// fcmWorkers is the number of goroutines encoding n words under a cap of
+// workers (0 = GOMAXPROCS); inputs below fcmParallelMin take one.
+func fcmWorkers(n, workers int) int {
+	if n < fcmParallelMin {
+		return 1
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return workers
+}
+
 // fcmPlan returns the encoder's worker count and partition bits for n
 // words under a cap of workers (0 = GOMAXPROCS): a partition per
 // fcmPartWords words, at least one per worker and at most fcmMaxParts.
 // One worker partitions only inputs of fcmSerialPartMin partitions or
 // more; below that its single table is cheaper than the extra passes.
 func fcmPlan(n, workers int) (w int, pbits uint) {
-	w = fcmResolveWorkers(n, workers)
+	w = fcmWorkers(n, workers)
 	if w == 1 && n < fcmSerialPartMin*fcmPartWords {
 		return 1, 0
 	}
@@ -375,12 +386,12 @@ type fcmStep struct {
 	do     func(worker, block int)
 }
 
-// fcmTeam runs steps in order on w goroutines; the partitioned encoder and
-// the parallel decoder both run on it. Whichever goroutine is free
-// takes a step's next block, and none starts a step before every block of
-// the one before has finished. A goroutine waiting for those last blocks
-// yields rather than parks, and one that starts late joins at the current
-// step, so a slow thread wake-up costs the team only that thread's help.
+// fcmTeam runs steps in order on w goroutines, the partitioned encoder's
+// schedule. Whichever goroutine is free takes a step's next block, and
+// none starts a step before every block of the one before has finished.
+// A goroutine waiting for those last blocks yields rather than parks, and
+// one that starts late joins at the current step, so a slow thread
+// wake-up costs the team only that thread's help.
 func fcmTeam(w int, steps ...fcmStep) {
 	claimed := make([]atomic.Int64, len(steps))
 	done := make([]atomic.Int64, len(steps))
@@ -590,17 +601,12 @@ func (f FCM) InverseLimit(enc []byte, maxDecoded int) ([]byte, error) {
 }
 
 // InverseInto implements Transform (see the package comment for the dst
-// ownership contract), resolving with up to GOMAXPROCS workers.
-func (f FCM) InverseInto(dst, enc []byte, maxDecoded int) ([]byte, error) {
-	return f.InverseWorkers(dst, enc, maxDecoded, 0)
-}
-
-// InverseWorkers is InverseInto resolving with at most workers goroutines
-// (0 = GOMAXPROCS), so a caller's worker cap reaches the whole-input
-// decode. The sequential path resolves straight from the encoded arrays
-// into dst; the parallel path needs mutable value/distance arrays, which
-// come from a pool. The worker count never changes the decoded bytes.
-func (FCM) InverseWorkers(dst, enc []byte, maxDecoded, workers int) ([]byte, error) {
+// ownership contract). It resolves the distances in one index-order pass,
+// straight from the encoded value and distance arrays into dst: a match
+// copies an earlier output word, which is already final when reached.
+// (The paper's GPU decoder walks distance chains in parallel instead,
+// union-find style; on a CPU the one pass is faster.)
+func (FCM) InverseInto(dst, enc []byte, maxDecoded int) ([]byte, error) {
 	if len(enc) < fcmHeaderLen {
 		return nil, Corruptf("FCM: missing length prefix")
 	}
@@ -627,18 +633,7 @@ func (FCM) InverseWorkers(dst, enc []byte, maxDecoded, workers int) ([]byte, err
 	ow := wordio.Out64(out[:n*8])
 	vw := wordio.In64(enc[hn : hn+n*8])
 	dw := wordio.In64(enc[hn+n*8 : hn+2*n*8])
-	var err error
-	if w := fcmResolveWorkers(n, workers); w > 1 {
-		// The parallel resolver clobbers its value and distance arrays.
-		vals, dists := wordio.Scratch64(n), wordio.Scratch64(n)
-		copy(vals.W, vw.W)
-		copy(dists.W, dw.W)
-		err = fcmResolveParallel(ow.W, vals.W, dists.W, w)
-		dists.Done()
-		vals.Done()
-	} else {
-		err = fcmResolveSeq(ow.W, vw.W, dw.W)
-	}
+	err := fcmResolve(ow.W, vw.W, dw.W)
 	dw.Done()
 	vw.Done()
 	ow.Done()
@@ -649,21 +644,10 @@ func (FCM) InverseWorkers(dst, enc []byte, maxDecoded, workers int) ([]byte, err
 	return dst, nil
 }
 
-// fcmResolveWorkers is the number of goroutines resolving n words under a
-// cap of workers (0 = GOMAXPROCS); 1 means the sequential resolver.
-func fcmResolveWorkers(n, workers int) int {
-	if n < fcmParallelMin {
-		return 1
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return workers
-}
-
-// fcmResolveSeq resolves distances in index order into out; every
+// fcmResolve resolves distances in index order into out; every
 // referenced word is already final when reached.
-func fcmResolveSeq(out, vals, dists []uint64) error {
+func fcmResolve(out, vals, dists []uint64) error {
+	out, vals = out[:len(dists)], vals[:len(dists)]
 	for i, d := range dists {
 		if d == 0 {
 			out[i] = vals[i]
@@ -674,44 +658,5 @@ func fcmResolveSeq(out, vals, dists []uint64) error {
 		}
 		out[i] = out[i-int(d)]
 	}
-	return nil
-}
-
-// fcmResolveParallel is the paper's parallel "find" (union-find style)
-// reconstruction into out: each worker follows non-zero distances until
-// it reaches a resolved slot, then publishes its own value and clears its
-// distance so other chains can stop there. The atomic store on the
-// distance array is the release barrier making the preceding value write
-// visible. vals and dists are clobbered.
-func fcmResolveParallel(out, vals, dists []uint64, workers int) error {
-	n := len(vals)
-	// Validate up front; workers then cannot walk out of bounds.
-	for i, d := range dists {
-		if d > uint64(i) {
-			return Corruptf("FCM: distance %d exceeds index %d", d, i)
-		}
-	}
-	const grain = 4096
-	fcmTeam(workers, fcmStep{(n + grain - 1) / grain, func(_, b int) {
-		for i := b * grain; i < min((b+1)*grain, n); i++ {
-			d := atomic.LoadUint64(&dists[i])
-			if d == 0 {
-				out[i] = vals[i]
-				continue
-			}
-			j := i - int(d)
-			for {
-				dj := atomic.LoadUint64(&dists[j])
-				if dj == 0 {
-					break
-				}
-				j -= int(dj)
-			}
-			v := vals[j]
-			out[i] = v
-			vals[i] = v
-			atomic.StoreUint64(&dists[i], 0)
-		}
-	}})
 	return nil
 }

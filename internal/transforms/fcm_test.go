@@ -75,9 +75,9 @@ func fcmEncoderCorpus() [][]byte {
 	return corpus
 }
 
-// withFCMTuning lowers the whole-input FCM's worker gate and partition
-// size for one test, so that small inputs take the partitioned and
-// parallel paths.
+// withFCMTuning lowers the whole-input encoder's worker gate and
+// partition size for one test, so that small inputs take the partitioned
+// and parallel paths.
 func withFCMTuning(tb testing.TB, parallelMin, partWords int) {
 	m, w := fcmParallelMin, fcmPartWords
 	tb.Cleanup(func() { fcmParallelMin, fcmPartWords = m, w })
@@ -124,31 +124,17 @@ func TestFCMSlotSeedIndependent(t *testing.T) {
 	}
 }
 
-// TestFCMResolveWorkers pins the encoder's and decoder's parallel gate: a
-// cap of one worker, or an input below the threshold, runs on one.
-func TestFCMResolveWorkers(t *testing.T) {
+// TestFCMWorkers pins the encoder's parallel gate: a cap of one worker,
+// or an input below the threshold, runs on one.
+func TestFCMWorkers(t *testing.T) {
 	for _, tc := range []struct{ n, workers, want int }{
 		{fcmParallelMin, 1, 1},
 		{fcmParallelMin - 1, 8, 1},
 		{fcmParallelMin, 2, 2},
 		{fcmParallelMin, 0, runtime.GOMAXPROCS(0)},
 	} {
-		if got := fcmResolveWorkers(tc.n, tc.workers); got != tc.want {
-			t.Errorf("fcmResolveWorkers(%d, %d) = %d, want %d", tc.n, tc.workers, got, tc.want)
-		}
-	}
-}
-
-// TestFCMInverseWorkersIdentical decodes one encoding above the parallel
-// threshold at several worker caps: the bytes never change.
-func TestFCMInverseWorkersIdentical(t *testing.T) {
-	src := append(smoothFloats64(fcmParallelMin+1234, 6), 1, 2, 3)
-	copy(src[len(src)/2:], src) // far repeats give long distance chains
-	enc := FCM{}.Forward(src)
-	for _, w := range []int{1, 2, 0} {
-		got, err := FCM{}.InverseWorkers(nil, enc, NoLimit, w)
-		if err != nil || !bytes.Equal(got, src) {
-			t.Errorf("workers %d: decode differs (err %v)", w, err)
+		if got := fcmWorkers(tc.n, tc.workers); got != tc.want {
+			t.Errorf("fcmWorkers(%d, %d) = %d, want %d", tc.n, tc.workers, got, tc.want)
 		}
 	}
 }

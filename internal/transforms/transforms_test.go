@@ -2,8 +2,11 @@ package transforms
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -340,10 +343,13 @@ func TestFCMFindsFarRepeats(t *testing.T) {
 	roundtrip(t, FCM{}, src)
 }
 
-// TestFCMParallelDecodeMatchesSequential forces both decode paths on the
-// same encoded data.
-func TestFCMParallelDecodeMatchesSequential(t *testing.T) {
-	n := fcmParallelMin + 1234 // above the parallel threshold
+// TestFCMRoundtripLongChains decodes inputs above the encoder's parallel
+// gate whose distances form long chains: random doubles with a third of
+// the words repeating a random earlier one, and smooth data (with a
+// 3-byte tail) whose second half repeats its first. Each decodes fresh
+// and appended to a non-empty dst, and must give back the source.
+func TestFCMRoundtripLongChains(t *testing.T) {
+	n := fcmParallelMin + 1234
 	words := make([]uint64, n)
 	rng := rand.New(rand.NewSource(9))
 	for i := range words {
@@ -353,42 +359,41 @@ func TestFCMParallelDecodeMatchesSequential(t *testing.T) {
 			words[i] = math.Float64bits(rng.NormFloat64())
 		}
 	}
-	src := wordio.Bytes64(words, n*8)
-	enc := FCM{}.Forward(src)
-	hn := 8 // fixed FCM header
-	vals := wordio.Words64(enc[hn:hn+n*8], false)
-	dists := wordio.Words64(enc[hn+n*8:hn+2*n*8], false)
-
-	seq := make([]uint64, n)
-	if err := fcmResolveSeq(seq, vals, dists); err != nil {
-		t.Fatal(err)
-	}
-	par := make([]uint64, n)
-	if err := fcmResolveParallel(par, vals, dists, 4); err != nil {
-		t.Fatal(err)
-	}
-	for i := range seq {
-		if seq[i] != par[i] {
-			t.Fatalf("decode mismatch at %d: seq %#x par %#x", i, seq[i], par[i])
-		}
-	}
-	for i := range seq {
-		if seq[i] != words[i] {
-			t.Fatalf("decode wrong at %d", i)
+	farRepeats := append(smoothFloats64(n, 6), 1, 2, 3)
+	copy(farRepeats[len(farRepeats)/2:], farRepeats) // far repeats give long distance chains
+	for _, src := range [][]byte{wordio.Bytes64(words, n*8), farRepeats} {
+		roundtrip(t, FCM{}, src)
+		prefix := []byte("prefix")
+		got, err := FCM{}.InverseInto(prefix, FCM{}.Forward(src), NoLimit)
+		if err != nil || !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], src) {
+			t.Errorf("%d bytes: appending decode differs (err %v)", len(src), err)
 		}
 	}
 }
 
-// TestFCMRejectsBadDistance ensures corrupt forward references fail cleanly.
+// TestFCMRejectsBadDistance overwrites one distance of a valid encoding
+// with one that reaches before the first word: at index 0, at the last
+// word, and past 64 Ki words into an input above the encoder's parallel
+// gate. Each decode fails with ErrCorrupt naming the distance and index.
 func TestFCMRejectsBadDistance(t *testing.T) {
-	words := []uint64{1, 2, 3, 4}
-	src := wordio.Bytes64(words, 32)
-	enc := FCM{}.Forward(src)
-	hn := 8 // fixed FCM header
-	// Overwrite distance[0] with an impossible backref.
-	wordio.PutU64(enc[hn+32:], 0, 99)
-	if _, err := (FCM{}).Inverse(enc); err == nil {
-		t.Error("corrupt distance accepted")
+	big := fcmParallelMin + 77
+	for _, tc := range []struct {
+		n, at int
+		d     uint64
+	}{
+		{4, 0, 99},
+		{big, 0, 1},
+		{big, big - 1, uint64(big)},
+		{big, big - 1, math.MaxUint64},
+		{big, 1 << 16, 1<<16 + 1},
+	} {
+		enc := FCM{}.Forward(smoothFloats64(tc.n, 8))
+		wordio.PutU64(enc[fcmHeaderLen+tc.n*8:], tc.at, tc.d)
+		_, err := FCM{}.Inverse(enc)
+		want := fmt.Sprintf("FCM: distance %d exceeds index %d", tc.d, tc.at)
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), want) {
+			t.Errorf("%d words, distance %d at %d: got %v, want %q", tc.n, tc.d, tc.at, err, want)
+		}
 	}
 }
 
