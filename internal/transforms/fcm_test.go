@@ -139,6 +139,30 @@ func TestFCMWorkers(t *testing.T) {
 	}
 }
 
+// TestFCMInverseWorkersIdentical decodes one encoding above the encoder's
+// parallel gate, smooth data (with a 3-byte tail) whose second half
+// repeats its first, at GOMAXPROCS 1, 2 and the default: the decode does
+// not depend on how many workers could run, and gives back the source
+// fresh and appended to a non-empty dst.
+func TestFCMInverseWorkersIdentical(t *testing.T) {
+	src := append(smoothFloats64(fcmParallelMin+1234, 6), 1, 2, 3)
+	copy(src[len(src)/2:], src) // far repeats give long distance chains
+	enc := FCM{}.Forward(src)
+	prefix := []byte("prefix")
+	for _, w := range []int{1, 2, runtime.GOMAXPROCS(0)} {
+		old := runtime.GOMAXPROCS(w)
+		got, err := FCM{}.Inverse(enc)
+		app, appErr := FCM{}.InverseInto(slices.Clone(prefix), enc, NoLimit)
+		runtime.GOMAXPROCS(old)
+		if err != nil || !bytes.Equal(got, src) {
+			t.Errorf("GOMAXPROCS %d: decode differs (err %v)", w, err)
+		}
+		if appErr != nil || !bytes.Equal(app[:len(prefix)], prefix) || !bytes.Equal(app[len(prefix):], src) {
+			t.Errorf("GOMAXPROCS %d: appending decode differs (err %v)", w, appErr)
+		}
+	}
+}
+
 // TestFCMForwardWorkersIdentical encodes inputs on both sides of the
 // parallel gate at several worker caps, and again with a partition size
 // small enough that one worker partitions too: the bytes never change.

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -343,12 +344,12 @@ func TestFCMFindsFarRepeats(t *testing.T) {
 	roundtrip(t, FCM{}, src)
 }
 
-// TestFCMRoundtripLongChains decodes inputs above the encoder's parallel
-// gate whose distances form long chains: random doubles with a third of
-// the words repeating a random earlier one, and smooth data (with a
-// 3-byte tail) whose second half repeats its first. Each decodes fresh
-// and appended to a non-empty dst, and must give back the source.
-func TestFCMRoundtripLongChains(t *testing.T) {
+// TestFCMParallelDecodeMatchesSequential decodes an input above the
+// encoder's parallel gate, random doubles with a third of the words
+// repeating a random earlier one (long match chains), from four
+// goroutines at once, fresh and appended to a non-empty dst: every
+// concurrent decode matches the one-goroutine decode and the source.
+func TestFCMParallelDecodeMatchesSequential(t *testing.T) {
 	n := fcmParallelMin + 1234
 	words := make([]uint64, n)
 	rng := rand.New(rand.NewSource(9))
@@ -359,14 +360,32 @@ func TestFCMRoundtripLongChains(t *testing.T) {
 			words[i] = math.Float64bits(rng.NormFloat64())
 		}
 	}
-	farRepeats := append(smoothFloats64(n, 6), 1, 2, 3)
-	copy(farRepeats[len(farRepeats)/2:], farRepeats) // far repeats give long distance chains
-	for _, src := range [][]byte{wordio.Bytes64(words, n*8), farRepeats} {
-		roundtrip(t, FCM{}, src)
-		prefix := []byte("prefix")
-		got, err := FCM{}.InverseInto(prefix, FCM{}.Forward(src), NoLimit)
-		if err != nil || !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], src) {
-			t.Errorf("%d bytes: appending decode differs (err %v)", len(src), err)
+	src := wordio.Bytes64(words, n*8)
+	enc := FCM{}.Forward(src)
+	seq, err := FCM{}.Inverse(enc)
+	if err != nil || !bytes.Equal(seq, src) {
+		t.Fatalf("sequential decode differs from the source (err %v)", err)
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, 4)
+	for g := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			prefix := []byte(fmt.Sprintf("prefix%d", g))
+			got, err := FCM{}.InverseInto(prefix, enc, NoLimit)
+			switch {
+			case err != nil:
+				errs[g] = err
+			case !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], seq):
+				errs[g] = errors.New("decode differs")
+			}
+		}()
+	}
+	wg.Wait()
+	for g, err := range errs {
+		if err != nil {
+			t.Errorf("goroutine %d: %v", g, err)
 		}
 	}
 }
