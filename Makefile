@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet check purego noasm crossarm fuzz-smoke corpus-check chaos salvage scrub bench-server bench-core bench-auto bench-transforms bench-smoke fpcd clean
+.PHONY: all build test race vet check purego noasm crossarm fuzz-smoke corpus-check chaos salvage scrub bench-server bench-core bench-auto bench-transforms bench-smoke fpcd loc clean
 
 all: check
 
@@ -155,6 +155,14 @@ crossarm:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/simd/
 	GOARCH=arm64 $(GO) test -c -o /dev/null ./internal/simd/
+
+# Prints the three line counts each change records in CHANGES.md:
+# non-test Go, test Go and assembly, over the files git tracks (stage new
+# files first; untracked ones are not counted).
+loc:
+	@printf 'non-test Go %6d\n' $$(git ls-files -z '*.go' ':(exclude)*_test.go' | xargs -0 cat | wc -l)
+	@printf 'test Go     %6d\n' $$(git ls-files -z '*_test.go' | xargs -0 cat | wc -l)
+	@printf 'assembly    %6d\n' $$(git ls-files -z '*.s' | xargs -0 cat | wc -l)
 
 # Builds the compression daemon to bin/fpcd.
 fpcd:

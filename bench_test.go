@@ -202,14 +202,14 @@ func BenchmarkTransforms(b *testing.B) {
 		b.Run(c.tr.Name()+"/Forward", func(b *testing.B) {
 			b.SetBytes(int64(len(c.data)))
 			for i := 0; i < b.N; i++ {
-				c.tr.Forward(c.data)
+				c.tr.ForwardInto(nil, c.data)
 			}
 		})
-		enc := c.tr.Forward(c.data)
+		enc := c.tr.ForwardInto(nil, c.data)
 		b.Run(c.tr.Name()+"/Inverse", func(b *testing.B) {
 			b.SetBytes(int64(len(c.data)))
 			for i := 0; i < b.N; i++ {
-				if _, err := c.tr.Inverse(enc); err != nil {
+				if _, err := c.tr.InverseInto(nil, enc, transforms.NoLimit); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -228,16 +228,16 @@ func BenchmarkAblations(b *testing.B) {
 		name string
 		p    transforms.Pipeline
 		data [][]byte
-		pre  transforms.Transform
+		pre  *transforms.FCM
 	}{
 		{"SPratio-full", transforms.Pipeline{transforms.DiffMS{Word: wordio.W32}, transforms.Bit{Word: wordio.W32}, transforms.RZE{}}, sp, nil},
 		{"SPratio-noBIT", transforms.Pipeline{transforms.DiffMS{Word: wordio.W32}, transforms.RZE{}}, sp, nil},
 		{"SPratio-noDIFFMS", transforms.Pipeline{transforms.Bit{Word: wordio.W32}, transforms.RZE{}}, sp, nil},
 		{"SPratio-RZEword", transforms.Pipeline{transforms.DiffMS{Word: wordio.W32}, transforms.Bit{Word: wordio.W32}, transforms.RZE{Granularity: 4}}, sp, nil},
-		{"DPratio-full", transforms.Pipeline{transforms.DiffMS{Word: wordio.W64}, transforms.RAZE{}, transforms.RARE{}}, dp, transforms.FCM{}},
+		{"DPratio-full", transforms.Pipeline{transforms.DiffMS{Word: wordio.W64}, transforms.RAZE{}, transforms.RARE{}}, dp, &transforms.FCM{}},
 		{"DPratio-noFCM", transforms.Pipeline{transforms.DiffMS{Word: wordio.W64}, transforms.RAZE{}, transforms.RARE{}}, dp, nil},
-		{"DPratio-noRARE", transforms.Pipeline{transforms.DiffMS{Word: wordio.W64}, transforms.RAZE{}}, dp, transforms.FCM{}},
-		{"DPratio-RZEnotRAZE", transforms.Pipeline{transforms.DiffMS{Word: wordio.W64}, transforms.RZE{}}, dp, transforms.FCM{}},
+		{"DPratio-noRARE", transforms.Pipeline{transforms.DiffMS{Word: wordio.W64}, transforms.RAZE{}}, dp, &transforms.FCM{}},
+		{"DPratio-RZEnotRAZE", transforms.Pipeline{transforms.DiffMS{Word: wordio.W64}, transforms.RZE{}}, dp, &transforms.FCM{}},
 		{"DPspeed-full", transforms.Pipeline{transforms.DiffMS{Word: wordio.W64}, transforms.MPLG{Word: wordio.W64}}, dp, nil},
 		{"DPspeed-noDIFFMS", transforms.Pipeline{transforms.MPLG{Word: wordio.W64}}, dp, nil},
 	}
@@ -325,7 +325,7 @@ func BenchmarkFCMWindow(b *testing.B) {
 		win := win
 		b.Run(winName(win), func(b *testing.B) {
 			a := &core.Algorithm{ID: core.ID(99), Word: wordio.W64,
-				Pre: transforms.FCM{Window: win},
+				Pre: &transforms.FCM{Window: win},
 				Chunked: transforms.Pipeline{
 					transforms.DiffMS{Word: wordio.W64},
 					transforms.RAZE{}, transforms.RARE{},

@@ -35,7 +35,7 @@ func figure2() {
 	for i, v := range vals {
 		fmt.Printf("  in : %5.2f = %032b\n", v, math.Float32bits(vals[i]))
 	}
-	enc := transforms.DiffMS{Word: wordio.W32}.Forward(src)
+	enc := transforms.DiffMS{Word: wordio.W32}.ForwardInto(nil, src)
 	for i := range vals {
 		fmt.Printf("  out:         %032b\n", wordio.U32(enc, i))
 	}
@@ -51,13 +51,13 @@ func figure3() {
 	for i, w := range words {
 		wordio.PutU32(src, i, w)
 	}
-	enc := transforms.MPLG{Word: wordio.W32}.Forward(src)
+	enc := transforms.MPLG{Word: wordio.W32}.ForwardInto(nil, src)
 	for _, w := range words {
 		fmt.Printf("  in : %032b (clz %d)\n", w, wordio.Clz32(w))
 	}
 	fmt.Printf("  encoded: %d bytes -> %d bytes (12 leading bits removed per word + header)\n",
 		len(src), len(enc))
-	dec, err := transforms.MPLG{Word: wordio.W32}.Inverse(enc)
+	dec, err := transforms.MPLG{Word: wordio.W32}.InverseInto(nil, enc, transforms.NoLimit)
 	fmt.Printf("  lossless: %v\n\n", err == nil && string(dec) == string(src))
 }
 
@@ -71,7 +71,7 @@ func figure4and5() {
 	for i := 0; i < 32; i++ {
 		wordio.PutU32(src, i, uint32(i*3))
 	}
-	bit := transforms.Bit{Word: wordio.W32}.Forward(src)
+	bit := transforms.Bit{Word: wordio.W32}.ForwardInto(nil, src)
 	zeroBytes := 0
 	for _, b := range bit {
 		if b == 0 {
@@ -80,10 +80,10 @@ func figure4and5() {
 	}
 	fmt.Printf("  after BIT: %d of %d bytes are zero (were %d before)\n",
 		zeroBytes, len(bit), countZeros(src))
-	enc := transforms.RZE{}.Forward(bit)
+	enc := transforms.RZE{}.ForwardInto(nil, bit)
 	fmt.Printf("  after RZE: %d bytes (bitmap recursively compressed)\n", len(enc))
-	dec, _ := transforms.RZE{}.Inverse(enc)
-	back, _ := transforms.Bit{Word: wordio.W32}.Inverse(dec)
+	dec, _ := transforms.RZE{}.InverseInto(nil, enc, transforms.NoLimit)
+	back, _ := transforms.Bit{Word: wordio.W32}.InverseInto(nil, dec, transforms.NoLimit)
 	fmt.Printf("  lossless: %v\n\n", string(back) == string(src))
 }
 
@@ -99,7 +99,7 @@ func figure6() {
 	for i, v := range seq {
 		wordio.PutU64(src, i, math.Float64bits(v))
 	}
-	enc := transforms.FCM{}.Forward(src)
+	enc := transforms.FCM{}.ForwardInto(nil, src)
 	n := len(seq)
 	fmt.Print("  value   :")
 	for _, v := range seq {
@@ -132,8 +132,8 @@ func figure7() {
 		wordio.PutU64(zeroTop, i, state&0xFFFFFFFFFF)
 		wordio.PutU64(constTop, i, 0xABCDEF<<40|state&0xFFFFFFFFFF)
 	}
-	raze := transforms.RAZE{}.Forward(zeroTop)
-	rare := transforms.RARE{}.Forward(constTop)
+	raze := transforms.RAZE{}.ForwardInto(nil, zeroTop)
+	rare := transforms.RARE{}.ForwardInto(nil, constTop)
 	fmt.Printf("  zero-top input %d bytes  -> RAZE %d bytes (chose k=%d)\n",
 		len(zeroTop), len(raze), splitK(raze))
 	fmt.Printf("  const-top input %d bytes -> RARE %d bytes (chose k=%d)\n",

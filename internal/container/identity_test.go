@@ -12,6 +12,18 @@ import (
 	"fpcompress/internal/wordio"
 )
 
+// transformCodec adapts a transform to IntoCodec, the way the codec layer
+// above the container engine adapts its chunk pipelines.
+type transformCodec struct{ transforms.Transform }
+
+func (c transformCodec) Forward(chunk []byte) []byte { return c.ForwardInto(nil, chunk) }
+func (c transformCodec) Inverse(enc []byte) ([]byte, error) {
+	return c.InverseInto(nil, enc, transforms.NoLimit)
+}
+func (c transformCodec) InverseLimit(enc []byte, maxDecoded int) ([]byte, error) {
+	return c.InverseInto(nil, enc, maxDecoded)
+}
+
 // legacyCompress is the reference construction the parallel engine must
 // match byte for byte: encode every chunk serially with the plain Forward
 // API, concatenate the payloads in order, checksum the input in one pass,
@@ -97,15 +109,15 @@ func TestCompressByteIdentity(t *testing.T) {
 	codecs := map[string]Codec{
 		"shrink": shrinkCodec{},
 		"xor":    xorCodec{},
-		"spspeed": transforms.Pipeline{
+		"spspeed": transformCodec{transforms.Pipeline{
 			transforms.DiffMS{Word: wordio.W32},
 			transforms.MPLG{Word: wordio.W32},
-		},
-		"dpratio-chunked": transforms.Pipeline{
+		}},
+		"dpratio-chunked": transformCodec{transforms.Pipeline{
 			transforms.DiffMS{Word: wordio.W64},
 			transforms.RAZE{},
 			transforms.RARE{},
-		},
+		}},
 	}
 	for _, cs := range []int{777, 1024, DefaultChunkSize} {
 		for cname, codec := range codecs {

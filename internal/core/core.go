@@ -106,8 +106,9 @@ type Algorithm struct {
 	ID   ID
 	Word wordio.WordSize
 	// Pre runs over the entire input before chunking (inverse runs after
-	// de-chunking). Nil for all algorithms except DPratio.
-	Pre transforms.Transform
+	// de-chunking). Nil for all algorithms except whole-input DPratio,
+	// whose FCM stage is the only pre-stage.
+	Pre *transforms.FCM
 	// Chunked is applied independently to every 16 kB chunk (empty for the
 	// auto modes, which pick per chunk through Select).
 	Chunked transforms.Pipeline
@@ -148,7 +149,7 @@ func (a *Algorithm) Stages() []string {
 
 // ChunkCodec returns the container codec this algorithm encodes and
 // decodes chunks with: the per-chunk selector for the auto modes, the
-// fixed chunk pipeline otherwise — run through its fused single-pass
+// fixed chunk pipeline otherwise — resolved to its fused single-pass
 // kernel when one exists (byte-identical to the stage-by-stage pipeline,
 // so the container format is unaffected). Random access uses it to decode
 // single chunks of any non-pre-stage algorithm.
@@ -156,11 +157,7 @@ func (a *Algorithm) ChunkCodec() container.Codec {
 	if a.Select != nil {
 		return a.Select
 	}
-	cc := chunkCodec{p: a.Chunked}
-	if k, ok := fused.Match(a.Chunked); ok {
-		cc.k = k
-	}
-	return cc
+	return chunkCodec{fused.Match(a.Chunked)}
 }
 
 // Compress encodes src into a self-describing container.
@@ -178,11 +175,7 @@ func (a *Algorithm) CompressAppend(dst, src []byte, p container.Params) []byte {
 	var pb *[]byte
 	if a.Pre != nil {
 		pb = preBufPool.Get().(*[]byte)
-		if f, ok := a.Pre.(workerStage); ok {
-			*pb = f.ForwardWorkers((*pb)[:0], src, p.Parallelism)
-		} else {
-			*pb = a.Pre.ForwardInto((*pb)[:0], src)
-		}
+		*pb = a.Pre.ForwardWorkers((*pb)[:0], src, p.Parallelism)
 		buf = *pb
 	}
 	dst = container.CompressAppend(dst, buf, byte(a.ID), a.ChunkCodec(), p)
@@ -250,21 +243,13 @@ func (a *Algorithm) decompress(dst, data []byte, p container.Params, partial boo
 // budget still decodes; the pre-stage enforces the budget itself.
 func (a *Algorithm) preParams(p container.Params) container.Params {
 	if budget := p.DecodeBudget(); budget >= 0 {
-		if f, ok := a.Pre.(interface{ EncodedCap(int) int }); ok && budget < math.MaxInt/2-16 {
-			p.MaxDecoded = f.EncodedCap(budget)
+		if budget < math.MaxInt/2-16 {
+			p.MaxDecoded = a.Pre.EncodedCap(budget)
 		} else {
-			p.MaxDecoded = -1 // unknown expansion: the pre-stage enforces the budget
+			p.MaxDecoded = -1 // the scaled budget would overflow: the pre-stage enforces it
 		}
 	}
 	return p
-}
-
-// workerStage is a whole-input pre-stage whose encode takes a worker cap
-// (0 = GOMAXPROCS), as transforms.FCM does; the worker count never
-// changes its bytes. CompressAppend passes it p's Parallelism, so the cap
-// reaches the pre-stage as it reaches the chunks.
-type workerStage interface {
-	ForwardWorkers(dst, src []byte, workers int) []byte
 }
 
 // ErrWindowedMismatch reports a container whose windowed flag disagrees
@@ -319,35 +304,21 @@ func (a *Algorithm) DecompressPartialAppend(dst, data []byte, p container.Params
 	return a.decompress(dst, data, p, true)
 }
 
-// chunkCodec adapts a transform pipeline to the container.IntoCodec
+// chunkCodec adapts a chunk pipeline, resolved once by fused.Match to its
+// fused single-pass kernel or to itself, to the container.IntoCodec
 // interface, so the engine can hand each chunk its exact decoded size as
 // an allocation bound and encode/decode chunks without per-chunk buffers.
-// When the pipeline matches a known fusion, k carries the fused
-// single-pass kernel and every call routes through it, whatever the
-// buffers' alignment or the build.
+// Its ForwardInto and InverseInto are the embedded transform's.
 type chunkCodec struct {
-	p transforms.Pipeline
-	k fused.Kernel
+	transforms.Transform
 }
 
 func (c chunkCodec) Forward(chunk []byte) []byte { return c.ForwardInto(nil, chunk) }
-func (c chunkCodec) ForwardInto(dst, chunk []byte) []byte {
-	if c.k != nil {
-		return c.k.ForwardInto(dst, chunk)
-	}
-	return c.p.ForwardInto(dst, chunk)
-}
 func (c chunkCodec) Inverse(enc []byte) ([]byte, error) {
 	return c.InverseInto(nil, enc, transforms.NoLimit)
 }
 func (c chunkCodec) InverseLimit(enc []byte, maxDecoded int) ([]byte, error) {
 	return c.InverseInto(nil, enc, maxDecoded)
-}
-func (c chunkCodec) InverseInto(dst, enc []byte, maxDecoded int) ([]byte, error) {
-	if c.k != nil {
-		return c.k.InverseInto(dst, enc, maxDecoded)
-	}
-	return c.p.InverseInto(dst, enc, maxDecoded)
 }
 
 // New constructs the named algorithm.
@@ -385,7 +356,7 @@ func New(id ID) (*Algorithm, error) {
 		return &Algorithm{
 			ID:   DPratio,
 			Word: wordio.W64,
-			Pre:  transforms.FCM{},
+			Pre:  &transforms.FCM{},
 			Chunked: transforms.Pipeline{
 				transforms.DiffMS{Word: wordio.W64},
 				transforms.RAZE{},

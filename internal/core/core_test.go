@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -53,6 +54,44 @@ func TestStageListsMatchPaperFigure1(t *testing.T) {
 			if got[i] != stages[i] {
 				t.Errorf("%s stage %d: %s, want %s", id, i, got[i], stages[i])
 			}
+		}
+	}
+}
+
+// TestChunkCodecRoutes pins which transform each fixed algorithm's chunk
+// codec runs: the fused kernel for the paper's four algorithms and
+// windowed DPratio, the stage-by-stage pipeline for the balance
+// extensions (no fusion exists). The byte-identity tests cannot see a lost
+// fused route; only the throughput would.
+func TestChunkCodecRoutes(t *testing.T) {
+	windowed, err := NewWindowed(DPratio)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[*Algorithm]string{
+		windowed: "*fused.FCMRatio64",
+	}
+	for id, w := range map[ID]string{
+		SPspeed:   "*fused.Speed32",
+		SPratio:   "*fused.Ratio32",
+		DPspeed:   "*fused.Speed64",
+		DPratio:   "*fused.Ratio64",
+		SPbalance: "transforms.Pipeline",
+		DPbalance: "transforms.Pipeline",
+	} {
+		a, err := New(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[a] = w
+	}
+	for a, w := range want {
+		cc, ok := a.ChunkCodec().(chunkCodec)
+		if !ok {
+			t.Fatalf("%s: chunk codec is %T, want chunkCodec", a.Name(), a.ChunkCodec())
+		}
+		if got := fmt.Sprintf("%T", cc.Transform); got != w {
+			t.Errorf("%s: chunks run through %s, want %s", a.Name(), got, w)
 		}
 	}
 }

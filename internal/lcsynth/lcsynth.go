@@ -142,10 +142,10 @@ func evaluate(stack []Component, samples [][]byte) (Candidate, error) {
 	var encDur, decDur time.Duration
 	for _, src := range samples {
 		start := time.Now()
-		enc := p.Forward(src)
+		enc := p.ForwardInto(nil, src)
 		encDur += time.Since(start)
 		start = time.Now()
-		dec, err := p.Inverse(enc)
+		dec, err := p.InverseInto(nil, enc, transforms.NoLimit)
 		decDur += time.Since(start)
 		if err != nil {
 			return Candidate{}, fmt.Errorf("pipeline %v: %w", names, err)

@@ -170,10 +170,9 @@ type Selector struct {
 	marginPct int
 	cands     [4]byte // candidate schemes, fastest first; first nc are valid
 	nc        int
-	windowed  bool                            // NewWindowed: the FCM candidate joins, priced exactly
-	full      [NumSchemes]transforms.Pipeline // stage-by-stage pipelines by scheme
-	fspeed    speedKernel                     // fused speed encoder (DIFFMS+MPLG with gate statistics)
-	fusedK    [NumSchemes]fused.Kernel        // fused kernels by scheme (nil where no fusion exists)
+	windowed  bool                             // NewWindowed: the FCM candidate joins, priced exactly
+	codec     [NumSchemes]transforms.Transform // each scheme's pipeline, resolved by fused.Match (nil: raw or the other word size)
+	fspeed    speedKernel                      // the speed scheme's fused kernel, which also gathers gate statistics
 }
 
 // speedKernel is the fused speed-pipeline encoder the hot path runs: a
@@ -187,40 +186,47 @@ type speedKernel interface {
 	ForwardStatsInto(dst, src []byte, gs *fused.GateStats) []byte
 }
 
+// pipelines returns the stage-by-stage pipeline of every scheme of one
+// word size, indexed by scheme byte (nil for the other word size's
+// schemes and SchemeRaw).
+func pipelines(word wordio.WordSize) [NumSchemes]transforms.Pipeline {
+	var p [NumSchemes]transforms.Pipeline
+	diff := transforms.DiffMS{Word: word}
+	mplg := transforms.MPLG{Word: word}
+	if word == wordio.W32 {
+		p[SchemeMPLG32] = transforms.Pipeline{diff, mplg}
+		p[SchemeMPLGRZE32] = transforms.Pipeline{diff, mplg, transforms.RZE{}}
+		p[SchemeBitRZE32] = transforms.Pipeline{diff, transforms.Bit{Word: word}, transforms.RZE{}}
+	} else {
+		p[SchemeMPLG64] = transforms.Pipeline{diff, mplg}
+		p[SchemeMPLGRZE64] = transforms.Pipeline{diff, mplg, transforms.RZE{}}
+		p[SchemeRazeRare64] = transforms.Pipeline{diff, transforms.RAZE{}, transforms.RARE{}}
+		// Decoding routes by the chunk's recorded scheme, so both selectors
+		// decode the windowed FCM scheme even though only the windowed one
+		// emits it.
+		p[SchemeFCMRazeRare64] = transforms.Pipeline{transforms.FCMW{}}
+	}
+	return p
+}
+
 // New returns the selector for one word size.
 func New(word wordio.WordSize) *Selector {
 	s := &Selector{
 		word:      word,
 		marginPct: marginPctFor(word),
 	}
-	diff := transforms.DiffMS{Word: word}
-	mplg := transforms.MPLG{Word: word}
 	s.nc = 3
 	if word == wordio.W32 {
 		s.cands = [4]byte{SchemeMPLG32, SchemeMPLGRZE32, SchemeBitRZE32}
-		s.full[SchemeMPLG32] = transforms.Pipeline{diff, mplg}
-		s.full[SchemeMPLGRZE32] = transforms.Pipeline{diff, mplg, transforms.RZE{}}
-		s.full[SchemeBitRZE32] = transforms.Pipeline{diff, transforms.Bit{Word: word}, transforms.RZE{}}
-		s.fspeed = fused.NewSpeed32()
 	} else {
 		s.cands = [4]byte{SchemeMPLG64, SchemeMPLGRZE64, SchemeRazeRare64}
-		s.full[SchemeMPLG64] = transforms.Pipeline{diff, mplg}
-		s.full[SchemeMPLGRZE64] = transforms.Pipeline{diff, mplg, transforms.RZE{}}
-		s.full[SchemeRazeRare64] = transforms.Pipeline{diff, transforms.RAZE{}, transforms.RARE{}}
-		// Decoding routes by the chunk's recorded scheme, so both selectors
-		// decode the windowed FCM scheme even though only the windowed one
-		// emits it.
-		s.full[SchemeFCMRazeRare64] = transforms.Pipeline{transforms.FCMW{}}
-		s.fspeed = fused.NewSpeed64()
 	}
-	for scheme := range s.full {
-		if len(s.full[scheme]) == 0 {
-			continue
-		}
-		if k, ok := fused.Match(s.full[scheme]); ok {
-			s.fusedK[scheme] = k
+	for scheme, p := range pipelines(word) {
+		if len(p) > 0 {
+			s.codec[scheme] = fused.Match(p)
 		}
 	}
+	s.fspeed = s.codec[s.cands[0]].(speedKernel)
 	return s
 }
 
@@ -415,9 +421,9 @@ func (s *Selector) price(st *state, chunk []byte) (preds [4]int, choice int) {
 	case s.word == wordio.W32:
 		preds[2] = st.bitRZECost32(st.gs.Ors, st.gs.Tail, len(chunk))
 	case s.windowed:
-		st.ratioEnc = s.fusedK[SchemeRazeRare64].ForwardInto(st.ratioEnc[:0], chunk)
+		st.ratioEnc = s.codec[SchemeRazeRare64].ForwardInto(st.ratioEnc[:0], chunk)
 		preds[2] = len(st.ratioEnc)
-		st.fcmEnc = s.fusedK[SchemeFCMRazeRare64].ForwardInto(st.fcmEnc[:0], chunk)
+		st.fcmEnc = s.codec[SchemeFCMRazeRare64].ForwardInto(st.fcmEnc[:0], chunk)
 		preds[3] = len(st.fcmEnc)
 	default:
 		preds[2] = razeRareCost64(&st.gs.Hist, st.gs.Words, len(chunk))
@@ -453,7 +459,7 @@ func (s *Selector) encodeCandidate(st *state, dst, chunk []byte, i int) []byte {
 	case s.windowed: // windowed ratio candidate: already encoded by price
 		return append(dst, st.ratioEnc...)
 	default: // ratio: its fused kernel over the chunk
-		return s.fusedK[s.cands[i]].ForwardInto(dst, chunk)
+		return s.codec[s.cands[i]].ForwardInto(dst, chunk)
 	}
 }
 
@@ -582,10 +588,7 @@ func (s *Selector) InverseSchemeInto(dst, enc []byte, scheme byte, maxDecoded in
 	if !ValidScheme(s.word, scheme) {
 		return nil, schemeErrf("scheme %d (%s) in a %s container", scheme, SchemeName(scheme), s.word)
 	}
-	if k := s.fusedK[scheme]; k != nil {
-		return k.InverseInto(dst, enc, maxDecoded)
-	}
-	return s.full[scheme].InverseInto(dst, enc, maxDecoded)
+	return s.codec[scheme].InverseInto(dst, enc, maxDecoded)
 }
 
 // Forward implements container.Codec: the winning candidate's encoding,

@@ -3,6 +3,7 @@ package selector
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -54,14 +55,14 @@ func TestPredictionsExact(t *testing.T) {
 			if tc.double {
 				word = wordio.W64
 			}
-			s := New(word)
+			s, full := New(word), pipelines(word)
 			for ci, chunk := range chunks(corpus(tc.double)) {
 				preds, _ := s.Predict(chunk)
 				for i, p := range preds {
 					if !tc.double && i == 2 {
 						continue // checked below as exact too
 					}
-					actual := len(s.full[p.Scheme].Forward(chunk))
+					actual := len(full[p.Scheme].ForwardInto(nil, chunk))
 					exact := i < 2 || word == wordio.W32
 					if exact && p.Predicted != actual {
 						t.Fatalf("chunk %d %s: predicted %d, actual %d",
@@ -70,7 +71,7 @@ func TestPredictionsExact(t *testing.T) {
 				}
 				if !tc.double {
 					p := preds[2]
-					if actual := len(s.full[p.Scheme].Forward(chunk)); p.Predicted != actual {
+					if actual := len(full[p.Scheme].ForwardInto(nil, chunk)); p.Predicted != actual {
 						t.Fatalf("chunk %d %s: predicted %d, actual %d",
 							ci, SchemeName(p.Scheme), p.Predicted, actual)
 					}
@@ -85,11 +86,11 @@ func TestPredictionsExact(t *testing.T) {
 // every corpus chunk (the escape hatch handles the residual error).
 func TestCalibrateRazeRare(t *testing.T) {
 	s := New(wordio.W64)
-	ratio := s.full[SchemeRazeRare64]
+	ratio := pipelines(wordio.W64)[SchemeRazeRare64]
 	for ci, chunk := range chunks(corpus(true)) {
 		preds, _ := s.Predict(chunk)
 		pred := preds[2].Predicted
-		actual := len(ratio.Forward(chunk))
+		actual := len(ratio.ForwardInto(nil, chunk))
 		if pred < actual*3/4 || pred > actual*3/2 {
 			t.Errorf("chunk %d: raze+rare predicted %d vs actual %d (outside [0.75, 1.5]x)",
 				ci, pred, actual)
@@ -112,13 +113,13 @@ func TestForwardSchemeRoundtrip(t *testing.T) {
 			if tc.double {
 				word = wordio.W64
 			}
-			s := New(word)
+			s, full := New(word), pipelines(word)
 			for ci, chunk := range chunks(corpus(tc.double)) {
 				enc, scheme := s.ForwardSchemeInto(nil, chunk)
 				if !ValidScheme(word, scheme) {
 					t.Fatalf("chunk %d: scheme %d invalid for %v", ci, scheme, word)
 				}
-				if want := s.full[scheme].Forward(chunk); !bytes.Equal(enc, want) {
+				if want := full[scheme].ForwardInto(nil, chunk); !bytes.Equal(enc, want) {
 					t.Fatalf("chunk %d: scheme %s encoding differs from the pipeline's own output", ci, SchemeName(scheme))
 				}
 				dec, err := s.InverseSchemeInto(nil, enc, scheme, len(chunk))
@@ -127,6 +128,41 @@ func TestForwardSchemeRoundtrip(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFusedRoutes pins which transform each scheme runs through: its fused
+// kernel wherever one exists, the stage-by-stage pipeline for the balance
+// schemes, nothing for the other word size. The byte-identity tests cannot
+// see a lost fused route; only the throughput would.
+func TestFusedRoutes(t *testing.T) {
+	want := map[wordio.WordSize]map[byte]string{
+		wordio.W32: {
+			SchemeMPLG32:    "*fused.Speed32",
+			SchemeBitRZE32:  "*fused.Ratio32",
+			SchemeMPLGRZE32: "transforms.Pipeline",
+		},
+		wordio.W64: {
+			SchemeMPLG64:        "*fused.Speed64",
+			SchemeRazeRare64:    "*fused.Ratio64",
+			SchemeMPLGRZE64:     "transforms.Pipeline",
+			SchemeFCMRazeRare64: "*fused.FCMRatio64",
+		},
+	}
+	for _, s := range []*Selector{New(wordio.W32), New(wordio.W64), NewWindowed(wordio.W64)} {
+		for scheme, tr := range s.codec {
+			w, ok := want[s.word][byte(scheme)]
+			if !ok {
+				w = "<nil>"
+			}
+			if got := fmt.Sprintf("%T", tr); got != w {
+				t.Errorf("%s selector (windowed %v), scheme %s: runs %s, want %s",
+					s.word, s.windowed, SchemeName(byte(scheme)), got, w)
+			}
+		}
+		if transforms.Transform(s.fspeed) != s.codec[s.cands[0]] {
+			t.Errorf("%s selector: gate kernel is not the speed scheme's kernel", s.word)
+		}
 	}
 }
 

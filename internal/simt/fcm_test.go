@@ -73,8 +73,8 @@ func TestFCMFindDecodeMatchesSequential(t *testing.T) {
 		"zeros":      make([]byte, 50000),
 	}
 	for name, src := range inputs {
-		enc := transforms.FCM{}.Forward(src)
-		want, err := transforms.FCM{}.Inverse(enc)
+		enc := transforms.FCM{}.ForwardInto(nil, src)
+		want, err := transforms.FCM{}.InverseInto(nil, enc, transforms.NoLimit)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

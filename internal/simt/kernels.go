@@ -119,7 +119,7 @@ func KernelCompress(id core.ID, src []byte, blocks int) ([]byte, error) {
 }
 
 // blockEncodeSpeed runs DIFFMS then MPLG on one chunk with block-level
-// structure; output bytes equal transforms.Pipeline.Forward's.
+// structure; output bytes equal transforms.Pipeline.ForwardInto's.
 func blockEncodeSpeed(a *core.Algorithm, chunk []byte) []byte {
 	ws := int(a.Word)
 	wbits := ws * 8
@@ -229,7 +229,7 @@ func KernelDecompress(data []byte, blocks int) ([]byte, error) {
 				if raw {
 					dec = chunk
 				} else {
-					unpacked, err := mplg.Inverse(chunk)
+					unpacked, err := mplg.InverseInto(nil, chunk, transforms.NoLimit)
 					if err != nil {
 						firstErr.CompareAndSwap(nil, &err)
 						return

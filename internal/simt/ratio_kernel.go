@@ -150,7 +150,7 @@ func blockDecodeSPratio(enc []byte) ([]byte, error) {
 		return nil, errBadChunkLen
 	}
 	declen := int(declen64)
-	full, err := (transforms.RZE{}).Inverse(enc)
+	full, err := (transforms.RZE{}).InverseInto(nil, enc, transforms.NoLimit)
 	if err != nil {
 		return nil, err
 	}

@@ -70,7 +70,7 @@ func TestWarpTransposeMatchesSequentialBIT(t *testing.T) {
 			words[i] = rng.Uint32()
 			wordio.PutU32(src, i, words[i])
 		}
-		seq := transforms.Bit{Word: wordio.W32}.Forward(src)
+		seq := transforms.Bit{Word: wordio.W32}.ForwardInto(nil, src)
 		warp := WarpTransposeBits(words)
 		for i := 0; i < WarpSize; i++ {
 			if wordio.U32(seq, i) != warp[i] {
@@ -116,16 +116,16 @@ func TestDecoupledLookbackMatchesPrefixSum(t *testing.T) {
 }
 
 // TestBlockDiffMSDecodeMatchesSequential: the prefix-sum decoder must be
-// bit-identical to DiffMS.Inverse — the CPU/GPU compatibility property.
+// bit-identical to DiffMS.InverseInto — the CPU/GPU compatibility property.
 func TestBlockDiffMSDecodeMatchesSequential(t *testing.T) {
 	f := func(src []byte) bool {
-		enc64 := transforms.DiffMS{Word: wordio.W64}.Forward(src)
-		seq64, _ := transforms.DiffMS{Word: wordio.W64}.Inverse(enc64)
+		enc64 := transforms.DiffMS{Word: wordio.W64}.ForwardInto(nil, src)
+		seq64, _ := transforms.DiffMS{Word: wordio.W64}.InverseInto(nil, enc64, transforms.NoLimit)
 		if !bytes.Equal(BlockDiffMSDecode64(enc64), seq64) {
 			return false
 		}
-		enc32 := transforms.DiffMS{Word: wordio.W32}.Forward(src)
-		seq32, _ := transforms.DiffMS{Word: wordio.W32}.Inverse(enc32)
+		enc32 := transforms.DiffMS{Word: wordio.W32}.ForwardInto(nil, src)
+		seq32, _ := transforms.DiffMS{Word: wordio.W32}.InverseInto(nil, enc32, transforms.NoLimit)
 		return bytes.Equal(BlockDiffMSDecode32(enc32), seq32)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -162,8 +162,8 @@ func TestCompactNonZeroMatchesRZEInternals(t *testing.T) {
 		}
 		// And the full RZE transform must decode data built from these
 		// parts (spot-check the integration).
-		enc := transforms.RZE{}.Forward(data)
-		dec, err := transforms.RZE{}.Inverse(enc)
+		enc := transforms.RZE{}.ForwardInto(nil, data)
+		dec, err := transforms.RZE{}.InverseInto(nil, enc, transforms.NoLimit)
 		if err != nil || !bytes.Equal(dec, data) {
 			t.Fatal("RZE roundtrip broke")
 		}

@@ -354,22 +354,9 @@ type RAZE struct{}
 // Name implements Transform.
 func (RAZE) Name() string { return "RAZE" }
 
-// Forward implements Transform.
-func (RAZE) Forward(src []byte) []byte { return adaptiveForwardInto(nil, src, false) }
-
 // ForwardInto implements Transform (see the package comment for the dst
 // ownership contract).
 func (RAZE) ForwardInto(dst, src []byte) []byte { return adaptiveForwardInto(dst, src, false) }
-
-// Inverse implements Transform.
-func (RAZE) Inverse(enc []byte) ([]byte, error) {
-	return adaptiveInverseInto(nil, enc, false, NoLimit)
-}
-
-// InverseLimit implements Transform.
-func (RAZE) InverseLimit(enc []byte, maxDecoded int) ([]byte, error) {
-	return adaptiveInverseInto(nil, enc, false, maxDecoded)
-}
 
 // InverseInto implements Transform (see the package comment for the dst
 // ownership contract).
@@ -386,22 +373,9 @@ type RARE struct{}
 // Name implements Transform.
 func (RARE) Name() string { return "RARE" }
 
-// Forward implements Transform.
-func (RARE) Forward(src []byte) []byte { return adaptiveForwardInto(nil, src, true) }
-
 // ForwardInto implements Transform (see the package comment for the dst
 // ownership contract).
 func (RARE) ForwardInto(dst, src []byte) []byte { return adaptiveForwardInto(dst, src, true) }
-
-// Inverse implements Transform.
-func (RARE) Inverse(enc []byte) ([]byte, error) {
-	return adaptiveInverseInto(nil, enc, true, NoLimit)
-}
-
-// InverseLimit implements Transform.
-func (RARE) InverseLimit(enc []byte, maxDecoded int) ([]byte, error) {
-	return adaptiveInverseInto(nil, enc, true, maxDecoded)
-}
 
 // InverseInto implements Transform (see the package comment for the dst
 // ownership contract).

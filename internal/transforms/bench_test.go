@@ -159,7 +159,7 @@ func BenchmarkFCMInverse(b *testing.B) {
 	for _, size := range []int{16 << 10, 256 << 10, 2 << 20, 8 << 20, 32 << 20} {
 		for _, dstKind := range []string{"reused", "nil"} {
 			b.Run(fmt.Sprintf("%dKiB/%s", size>>10, dstKind), func(b *testing.B) {
-				enc := FCM{}.Forward(fcmBenchData()[:size])
+				enc := FCM{}.ForwardInto(nil, fcmBenchData()[:size])
 				var dst []byte
 				b.SetBytes(int64(size))
 				b.ReportAllocs()

@@ -33,11 +33,6 @@ func (b Bit) Name() string {
 	return "BIT64"
 }
 
-// Forward implements Transform.
-func (b Bit) Forward(src []byte) []byte {
-	return b.ForwardInto(nil, src)
-}
-
 // ForwardInto implements Transform (see the package comment for the dst
 // ownership contract).
 func (b Bit) ForwardInto(dst, src []byte) []byte {
@@ -66,19 +61,9 @@ func (b Bit) ForwardInto(dst, src []byte) []byte {
 	return dst
 }
 
-// InverseLimit implements Transform. BIT is size-preserving, so the budget
-// bounds the encoded length itself.
-func (b Bit) InverseLimit(enc []byte, maxDecoded int) ([]byte, error) {
-	return b.InverseInto(nil, enc, maxDecoded)
-}
-
-// Inverse implements Transform.
-func (b Bit) Inverse(enc []byte) ([]byte, error) {
-	return b.InverseInto(nil, enc, NoLimit)
-}
-
 // InverseInto implements Transform (see the package comment for the dst
-// ownership contract).
+// ownership contract). BIT is size-preserving, so the budget bounds the
+// encoded length itself.
 func (b Bit) InverseInto(dst, enc []byte, maxDecoded int) ([]byte, error) {
 	if maxDecoded >= 0 && len(enc) > maxDecoded {
 		return nil, Corruptf("BIT: %d bytes exceed decode budget %d", len(enc), maxDecoded)

@@ -38,9 +38,9 @@ func TestCorruptInputs(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			dec, err := c.tr.Inverse(c.enc)
+			dec, err := c.tr.InverseInto(nil, c.enc, NoLimit)
 			if err == nil {
-				t.Fatalf("Inverse accepted corrupt input, returned %d bytes", len(dec))
+				t.Fatalf("InverseInto accepted corrupt input, returned %d bytes", len(dec))
 			}
 			if !errors.Is(err, ErrCorrupt) {
 				t.Errorf("error %v does not wrap ErrCorrupt", err)
@@ -49,16 +49,16 @@ func TestCorruptInputs(t *testing.T) {
 	}
 }
 
-// TestTruncatedEncodings truncates genuine Forward output at every prefix
+// TestTruncatedEncodings truncates genuine ForwardInto output at every prefix
 // length; decoders must return (possibly wrong) data or an error, never
 // panic, and self-describing decoders must never report success with a
 // length other than the declared one.
 func TestTruncatedEncodings(t *testing.T) {
 	src := smoothFloats64(512, 99)
 	for _, tr := range allTransforms() {
-		enc := tr.Forward(src)
+		enc := tr.ForwardInto(nil, src)
 		for cut := 0; cut < len(enc); cut++ {
-			dec, err := tr.Inverse(enc[:cut:cut])
+			dec, err := tr.InverseInto(nil, enc[:cut:cut], NoLimit)
 			if err == nil && len(dec) > len(src) {
 				t.Fatalf("%s: truncation to %d bytes decoded to %d > original %d",
 					tr.Name(), cut, len(dec), len(src))
@@ -67,26 +67,27 @@ func TestTruncatedEncodings(t *testing.T) {
 	}
 }
 
-// TestInverseLimitBudget verifies that every transform refuses to decode
-// past a caller-supplied budget smaller than the real payload.
+// TestInverseLimitBudget verifies that every transform's InverseInto
+// refuses to decode past a caller-supplied budget smaller than the real
+// payload.
 func TestInverseLimitBudget(t *testing.T) {
 	src := smoothFloats32(16384, 3) // 64 KiB
 	for _, tr := range allTransforms() {
-		enc := tr.Forward(src)
-		if _, err := tr.InverseLimit(enc, 1024); err == nil {
-			t.Errorf("%s: InverseLimit accepted %d-byte payload under 1 KiB budget",
+		enc := tr.ForwardInto(nil, src)
+		if _, err := tr.InverseInto(nil, enc, 1024); err == nil {
+			t.Errorf("%s: InverseInto accepted %d-byte payload under 1 KiB budget",
 				tr.Name(), len(src))
 		} else if !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: budget error %v does not wrap ErrCorrupt", tr.Name(), err)
 		}
 		// The exact size as budget must still round-trip.
-		dec, err := tr.InverseLimit(enc, len(src))
+		dec, err := tr.InverseInto(nil, enc, len(src))
 		if err != nil || len(dec) != len(src) {
-			t.Errorf("%s: InverseLimit with exact budget failed: %v", tr.Name(), err)
+			t.Errorf("%s: InverseInto with exact budget failed: %v", tr.Name(), err)
 		}
-		// NoLimit must behave like Inverse.
-		if _, err := tr.InverseLimit(enc, NoLimit); err != nil {
-			t.Errorf("%s: InverseLimit(NoLimit) failed: %v", tr.Name(), err)
+		// NoLimit applies only the intrinsic caps.
+		if _, err := tr.InverseInto(nil, enc, NoLimit); err != nil {
+			t.Errorf("%s: InverseInto(NoLimit) failed: %v", tr.Name(), err)
 		}
 	}
 }
@@ -96,12 +97,12 @@ func TestInverseLimitBudget(t *testing.T) {
 func TestPipelineInverseLimit(t *testing.T) {
 	p := Pipeline{DiffMS{Word: wordio.W64}, RAZE{}, RARE{}}
 	src := smoothFloats64(8192, 11) // 64 KiB
-	enc := p.Forward(src)
-	if _, err := p.InverseLimit(enc, 256); err == nil {
+	enc := p.ForwardInto(nil, src)
+	if _, err := p.InverseInto(nil, enc, 256); err == nil {
 		t.Error("pipeline accepted 64 KiB payload under 256-byte budget")
 	}
-	dec, err := p.InverseLimit(enc, len(src))
+	dec, err := p.InverseInto(nil, enc, len(src))
 	if err != nil || len(dec) != len(src) {
-		t.Errorf("pipeline InverseLimit with exact budget failed: %v", err)
+		t.Errorf("pipeline InverseInto with exact budget failed: %v", err)
 	}
 }

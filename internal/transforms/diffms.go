@@ -35,11 +35,6 @@ func (d DiffMS) Name() string {
 	return "DIFFMS64"
 }
 
-// Forward implements Transform.
-func (d DiffMS) Forward(src []byte) []byte {
-	return d.ForwardInto(nil, src)
-}
-
 // ForwardInto implements Transform (see the package comment for the dst
 // ownership contract).
 func (d DiffMS) ForwardInto(dst, src []byte) []byte {
@@ -64,20 +59,10 @@ func (d DiffMS) ForwardInto(dst, src []byte) []byte {
 	return dst
 }
 
-// InverseLimit implements Transform. DIFFMS is size-preserving, so the
-// budget bounds the encoded length itself.
-func (d DiffMS) InverseLimit(enc []byte, maxDecoded int) ([]byte, error) {
-	return d.InverseInto(nil, enc, maxDecoded)
-}
-
-// Inverse implements Transform. Decoding is a prefix sum over the
-// un-zigzagged differences.
-func (d DiffMS) Inverse(enc []byte) ([]byte, error) {
-	return d.InverseInto(nil, enc, NoLimit)
-}
-
 // InverseInto implements Transform (see the package comment for the dst
-// ownership contract).
+// ownership contract). Decoding is a prefix sum over the un-zigzagged
+// differences. DIFFMS is size-preserving, so the budget bounds the encoded
+// length itself.
 func (d DiffMS) InverseInto(dst, enc []byte, maxDecoded int) ([]byte, error) {
 	if maxDecoded >= 0 && len(enc) > maxDecoded {
 		return nil, Corruptf("DIFFMS: %d bytes exceed decode budget %d", len(enc), maxDecoded)

@@ -84,7 +84,7 @@ func (f FCM) Name() string {
 	return "FCM64"
 }
 
-// EncodedCap reports the largest Forward-output size for a decoded input of
+// EncodedCap reports the largest ForwardInto output size for a decoded input of
 // n bytes (fixed header plus doubled word arrays plus the verbatim tail).
 // Decoders that bound the final decoded size use it to scale the budget for
 // the intermediate FCM stream.
@@ -100,11 +100,6 @@ var fcmTablePool = sync.Pool{New: func() any {
 	t := make([]int32, 1<<fcmTableBits)
 	return &t
 }}
-
-// Forward implements Transform.
-func (f FCM) Forward(src []byte) []byte {
-	return f.ForwardInto(nil, src)
-}
 
 // ForwardInto implements Transform (see the package comment for the dst
 // ownership contract), encoding with up to GOMAXPROCS workers.
@@ -588,24 +583,15 @@ func fcmForwardTable(vw, dw, sw []uint64) {
 	}
 }
 
-// Inverse implements Transform. FCM runs over the whole input (no chunk
-// cap applies), but its decoded length can never exceed its encoded
-// length, so allocation stays intrinsically bounded by the input size.
-func (f FCM) Inverse(enc []byte) ([]byte, error) {
-	return f.InverseInto(nil, enc, NoLimit)
-}
-
-// InverseLimit implements Transform.
-func (f FCM) InverseLimit(enc []byte, maxDecoded int) ([]byte, error) {
-	return f.InverseInto(nil, enc, maxDecoded)
-}
-
 // InverseInto implements Transform (see the package comment for the dst
 // ownership contract). It resolves the distances in one index-order pass,
 // straight from the encoded value and distance arrays into dst: a match
 // copies an earlier output word, which is already final when reached.
 // (The paper's GPU decoder walks distance chains in parallel instead,
-// union-find style; on a CPU the one pass is faster.)
+// union-find style; on a CPU the one pass is faster.) FCM runs over the
+// whole input, so the MaxDecoded chunk cap does not apply; but its decoded
+// length can never exceed its encoded length, so allocation stays
+// intrinsically bounded by the input size even under NoLimit.
 func (FCM) InverseInto(dst, enc []byte, maxDecoded int) ([]byte, error) {
 	if len(enc) < fcmHeaderLen {
 		return nil, Corruptf("FCM: missing length prefix")

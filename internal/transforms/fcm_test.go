@@ -147,11 +147,11 @@ func TestFCMWorkers(t *testing.T) {
 func TestFCMInverseWorkersIdentical(t *testing.T) {
 	src := append(smoothFloats64(fcmParallelMin+1234, 6), 1, 2, 3)
 	copy(src[len(src)/2:], src) // far repeats give long distance chains
-	enc := FCM{}.Forward(src)
+	enc := FCM{}.ForwardInto(nil, src)
 	prefix := []byte("prefix")
 	for _, w := range []int{1, 2, runtime.GOMAXPROCS(0)} {
 		old := runtime.GOMAXPROCS(w)
-		got, err := FCM{}.Inverse(enc)
+		got, err := FCM{}.InverseInto(nil, enc, NoLimit)
 		app, appErr := FCM{}.InverseInto(slices.Clone(prefix), enc, NoLimit)
 		runtime.GOMAXPROCS(old)
 		if err != nil || !bytes.Equal(got, src) {

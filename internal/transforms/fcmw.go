@@ -36,11 +36,8 @@ var fcmwRatio = Pipeline{DiffMS{Word: wordio.W64}, RAZE{}, RARE{}}
 // Name implements Transform.
 func (FCMW) Name() string { return "FCMW64" }
 
-// Forward implements Transform.
-func (t FCMW) Forward(src []byte) []byte { return t.ForwardInto(nil, src) }
-
 // ForwardInto implements Transform.
-func (t FCMW) ForwardInto(dst, src []byte) []byte {
+func (FCMW) ForwardInto(dst, src []byte) []byte {
 	fp := GetBuf()
 	defer PutBuf(fp)
 	stream := FCM{Table: true}.ForwardInto((*fp)[:0], src)
@@ -55,20 +52,12 @@ func (t FCMW) ForwardInto(dst, src []byte) []byte {
 	return fcmwRatio.ForwardInto(dst, stream[split:])
 }
 
-// Inverse implements Transform.
-func (t FCMW) Inverse(enc []byte) ([]byte, error) { return t.InverseInto(nil, enc, NoLimit) }
-
-// InverseLimit implements Transform.
-func (t FCMW) InverseLimit(enc []byte, maxDecoded int) ([]byte, error) {
-	return t.InverseInto(nil, enc, maxDecoded)
-}
-
 // InverseInto implements Transform. Each segment decodes under the
 // pipeline interior budget (the FCM stream is at most 2x the decoded
 // chunk plus its header, so both halves fit the usual 2*maxDecoded+64
 // headroom); the final decoded length is checked against maxDecoded
 // exactly.
-func (t FCMW) InverseInto(dst, enc []byte, maxDecoded int) ([]byte, error) {
+func (FCMW) InverseInto(dst, enc []byte, maxDecoded int) ([]byte, error) {
 	lenA, m := binary.Uvarint(enc)
 	if m <= 0 || lenA > uint64(len(enc)-m) {
 		return nil, Corruptf("fcmw: bad segment length")

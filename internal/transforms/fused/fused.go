@@ -4,8 +4,12 @@
 //	SPspeed: DIFFMS32 -> MPLG32   (Speed32)
 //	DPspeed: DIFFMS64 -> MPLG64   (Speed64)
 //	SPratio: DIFFMS32 -> BIT32 -> RZE   (Ratio32)
-//	windowed DPratio: DIFFMS64 -> RAZE -> RARE   (Ratio64)
-//	windowed DPratio with FCM: FCM(table) -> DIFFMS64 -> RAZE -> RARE   (FCMRatio64)
+//	DPratio (after the whole-input FCM): DIFFMS64 -> RAZE -> RARE   (Ratio64)
+//	windowed DPratio: FCMW64 = FCM(table) -> DIFFMS64 -> RAZE -> RARE   (FCMRatio64)
+//
+// Ratio64 also serves the auto modes' raze+rare64 scheme. Match resolves a
+// pipeline to its kernel, or to the pipeline itself when no fusion exists
+// (the SPbalance and DPbalance pipelines).
 //
 // The stage-by-stage transforms.Pipeline makes a full pass over the chunk
 // per stage, ping-ponging intermediates through pooled buffers: SPspeed
@@ -51,71 +55,67 @@ import (
 )
 
 // Kernel is one fused single-pass pipeline. Implementations are safe for
-// concurrent use (all per-call state is pooled or stack-resident).
+// concurrent use (all per-call state is pooled or stack-resident). As a
+// transforms.Transform, its Name identifies the fusion (e.g.
+// "FUSED(DIFFMS32+MPLG32)"), its ForwardInto is byte-identical to the
+// unfused pipeline's, and its InverseInto follows the pipeline budget
+// rules (see the package comment).
 type Kernel interface {
-	// Name identifies the fusion, e.g. "FUSED(DIFFMS32+MPLG32)".
-	Name() string
-	// ForwardInto appends the encoding of src to dst and returns the
-	// extended slice; byte-identical to the unfused pipeline's ForwardInto.
-	ForwardInto(dst, src []byte) []byte
-	// InverseInto appends the decoded bytes to dst under the pipeline
-	// budget rules (see the package comment) and returns the extended
-	// slice. On error the returned slice is nil.
-	InverseInto(dst, enc []byte, maxDecoded int) ([]byte, error)
+	transforms.Transform
 	// Pipeline returns the equivalent stage-by-stage pipeline, the oracle
 	// the kernel's tests compare against.
 	Pipeline() transforms.Pipeline
 }
 
-// Match returns the fused kernel equivalent to p, if the stage sequence
-// (with default stage parameters) is a known fusion. The returned kernel
-// is a shared immutable instance.
-func Match(p transforms.Pipeline) (Kernel, bool) {
+// Match resolves p to the transform that runs it: the fused kernel when the
+// stage sequence (with default stage parameters) is a known fusion — a
+// shared immutable instance — and p itself otherwise.
+func Match(p transforms.Pipeline) transforms.Transform {
 	switch len(p) {
 	case 2:
 		d, ok := p[0].(transforms.DiffMS)
 		if !ok {
-			return nil, false
+			return p
 		}
 		m, ok := p[1].(transforms.MPLG)
 		if !ok || m.Subchunk != 0 || m.Word != d.Word {
-			return nil, false
+			return p
 		}
 		if d.Word == wordio.W32 {
-			return sharedSpeed32, true
+			return sharedSpeed32
 		}
-		return sharedSpeed64, true
+		return sharedSpeed64
 	case 3:
 		if d, ok := p[0].(transforms.DiffMS); ok && d.Word == wordio.W64 {
 			if _, ok := p[1].(transforms.RAZE); !ok {
-				return nil, false
+				return p
 			}
 			if _, ok := p[2].(transforms.RARE); !ok {
-				return nil, false
+				return p
 			}
-			return sharedRatio64, true
+			return sharedRatio64
 		}
 		d, ok := p[0].(transforms.DiffMS)
 		if !ok || d.Word != wordio.W32 {
-			return nil, false
+			return p
 		}
 		b, ok := p[1].(transforms.Bit)
 		if !ok || b.Word != wordio.W32 {
-			return nil, false
+			return p
 		}
 		z, ok := p[2].(transforms.RZE)
 		if !ok || z.Granularity > 1 {
-			return nil, false
+			return p
 		}
-		return sharedRatio32, true
+		return sharedRatio32
 	case 1:
 		// FCMW64 is itself a composite (FCM table encoder + two segmented
 		// DIFFMS64→RAZE→RARE chains); the kernel fuses both segments.
 		if _, ok := p[0].(transforms.FCMW); ok {
-			return sharedFCMRatio64, true
+			return sharedFCMRatio64
 		}
 	}
-	return nil, false
+	return p
 }
 
 // Shared immutable kernel instances (the kernels hold only their oracle

@@ -7,9 +7,10 @@ import (
 	"fpcompress/internal/wordio"
 )
 
-// Ratio64 is the fused DIFFMS64+RAZE+RARE kernel behind the windowed
-// DPratio chunk pipeline (and the windowed auto mode's 64-bit ratio
-// candidate). The difference+zigzag writes straight into a pooled word
+// Ratio64 is the fused DIFFMS64+RAZE+RARE kernel behind whole-input
+// DPratio's chunk pipeline (the chunks of the FCM pre-stage's stream) and
+// the Auto64 modes' raze+rare64 scheme; windowed DPratio runs FCMRatio64,
+// which shares its core. The difference+zigzag writes straight into a pooled word
 // slice that RAZE's word-stream encoder consumes in place, so the DIFFMS
 // byte stream never materializes; RARE must see RAZE's complete output
 // (its split k depends on the whole stream), so that stage remains
@@ -18,7 +19,7 @@ type Ratio64 struct {
 	ref transforms.Pipeline
 }
 
-// NewRatio64 returns the fused windowed-DPratio chunk kernel.
+// NewRatio64 returns the fused DPratio chunk kernel.
 func NewRatio64() *Ratio64 {
 	return &Ratio64{ref: transforms.Pipeline{
 		transforms.DiffMS{Word: wordio.W64},

@@ -137,7 +137,7 @@ func TestKernelInverseOffsets(t *testing.T) {
 }
 
 // TestKernelForwardAppend: ForwardInto with a non-empty dst must preserve
-// the prefix and append exactly the bytes a fresh Forward would produce,
+// the prefix and append exactly the bytes a nil-dst ForwardInto produces,
 // for every append offset (the packers compute bit positions relative to
 // the region start, not the buffer start).
 func TestKernelForwardAppend(t *testing.T) {

@@ -64,11 +64,6 @@ func (m MPLG) Name() string {
 	return "MPLG64"
 }
 
-// Forward implements Transform.
-func (m MPLG) Forward(src []byte) []byte {
-	return m.ForwardInto(nil, src)
-}
-
 // ForwardInto implements Transform (see the package comment for the dst
 // ownership contract).
 func (m MPLG) ForwardInto(dst, src []byte) []byte {
@@ -186,16 +181,6 @@ func (m MPLG) forward64(dst, src []byte, sw []uint64) []byte {
 	}
 	bp = BitFinish(buf, bp, acc, nacc)
 	return append(dst[:bp], tail...)
-}
-
-// Inverse implements Transform.
-func (m MPLG) Inverse(enc []byte) ([]byte, error) {
-	return m.InverseInto(nil, enc, NoLimit)
-}
-
-// InverseLimit implements Transform.
-func (m MPLG) InverseLimit(enc []byte, maxDecoded int) ([]byte, error) {
-	return m.InverseInto(nil, enc, maxDecoded)
 }
 
 // InverseInto implements Transform (see the package comment for the dst

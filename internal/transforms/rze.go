@@ -291,11 +291,6 @@ func decodeRepeatBitmapScratch(bp *[]byte, src []byte, l int) ([]byte, int, erro
 	return scratch[off[0] : off[0]+l], consumed, nil
 }
 
-// Forward implements Transform.
-func (z RZE) Forward(src []byte) []byte {
-	return z.ForwardInto(nil, src)
-}
-
 // ForwardInto implements Transform (see the package comment for the dst
 // ownership contract). The zero bitmap lives in pooled scratch and the
 // surviving bytes are appended in a second pass over src, driven by the
@@ -407,16 +402,6 @@ func rzeScatterBytes(out, bm, data []byte) error {
 		}
 	}
 	return nil
-}
-
-// Inverse implements Transform.
-func (z RZE) Inverse(enc []byte) ([]byte, error) {
-	return z.InverseInto(nil, enc, NoLimit)
-}
-
-// InverseLimit implements Transform.
-func (z RZE) InverseLimit(enc []byte, maxDecoded int) ([]byte, error) {
-	return z.InverseInto(nil, enc, maxDecoded)
 }
 
 // InverseInto implements Transform (see the package comment for the dst

@@ -11,10 +11,11 @@
 //   - RZE: repeated zero elimination at byte granularity with a recursively
 //     compressed bitmap (rze.go)
 //   - FCM: finite-context-method duplicate-value detection by exact
-//     context hash (fcm.go)
-//   - RAZE: repeated adaptive zero elimination of the top k bits (raze.go)
+//     context hash (fcm.go; FCMW, its windowed per-chunk form, in fcmw.go)
+//   - RAZE: repeated adaptive zero elimination of the top k bits
+//     (adaptive.go)
 //   - RARE: repeated adaptive repetition elimination of the top k bits
-//     (rare.go)
+//     (adaptive.go)
 //
 // Every transform is exactly invertible. Transforms whose output length
 // differs from their input length are self-describing: the encoded form
@@ -31,8 +32,7 @@
 // capacity runs out), so callers must use the return value and must not
 // retain other aliases of dst across the call. Internal per-call
 // temporaries come from package-level sync.Pools, so a warmed steady state
-// performs no heap allocation beyond what dst growth requires. Forward,
-// Inverse, and InverseLimit are thin wrappers that pass a nil dst.
+// performs no heap allocation beyond what dst growth requires.
 package transforms
 
 import (
@@ -40,6 +40,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"sync"
 )
 
@@ -67,7 +68,7 @@ var ErrCorrupt = errors.New("transforms: corrupt payload")
 // will allocate (64 MiB — far above any supported chunk size), so corrupt
 // length prefixes fail cleanly instead of exhausting memory. Callers that
 // know the expected decoded size (the container engine knows every chunk's)
-// should pass a tighter bound via InverseLimit.
+// should pass a tighter bound as InverseInto's maxDecoded.
 const MaxDecoded = 1 << 26
 
 // NoLimit is the maxDecoded value meaning "no caller-supplied budget";
@@ -124,49 +125,40 @@ func GetBuf() *[]byte { return bufPool.Get().(*[]byte) }
 // PutBuf returns a buffer taken with GetBuf.
 func PutBuf(p *[]byte) { bufPool.Put(p) }
 
-// Transform is one reversible stage of a compression pipeline. Forward may
-// return a slice longer or shorter than src; Inverse must reproduce the
-// exact Forward input.
+// Transform is one reversible stage of a compression pipeline: ForwardInto
+// may emit more or fewer bytes than its input, and InverseInto must
+// reproduce the exact ForwardInto input.
 //
-// Every Inverse/InverseLimit/InverseInto implementation treats enc as
-// hostile: arbitrary bytes must produce an error (never a panic), and no
-// allocation may exceed the declared-and-validated decoded size.
+// Every InverseInto implementation treats enc as hostile: arbitrary bytes
+// must produce an error (never a panic), and no allocation may exceed the
+// declared-and-validated decoded size.
 type Transform interface {
 	// Name identifies the transform in pipeline listings (e.g. "DIFFMS32").
 	Name() string
-	// Forward encodes one chunk. Equivalent to ForwardInto(nil, src).
-	Forward(src []byte) []byte
 	// ForwardInto appends the encoding of src to dst and returns the
 	// extended slice (append semantics: the result may share dst's backing
 	// array or be a reallocation). dst may be nil; it must not overlap src.
 	// The output never aliases src.
 	ForwardInto(dst, src []byte) []byte
-	// Inverse decodes one chunk encoded by Forward.
-	Inverse(enc []byte) ([]byte, error)
-	// InverseLimit decodes like Inverse but additionally rejects — before
-	// allocating — any encoding whose declared decoded size exceeds
-	// maxDecoded bytes. maxDecoded == NoLimit means no caller bound;
-	// intrinsic caps (MaxDecoded for per-chunk transforms, the encoded
-	// length for FCM) still apply.
-	InverseLimit(enc []byte, maxDecoded int) ([]byte, error)
-	// InverseInto appends the decoded bytes to dst under the same budget
-	// rules as InverseLimit and returns the extended slice. dst may be nil;
-	// it must not overlap enc. On error the returned slice is nil and any
-	// reallocated copy of dst is discarded, so callers pooling dst should
-	// treat a failed call as having consumed the buffer's contents (the
-	// capacity itself is only lost if the decode outgrew it before
-	// failing).
+	// InverseInto appends the decoded bytes to dst and returns the extended
+	// slice, rejecting — before allocating — any encoding whose declared
+	// decoded size exceeds maxDecoded bytes. maxDecoded == NoLimit means no
+	// caller bound; intrinsic caps (MaxDecoded for per-chunk transforms,
+	// the encoded length for FCM) still apply. dst may be nil; it must not
+	// overlap enc. On error the returned slice is nil and any reallocated
+	// copy of dst is discarded, so callers pooling dst should treat a
+	// failed call as having consumed the buffer's contents (the capacity
+	// itself is only lost if the decode outgrew it before failing).
 	InverseInto(dst, enc []byte, maxDecoded int) ([]byte, error)
 }
 
-// Pipeline chains transforms: Forward applies them left to right, Inverse
-// right to left.
+// Pipeline chains transforms: ForwardInto applies them left to right,
+// InverseInto right to left. A Pipeline is itself a Transform.
 type Pipeline []Transform
 
-// Forward runs every stage in order.
-func (p Pipeline) Forward(src []byte) []byte {
-	return p.ForwardInto(nil, src)
-}
+// Name implements Transform: the stage names joined by "+", e.g.
+// "DIFFMS32+BIT32+RZE".
+func (p Pipeline) Name() string { return strings.Join(p.Names(), "+") }
 
 // ForwardInto appends the fully encoded form of src to dst and returns the
 // extended slice. Intermediate stage outputs ping-pong between two pooled
@@ -193,17 +185,6 @@ func (p Pipeline) ForwardInto(dst, src []byte) []byte {
 		cur = *s
 	}
 	return p[n-1].ForwardInto(dst, cur)
-}
-
-// Inverse runs every stage's inverse in reverse order.
-func (p Pipeline) Inverse(enc []byte) ([]byte, error) {
-	return p.InverseInto(nil, enc, NoLimit)
-}
-
-// InverseLimit runs every stage's inverse in reverse order, bounding each
-// stage's decoded allocation by the budget (see InverseInto).
-func (p Pipeline) InverseLimit(enc []byte, maxDecoded int) ([]byte, error) {
-	return p.InverseInto(nil, enc, maxDecoded)
 }
 
 // InverseInto appends the fully decoded form of enc to dst, bounding each

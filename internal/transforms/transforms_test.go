@@ -56,8 +56,8 @@ func smoothFloats64(n int, seed int64) []byte {
 
 func roundtrip(t *testing.T, tr Transform, src []byte) {
 	t.Helper()
-	enc := tr.Forward(src)
-	dec, err := tr.Inverse(enc)
+	enc := tr.ForwardInto(nil, src)
+	dec, err := tr.InverseInto(nil, enc, NoLimit)
 	if err != nil {
 		t.Fatalf("%s: inverse error on %d bytes: %v", tr.Name(), len(src), err)
 	}
@@ -119,8 +119,8 @@ func TestRoundtripQuick(t *testing.T) {
 		tr := tr
 		t.Run(tr.Name(), func(t *testing.T) {
 			f := func(src []byte) bool {
-				enc := tr.Forward(src)
-				dec, err := tr.Inverse(enc)
+				enc := tr.ForwardInto(nil, src)
+				dec, err := tr.InverseInto(nil, enc, NoLimit)
 				return err == nil && bytes.Equal(dec, src)
 			}
 			if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -157,7 +157,7 @@ func TestDiffMSPaperExample(t *testing.T) {
 	for i, v := range vals {
 		wordio.PutU32(src, i, math.Float32bits(v))
 	}
-	enc := DiffMS{Word: wordio.W32}.Forward(src)
+	enc := DiffMS{Word: wordio.W32}.ForwardInto(nil, src)
 
 	// First value is preserved (differenced against 0) then zigzagged:
 	// 0x40200000<<1 = 0x80400000.
@@ -184,7 +184,7 @@ func TestMPLGCompressesLeadingZeros(t *testing.T) {
 	for i := 0; i < 4096; i++ {
 		wordio.PutU32(src, i, uint32(rng.Intn(1<<12))) // 20+ leading zeros
 	}
-	enc := MPLG{Word: wordio.W32}.Forward(src)
+	enc := MPLG{Word: wordio.W32}.ForwardInto(nil, src)
 	if len(enc) > len(src)*14/32 {
 		t.Errorf("MPLG output %d bytes for 12-bit values in %d input bytes", len(enc), len(src))
 	}
@@ -199,7 +199,7 @@ func TestMPLGFallback(t *testing.T) {
 		// 0xFFFFFFxx values: no leading zeros, but zigzag gives 0x000001xx-ish.
 		wordio.PutU32(src, i, 0xFFFFFF00|uint32(i))
 	}
-	enc := MPLG{Word: wordio.W32}.Forward(src)
+	enc := MPLG{Word: wordio.W32}.ForwardInto(nil, src)
 	if len(enc) >= len(src) {
 		t.Errorf("fallback did not help: %d -> %d bytes", len(src), len(enc))
 	}
@@ -213,7 +213,7 @@ func TestBITGroupsPlanes(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		wordio.PutU32(src, i, uint32(i)) // high 27 bits zero
 	}
-	enc := Bit{Word: wordio.W32}.Forward(src)
+	enc := Bit{Word: wordio.W32}.ForwardInto(nil, src)
 	// Planes 0..26 (MSB-side) must be all-zero words.
 	for plane := 0; plane < 27; plane++ {
 		if got := wordio.U32(enc, plane); got != 0 {
@@ -230,7 +230,7 @@ func TestRZEZeroHeavy(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		src[16000+i*3] = byte(i + 1)
 	}
-	enc := RZE{}.Forward(src)
+	enc := RZE{}.ForwardInto(nil, src)
 	// 100 data bytes + compressed bitmap; far below the naive 2048-byte
 	// bitmap floor.
 	if len(enc) > 700 {
@@ -244,7 +244,7 @@ func TestRZEZeroHeavy(t *testing.T) {
 // compress to nearly nothing.
 func TestRZEAllZeroOverhead(t *testing.T) {
 	src := make([]byte, 16384)
-	enc := RZE{}.Forward(src)
+	enc := RZE{}.ForwardInto(nil, src)
 	// length prefix + ~3 recursion levels of tiny bitmaps.
 	if len(enc) > 16 {
 		t.Errorf("all-zero chunk encoded to %d bytes, want <= 16", len(enc))
@@ -290,7 +290,7 @@ func TestFCMPaperExample(t *testing.T) {
 	a, b, c := math.Float64bits(1.5), math.Float64bits(2.5), math.Float64bits(3.5)
 	seq := []uint64{a, b, a, b, c, a, b}
 	src := wordio.Bytes64(seq, len(seq)*8)
-	enc := FCM{}.Forward(src)
+	enc := FCM{}.ForwardInto(nil, src)
 	// Layout: uvarint len, then value array, then distance array.
 	hn := 8 // fixed FCM header
 	vals := wordio.Words64(enc[hn:hn+56], false)
@@ -329,7 +329,7 @@ func TestFCMFindsFarRepeats(t *testing.T) {
 	}
 	copy(words[n/2:], words[:n/2]) // exact repeat of the first half
 	src := wordio.Bytes64(words, n*8)
-	enc := FCM{}.Forward(src)
+	enc := FCM{}.ForwardInto(nil, src)
 	hn := 8 // fixed FCM header
 	dists := wordio.Words64(enc[hn+n*8:hn+2*n*8], false)
 	matched := 0
@@ -361,8 +361,8 @@ func TestFCMParallelDecodeMatchesSequential(t *testing.T) {
 		}
 	}
 	src := wordio.Bytes64(words, n*8)
-	enc := FCM{}.Forward(src)
-	seq, err := FCM{}.Inverse(enc)
+	enc := FCM{}.ForwardInto(nil, src)
+	seq, err := FCM{}.InverseInto(nil, enc, NoLimit)
 	if err != nil || !bytes.Equal(seq, src) {
 		t.Fatalf("sequential decode differs from the source (err %v)", err)
 	}
@@ -406,9 +406,9 @@ func TestFCMRejectsBadDistance(t *testing.T) {
 		{big, big - 1, math.MaxUint64},
 		{big, 1 << 16, 1<<16 + 1},
 	} {
-		enc := FCM{}.Forward(smoothFloats64(tc.n, 8))
+		enc := FCM{}.ForwardInto(nil, smoothFloats64(tc.n, 8))
 		wordio.PutU64(enc[fcmHeaderLen+tc.n*8:], tc.at, tc.d)
-		_, err := FCM{}.Inverse(enc)
+		_, err := FCM{}.InverseInto(nil, enc, NoLimit)
 		want := fmt.Sprintf("FCM: distance %d exceeds index %d", tc.d, tc.at)
 		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), want) {
 			t.Errorf("%d words, distance %d at %d: got %v, want %q", tc.n, tc.d, tc.at, err, want)
@@ -426,7 +426,7 @@ func TestRAZEPicksGoodSplit(t *testing.T) {
 		words[i] = uint64(rng.Int63n(1 << 24))
 	}
 	src := wordio.Bytes64(words, n*8)
-	enc := RAZE{}.Forward(src)
+	enc := RAZE{}.ForwardInto(nil, src)
 	if len(enc) > n*25/8+n/8+64 {
 		t.Errorf("RAZE output %d bytes for 24-bit values (n=%d)", len(enc), n)
 	}
@@ -444,7 +444,7 @@ func TestRAREEliminatesCommonPrefixes(t *testing.T) {
 		words[i] = base | uint64(rng.Uint32())
 	}
 	src := wordio.Bytes64(words, n*8)
-	enc := RARE{}.Forward(src)
+	enc := RARE{}.ForwardInto(nil, src)
 	// ~32 bits/word bottoms + 1 bit/word bitmap + one kept piece.
 	if len(enc) > n*34/8+64 {
 		t.Errorf("RARE output %d bytes, want about %d", len(enc), n*33/8)
@@ -460,11 +460,11 @@ func TestPipelineInverseOrder(t *testing.T) {
 		RZE{},
 	}
 	src := smoothFloats32(4096, 11)
-	enc := p.Forward(src)
+	enc := p.ForwardInto(nil, src)
 	if len(enc) >= len(src) {
 		t.Errorf("SPratio pipeline expanded smooth data: %d -> %d", len(src), len(enc))
 	}
-	dec, err := p.Inverse(enc)
+	dec, err := p.InverseInto(nil, enc, NoLimit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,7 +488,7 @@ func TestInverseRejectsGarbage(t *testing.T) {
 		for trial := 0; trial < 200; trial++ {
 			junk := make([]byte, rng.Intn(200))
 			rng.Read(junk)
-			dec, err := tr.Inverse(junk)
+			dec, err := tr.InverseInto(nil, junk, NoLimit)
 			_ = dec
 			_ = err // must simply not panic
 		}
@@ -525,8 +525,8 @@ func TestRZEGranularityAblation(t *testing.T) {
 	sizes := map[int]int{}
 	for _, g := range []int{1, 2, 4} {
 		z := RZE{Granularity: g}
-		enc := z.Forward(src)
-		dec, err := z.Inverse(enc)
+		enc := z.ForwardInto(nil, src)
+		dec, err := z.InverseInto(nil, enc, NoLimit)
 		if err != nil || !bytes.Equal(dec, src) {
 			t.Fatalf("granularity %d: roundtrip failed", g)
 		}
@@ -545,7 +545,7 @@ func TestRZEGranularityQuick(t *testing.T) {
 	for _, g := range []int{1, 2, 3, 4, 8} {
 		z := RZE{Granularity: g}
 		f := func(src []byte) bool {
-			dec, err := z.Inverse(z.Forward(src))
+			dec, err := z.InverseInto(nil, z.ForwardInto(nil, src), NoLimit)
 			return err == nil && bytes.Equal(dec, src)
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
