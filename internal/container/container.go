@@ -361,13 +361,12 @@ type engineState struct {
 	sizes   []int        // compressed (or raw) size of chunk i
 	flags   []byte       // 1 = compressed, 0 = raw fallback
 	schemes []byte       // chunk i's scheme byte (SchemeCodec encodes only)
-	owner   []int32      // worker whose arena holds chunk i (-1 = raw, scattered from src)
-	off     []int        // chunk i's offset within its owner's arena
+	enc     [][]byte     // chunk i's encoding within its worker's arena (nil = raw, scattered from src)
 	pos     []int        // chunk i's offset within the payload (prefix sum of sizes)
 	crcs    []uint32     // CRC32-C of chunk i's original bytes
 	states  []ChunkState // chunk i's decode outcome (strict decodes)
 	errs    []error      // why chunk i failed to decode or verify
-	arenas  [][]byte     // per-worker append-only encode arenas
+	arenas  []arena      // per-worker encode arenas
 	parity  []byte       // concatenated XOR parity blocks (parity encodes only)
 	pcrcs   []uint32     // CRC32-C of each parity block
 }
@@ -380,8 +379,7 @@ func getEngineState(nChunks, nWorkers int) *engineState {
 		st.sizes = make([]int, nChunks)
 		st.flags = make([]byte, nChunks)
 		st.schemes = make([]byte, nChunks)
-		st.owner = make([]int32, nChunks)
-		st.off = make([]int, nChunks)
+		st.enc = make([][]byte, nChunks)
 		st.pos = make([]int, nChunks)
 		st.crcs = make([]uint32, nChunks)
 		st.states = make([]ChunkState, nChunks)
@@ -390,20 +388,76 @@ func getEngineState(nChunks, nWorkers int) *engineState {
 	st.sizes = st.sizes[:nChunks]
 	st.flags = st.flags[:nChunks]
 	st.schemes = st.schemes[:nChunks]
-	st.owner = st.owner[:nChunks]
-	st.off = st.off[:nChunks]
+	st.enc = st.enc[:nChunks]
 	st.pos = st.pos[:nChunks]
 	st.crcs = st.crcs[:nChunks]
 	st.states = st.states[:nChunks]
 	st.errs = st.errs[:nChunks]
 	for cap(st.arenas) < nWorkers {
-		st.arenas = append(st.arenas[:cap(st.arenas)], nil)
+		st.arenas = append(st.arenas[:cap(st.arenas)], arena{})
 	}
 	st.arenas = st.arenas[:nWorkers]
 	return st
 }
 
 func putEngineState(st *engineState) { enginePool.Put(st) }
+
+// arena is one worker's encode space: blocks that its chunks encode into
+// back to back. A block never regrows. When the current one lacks a
+// chunk's worst-case room, the worker moves on to the next, so no chunk
+// is copied to make room for another. The blocks stay with the pooled
+// engineState, and a warm call encodes into them again.
+type arena struct {
+	blocks  [][]byte
+	cur     int // index of the block being filled
+	in, out int // this call's input bytes consumed and encoded bytes kept
+}
+
+// reset readies the arena for a new call, keeping its blocks.
+func (a *arena) reset() {
+	for i := range a.blocks {
+		a.blocks[i] = a.blocks[i][:0]
+	}
+	a.cur, a.in, a.out = 0, 0, 0
+}
+
+// block returns the block the next chunk encodes into, with at least room
+// bytes free: the current block, a kept block that has the room, or a new
+// one. A new block holds room plus this worker's estimated remaining
+// output: its share of the remaining input, rest bytes over nw workers,
+// scaled by 5/4 of the ratio it has kept so far this call (by a quarter
+// before it has seen a chunk). The encoded bytes a chunk keeps never
+// exceed its input, so that estimate caps at the share.
+func (a *arena) block(room, rest, nw int) []byte {
+	for ; a.cur < len(a.blocks); a.cur++ {
+		b := a.blocks[a.cur]
+		if cap(b)-len(b) >= room {
+			return b
+		}
+		if len(b) == 0 {
+			break // a kept block too small for one chunk: replace it
+		}
+	}
+	share := rest / nw
+	est := share / 4
+	if a.in > 0 {
+		est = min(share, int(int64(share)*int64(a.out)/int64(a.in))*5/4)
+	}
+	b := make([]byte, 0, room+est)
+	if a.cur < len(a.blocks) {
+		a.blocks[a.cur] = b
+	} else {
+		a.blocks = append(a.blocks, b)
+	}
+	return b
+}
+
+// chunkRoom is the free block space a chunk of cs bytes may encode into:
+// above every codec's worst-case request (RZE's, the largest, asks about
+// 1.16 cs; TestChunkRoomCoversCodecs pins it), so an encode never regrows
+// a block. A codec asking for more still encodes correctly; its block is
+// then copied once.
+func chunkRoom(cs int) int { return cs + cs/4 + 64 }
 
 // forEachChunk hands the chunk indices 0..n-1 to nw workers, which claim
 // them in increasing order from one atomic counter (the paper's dynamic
@@ -423,21 +477,25 @@ func forEachChunk(nw, n int, fn func(w, i int) bool) (claimed int) {
 	var next atomic.Int64
 	var stop atomic.Bool
 	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
+	work := func(w int) {
+		for !stop.Load() {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			if !fn(w, i) {
+				stop.Store(true)
+			}
+		}
+	}
+	for w := 1; w < nw; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for !stop.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if !fn(w, i) {
-					stop.Store(true)
-				}
-			}
+			work(w)
 		}()
 	}
+	work(0)
 	wg.Wait()
 	return min(int(next.Load()), n)
 }
@@ -478,40 +536,43 @@ func CompressAppend(dst, src []byte, algID byte, codec Codec, p Params) []byte {
 	}
 
 	for w := range st.arenas {
-		st.arenas[w] = st.arenas[w][:0]
+		st.arenas[w].reset()
 	}
+	room := chunkRoom(cs)
 	forEachChunk(nw, nChunks, func(worker, i int) bool {
 		lo := i * cs
 		hi := min(lo+cs, len(src))
 		chunk := src[lo:hi]
 		st.crcs[i] = crc32.Checksum(chunk, crcTable)
-		arena := st.arenas[worker]
-		start := len(arena)
+		a := &st.arenas[worker]
+		block := a.block(room, len(src)-lo, nw)
+		start := len(block)
 		scheme := byte(0)
 		switch {
 		case hasScheme:
-			arena, scheme = sc.ForwardSchemeInto(arena, chunk)
+			block, scheme = sc.ForwardSchemeInto(block, chunk)
 		case hasInto:
-			arena = ic.ForwardInto(arena, chunk)
+			block = ic.ForwardInto(block, chunk)
 		default:
-			arena = append(arena, codec.Forward(chunk)...)
+			block = append(block, codec.Forward(chunk)...)
 		}
-		if encLen := len(arena) - start; encLen < len(chunk) {
+		a.in += len(chunk)
+		if encLen := len(block) - start; encLen < len(chunk) {
 			st.sizes[i] = encLen
 			st.flags[i] = 1
 			st.schemes[i] = scheme
-			st.owner[i] = int32(worker)
-			st.off[i] = start
+			st.enc[i] = block[start:len(block):len(block)]
+			a.out += encLen
 		} else {
 			// Worst-case cap: emit the original data for chunks that do
 			// not compress (scheme byte 0 = raw).
-			arena = arena[:start]
+			block = block[:start]
 			st.sizes[i] = len(chunk)
 			st.flags[i] = 0
 			st.schemes[i] = 0
-			st.owner[i] = -1
+			st.enc[i] = nil
 		}
-		st.arenas[worker] = arena
+		a.blocks[a.cur] = block
 		return true
 	})
 
@@ -550,13 +611,10 @@ func CompressAppend(dst, src []byte, algID byte, codec Codec, p Params) []byte {
 		scatterW = 1
 	}
 	forEachChunk(scatterW, nChunks, func(_, i int) bool {
-		var from []byte
+		from := st.enc[i]
 		if st.flags[i] == 0 {
 			lo := i * cs
 			from = src[lo : lo+st.sizes[i]]
-		} else {
-			a := st.arenas[st.owner[i]]
-			from = a[st.off[i] : st.off[i]+st.sizes[i]]
 		}
 		copy(payload[st.pos[i]:st.pos[i]+st.sizes[i]], from)
 		return true
@@ -681,18 +739,11 @@ func (h *Header) parse(data []byte, lenient bool) error {
 	h.Algorithm = data[5]
 	h.CRC = binary.LittleEndian.Uint32(data[6:])
 	h.ParityGroup = 0
-	pos := 10
-	if l.hasFlagsByte() {
-		pos = 11
+	f, pos, err := headerFields(data, l)
+	if err != nil {
+		return err
 	}
-	for _, dst := range []*int{&h.OriginalLen, &h.ChunkSize, &h.ChunkCount} {
-		v, n := bitio.Uvarint(data[pos:])
-		if n == 0 || v > uint64(1)<<56 {
-			return fmt.Errorf("%w: bad header varint", ErrFormat)
-		}
-		*dst = int(v)
-		pos += n
-	}
+	h.OriginalLen, h.ChunkSize, h.ChunkCount = f[0], f[1], f[2]
 	if l.parity {
 		v, n := bitio.Uvarint(data[pos:])
 		if n == 0 || v == 0 || v > uint64(1)<<32 {
@@ -813,6 +864,37 @@ func (h *Header) parse(data []byte, lenient bool) error {
 	h.payload = data[pos:dataEnd]
 	h.parity = data[dataEnd:]
 	return nil
+}
+
+// headerFields reads the three varints after the fixed header and flags
+// byte: the original length, the chunk size and the chunk count. It
+// returns them and the position after them.
+func headerFields(data []byte, l layout) (f [3]int, pos int, err error) {
+	pos = 10
+	if l.hasFlagsByte() {
+		pos = 11
+	}
+	for k := range f {
+		v, n := bitio.Uvarint(data[pos:])
+		if n == 0 || v > uint64(1)<<56 {
+			return f, 0, fmt.Errorf("%w: bad header varint", ErrFormat)
+		}
+		f[k] = int(v)
+		pos += n
+	}
+	return f, pos, nil
+}
+
+// ChunkCount reads a container's declared chunk count from its header
+// without parsing the tables, so a caller can size a decode's worker
+// count before running it. The decode itself validates the count.
+func ChunkCount(data []byte) (int, error) {
+	l, err := parseLayout(data)
+	if err != nil {
+		return 0, err
+	}
+	f, _, err := headerFields(data, l)
+	return f[2], err
 }
 
 // CompressedPayloadLen reports the concatenated chunk bytes (excluding the

@@ -216,7 +216,7 @@ func TestQuickRoundtripAllAlgorithms(t *testing.T) {
 }
 
 func TestParallelCompressionIsDeterministic(t *testing.T) {
-	src := smoothDP(1<<16, 10)
+	src := smoothDP(1<<17, 10) // large enough for the parallel FCM encoder
 	for _, a := range All() {
 		one := a.Compress(src, container.Params{Parallelism: 1})
 		many := a.Compress(src, container.Params{Parallelism: 8})

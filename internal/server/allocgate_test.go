@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"math"
 	"net"
+	"runtime"
 	"testing"
 
 	"fpcompress/internal/core"
@@ -20,12 +21,41 @@ import (
 // allocated the request buffer, the response container, and every codec
 // scratch buffer per frame — hundreds of allocations.
 func TestAllocGateRequestLoop(t *testing.T) {
+	allocGateRequestLoop(t, Config{Concurrency: 1}, testing.AllocsPerRun)
+}
+
+// TestAllocGateRequestLoopBorrowed is the same gate on a two-worker pool,
+// where each request borrows the idle worker and its codec runs on two
+// engine workers: the claim and the wider engine call stay under the same
+// ceiling. testing.AllocsPerRun measures at GOMAXPROCS 1, where nothing
+// borrows, so this gate counts mallocs itself.
+func TestAllocGateRequestLoopBorrowed(t *testing.T) {
+	atLeastTwoProcs(t)
+	srv := allocGateRequestLoop(t, Config{Concurrency: 2}, func(runs int, do func()) float64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			do()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.Mallocs-before.Mallocs) / float64(runs)
+	})
+	// The 8 warm-up requests and every measured one borrow.
+	if got := srv.StatsSnapshot().WorkersBorrowed; got != 108 {
+		t.Errorf("%d workers borrowed over 108 requests, want 108", got)
+	}
+}
+
+// allocGateRequestLoop runs the request-loop allocation gate against a
+// server built from cfg, taking the mean allocations per request from
+// perRequest, and returns that server.
+func allocGateRequestLoop(t *testing.T, cfg Config, perRequest func(runs int, do func()) float64) *Server {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	const ceiling = 96.0 // allocs per request round-trip
 
-	srv := New(Config{Concurrency: 1})
+	srv := New(cfg)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -63,9 +93,10 @@ func TestAllocGateRequestLoop(t *testing.T) {
 	for i := 0; i < 8; i++ { // warm the connection, pools, and codec scratch
 		do()
 	}
-	avg := testing.AllocsPerRun(100, do)
+	avg := perRequest(100, do)
 	t.Logf("request loop: %.1f allocs/request (ceiling %.1f)", avg, ceiling)
 	if avg > ceiling {
 		t.Errorf("request loop: %.1f allocs/request, ceiling %.1f", avg, ceiling)
 	}
+	return srv
 }

@@ -92,6 +92,7 @@ type metrics struct {
 	inflightBytes atomic.Int64  // payload bytes admitted and not yet executed
 	bytesRejected atomic.Uint64 // requests refused by the in-flight byte budget
 	degraded      atomic.Uint64 // StatusPartial responses served in degraded mode
+	borrowed      atomic.Uint64 // idle pool workers lent to running requests
 	ops           [4]opMetrics  // index 0 unused; 1..3 = compress, decompress, stats
 }
 
@@ -154,6 +155,10 @@ type Snapshot struct {
 	ChunksVerified    uint64 `json:"chunks_verified"`
 	ChunksRepaired    uint64 `json:"chunks_repaired"`
 	ChunksQuarantined uint64 `json:"chunks_quarantined"`
+	// WorkersBorrowed counts the idle pool workers requests have borrowed
+	// to run their codec wider (Config.CodecParallelism 0). It stays 0 on
+	// a server that never had an idle worker to lend.
+	WorkersBorrowed uint64 `json:"workers_borrowed"`
 }
 
 func (m *metrics) snapshot(concurrency, queueDepth int) Snapshot {
@@ -198,5 +203,6 @@ func (m *metrics) snapshot(concurrency, queueDepth int) Snapshot {
 	s.ChunksVerified = rc.Verified
 	s.ChunksRepaired = rc.Repaired
 	s.ChunksQuarantined = rc.Quarantined
+	s.WorkersBorrowed = m.borrowed.Load()
 	return s
 }

@@ -51,10 +51,13 @@ type Config struct {
 	// producers that must interoperate bit-identically should agree on it.
 	ChunkSize int
 	// CodecParallelism is the container engine's per-request worker count.
-	// 0 = 1: under a serving workload the pool already provides
-	// cross-request parallelism, and 1 keeps a single huge request from
-	// monopolizing every core. Raise it for few-client, large-payload
-	// deployments.
+	// 0 = work-conserving: each request runs on its own worker plus the
+	// pool workers idle when it starts, capped at GOMAXPROCS and at one
+	// worker per chunk, and borrows only while no request waits in the
+	// queue. A loaded server thus runs one worker per request, because the
+	// pool already provides cross-request parallelism and one huge request
+	// must not monopolize every core, while a few clients get the idle
+	// cores. A positive value fixes the count for every request.
 	CodecParallelism int
 	// IdlePoll is how often an idle connection checks for shutdown.
 	// 0 = 500ms. Tests shorten it.
@@ -168,12 +171,8 @@ func (c Config) maxInflightBytes() int64 {
 	return 4 * int64(c.maxPayload())
 }
 
-func (c Config) params() container.Params {
-	cp := c.CodecParallelism
-	if cp <= 0 {
-		cp = 1
-	}
-	return container.Params{ChunkSize: c.ChunkSize, Parallelism: cp, MaxDecoded: c.maxResult()}
+func (c Config) params(workers int) container.Params {
+	return container.Params{ChunkSize: c.ChunkSize, Parallelism: workers, MaxDecoded: c.maxResult()}
 }
 
 type job struct {
@@ -244,6 +243,10 @@ type Server struct {
 	stopWorkers  sync.Once
 	workers      sync.WaitGroup
 	conns        sync.WaitGroup
+
+	// busyWorkers counts the engine workers in use: each executing job's
+	// own worker plus those it borrowed (see claimWorkers).
+	busyWorkers atomic.Int64
 
 	mu        sync.Mutex
 	listeners map[net.Listener]struct{}
@@ -540,8 +543,10 @@ func (s *Server) dispatch(op Op, alg byte, payload []byte) jobResult {
 func (s *Server) execute(j *job) jobResult {
 	s.metrics.inflight.Add(1)
 	defer s.metrics.inflight.Add(-1)
+	workers := s.claimWorkers(j)
+	defer s.busyWorkers.Add(-int64(workers))
 	start := time.Now()
-	out, buf, status, msg := s.runCodec(j)
+	out, buf, status, msg := s.runCodec(j, workers)
 	// StatusPartial carries result data and counts as a (degraded) success;
 	// it is tallied separately in the degraded counter.
 	served := status == StatusOK || status == StatusPartial
@@ -552,14 +557,60 @@ func (s *Server) execute(j *job) jobResult {
 	return jobResult{status: status, payload: out, buf: buf}
 }
 
-// runCodec executes the codec for one job, building the response payload in
-// a pooled buffer (returned as buf; ownership travels with the jobResult to
-// the connection goroutine). The decoders guarantee "arbitrary bytes in,
-// error out"; the recover is the last-line backstop enforcing that a codec
-// bug surfaces as a typed StatusError response on one request instead of
-// killing the whole daemon.
-func (s *Server) runCodec(j *job) (out []byte, buf *[]byte, status Status, msg string) {
+// claimWorkers counts j's engine workers as busy and returns how many its
+// codec runs on: Config.CodecParallelism when positive, otherwise j's own
+// worker plus the pool workers idle now (see Config.CodecParallelism). One
+// compare-and-swap on busyWorkers takes them all, so two jobs starting
+// together cannot borrow the same idle worker. The caller gives the count
+// back when the job ends.
+func (s *Server) claimWorkers(j *job) int {
+	if cp := s.cfg.CodecParallelism; cp > 0 {
+		s.busyWorkers.Add(int64(cp))
+		return cp
+	}
+	want := min(runtime.GOMAXPROCS(0), s.chunkCount(j)) - 1
+	pool := s.cfg.concurrency()
+	for {
+		busy := s.busyWorkers.Load()
+		extra := 0
+		if len(s.queue) == 0 {
+			extra = max(0, min(want, pool-1-int(busy)))
+		}
+		if s.busyWorkers.CompareAndSwap(busy, busy+1+int64(extra)) {
+			if extra > 0 {
+				s.metrics.borrowed.Add(uint64(extra))
+			}
+			return 1 + extra
+		}
+	}
+}
+
+// chunkCount is the number of container chunks j's codec runs over: the
+// payload's chunks at the configured size for a compress, the
+// container's declared count for a decompress (0 when the header does not
+// parse; the codec then reports the error).
+func (s *Server) chunkCount(j *job) int {
+	if j.op == OpDecompress {
+		n, _ := container.ChunkCount(j.payload)
+		return n
+	}
+	cs := s.cfg.ChunkSize
+	if cs <= 0 {
+		cs = container.DefaultChunkSize
+	}
+	return (len(j.payload) + cs - 1) / cs
+}
+
+// runCodec executes the codec for one job on the given number of engine
+// workers, building the response payload in a pooled buffer (returned as
+// buf; ownership travels with the jobResult to the connection goroutine).
+// The decoders guarantee "arbitrary bytes in, error out"; the recover is
+// the last-line backstop enforcing that a codec bug surfaces as a typed
+// StatusError response on one request instead of killing the whole
+// daemon.
+func (s *Server) runCodec(j *job, workers int) (out []byte, buf *[]byte, status Status, msg string) {
 	op := j.op
+	p := s.cfg.params(workers)
 	defer func() {
 		if r := recover(); r != nil {
 			// A pooled buffer taken before the panic is abandoned to the GC:
@@ -581,7 +632,7 @@ func (s *Server) runCodec(j *job) (out []byte, buf *[]byte, status Status, msg s
 			break
 		}
 		buf = getPayloadBuf()
-		*buf = a.CompressAppend((*buf)[:0], j.payload, s.cfg.params())
+		*buf = a.CompressAppend((*buf)[:0], j.payload, p)
 		out = *buf
 	case OpDecompress:
 		a, err := core.FromContainer(j.payload)
@@ -590,12 +641,12 @@ func (s *Server) runCodec(j *job) (out []byte, buf *[]byte, status Status, msg s
 			break
 		}
 		buf = getPayloadBuf()
-		res, err := a.DecompressAppend((*buf)[:0], j.payload, s.cfg.params())
+		res, err := a.DecompressAppend((*buf)[:0], j.payload, p)
 		if err != nil && s.cfg.Degraded {
 			// Strict decode refused the container; salvage what verifies and
 			// answer StatusPartial so the client knows the data is incomplete
 			// (quarantined ranges zero-filled).
-			res, _, err = a.DecompressPartialAppend((*buf)[:0], j.payload, s.cfg.params())
+			res, _, err = a.DecompressPartialAppend((*buf)[:0], j.payload, p)
 			if err == nil {
 				status = StatusPartial
 				s.metrics.degraded.Add(1)

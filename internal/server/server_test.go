@@ -523,4 +523,7 @@ func TestCodecPanicBackstop(t *testing.T) {
 			t.Fatalf("request %d: status %v (%q), want StatusError mentioning the panic", i, st, msg)
 		}
 	}
+	if n := s.busyWorkers.Load(); n != 0 {
+		t.Errorf("busy workers after the panics: %d, want 0", n)
+	}
 }

@@ -17,8 +17,12 @@ import (
 const fcmWindow = 4
 
 // fcmParallelMin is the word count from which the whole-input encoder
-// uses more than one worker. Tests lower it (see fcmPartWords).
-var fcmParallelMin = 1 << 16
+// uses more than one worker. Below it the partitioned passes cost more
+// than a second worker saves: on a 2-vCPU Xeon VM (avx2), two workers took
+// about 1.0 ms on 64 Ki words of internal/sdr data against 0.62 ms for
+// one, broke even near 80 Ki words, and won clearly from 128 Ki words
+// (1.5 against 1.8 ms). Tests lower it (see fcmPartWords).
+var fcmParallelMin = 1 << 17
 
 // FCM implements the Finite Context Method transformation (paper §3.2,
 // Figure 6), the first stage of DPratio and the paper's GPU-friendly
