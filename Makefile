@@ -30,10 +30,11 @@ vet:
 # core's pre-stage plumbing, the transform kernels and the fused
 # single-pass kernels (the differential offset tests cover both the
 # aliased word views and the copy-in/copy-out scratch route, and
-# fused-vs-reference), and the whole-input FCM's parallel encoder.
+# fused-vs-reference), the whole-input FCM's parallel encoder, and the
+# worker team both run on (internal/par).
 race:
 	$(GO) test -race -count=1 ./internal/server/...
-	$(GO) test -race -count=1 ./internal/container/... ./internal/core/...
+	$(GO) test -race -count=1 ./internal/container/... ./internal/core/... ./internal/par/...
 	$(GO) test -race -count=1 -run 'Client|Stream' .
 	$(GO) test -race -count=1 -run 'TestKernel|TestFused|TestFCM|FuzzFCM' ./internal/transforms/...
 

@@ -43,7 +43,7 @@ func main() {
 		maxPayload  = flag.Int("max-payload", 0, "largest accepted request payload in bytes (0 = 64 MiB)")
 		maxResult   = flag.Int("max-result", 0, "largest decompressed output one request may allocate (0 = 64 MiB, negative = unbounded)")
 		chunkSize   = flag.Int("chunk", 0, "container chunk size in bytes (0 = 16384, the paper's default)")
-		codecPar    = flag.Int("codec-parallelism", 0, "container workers per request (0 = its own worker plus the pool workers idle when it starts, while no request is queued)")
+		codecPar    = flag.Int("codec-parallelism", 0, "container workers per request (0 = its own worker, plus for a request of at most 1 MiB the pool workers idle when it starts, while no request is queued)")
 		maxConns    = flag.Int("max-conns", 0, "concurrent connection cap; excess get a busy response and a close (0 = 1024, negative = unlimited)")
 		readTimeout = flag.Duration("read-timeout", 0, "how long one request's bytes may take to arrive before the slow client is disconnected (0 = 30s, negative = no limit)")
 		maxInflight = flag.Int64("max-inflight-bytes", 0, "global cap on admitted-but-unanswered request payload bytes (0 = 4x max-payload, negative = unlimited)")

@@ -26,6 +26,7 @@ import (
 	"sync/atomic"
 
 	"fpcompress/internal/bitio"
+	"fpcompress/internal/par"
 )
 
 // DefaultChunkSize is 16 kB, chosen by the paper so two chunk buffers fit in
@@ -464,7 +465,9 @@ func chunkRoom(cs int) int { return cs + cs/4 + 64 }
 // worklist); one worker runs on the calling goroutine. fn(w, i) processes
 // chunk i on worker w. Once a call returns false no worker claims another
 // index, though calls already running finish. It returns how many indices
-// were claimed: exactly 0..claimed-1, each processed.
+// were claimed: exactly 0..claimed-1, each processed. A call that panics
+// stops the claiming too, and its panic reaches the caller once every
+// worker has returned (par.Run).
 func forEachChunk(nw, n int, fn func(w, i int) bool) (claimed int) {
 	if nw <= 1 {
 		for i := 0; i < n; i++ {
@@ -476,8 +479,7 @@ func forEachChunk(nw, n int, fn func(w, i int) bool) (claimed int) {
 	}
 	var next atomic.Int64
 	var stop atomic.Bool
-	var wg sync.WaitGroup
-	work := func(w int) {
+	par.Run(nw, func(w int) {
 		for !stop.Load() {
 			i := int(next.Add(1)) - 1
 			if i >= n {
@@ -487,16 +489,7 @@ func forEachChunk(nw, n int, fn func(w, i int) bool) (claimed int) {
 				stop.Store(true)
 			}
 		}
-	}
-	for w := 1; w < nw; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work(w)
-		}()
-	}
-	work(0)
-	wg.Wait()
+	}, func() { stop.Store(true) })
 	return min(int(next.Load()), n)
 }
 
@@ -885,16 +878,17 @@ func headerFields(data []byte, l layout) (f [3]int, pos int, err error) {
 	return f, pos, nil
 }
 
-// ChunkCount reads a container's declared chunk count from its header
-// without parsing the tables, so a caller can size a decode's worker
-// count before running it. The decode itself validates the count.
-func ChunkCount(data []byte) (int, error) {
+// DeclaredSize reads a container's declared decoded length and chunk
+// count from its header without parsing the tables, so a caller can size
+// a decode's worker count before running it. The decode itself validates
+// both.
+func DeclaredSize(data []byte) (length, chunks int, err error) {
 	l, err := parseLayout(data)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	f, _, err := headerFields(data, l)
-	return f[2], err
+	return f[0], f[2], err
 }
 
 // CompressedPayloadLen reports the concatenated chunk bytes (excluding the

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"fpcompress/internal/container"
 	"fpcompress/internal/core"
+	"fpcompress/internal/transforms"
 )
 
 // atLeastTwoProcs raises GOMAXPROCS to 2 for the test when it is lower:
@@ -136,6 +138,33 @@ func TestQueuedRequestStopsBorrowing(t *testing.T) {
 	s.Close()
 }
 
+// TestLargeRequestBorrowsNothing: a request over borrowMaxBytes of raw
+// data runs on its own worker even on an idle pool, compress and
+// decompress alike, while one at the limit borrows.
+func TestLargeRequestBorrowsNothing(t *testing.T) {
+	atLeastTwoProcs(t)
+	s, addr := startServer(t, Config{Concurrency: 2})
+	tc := dialTest(t, addr)
+	atLimit := testPayload(core.DPspeed, borrowMaxBytes/8, 1)
+	if st, _ := tc.mustRoundTrip(t, OpCompress, byte(core.DPspeed), atLimit); st != StatusOK {
+		t.Fatalf("compress at the limit: status %v", st)
+	}
+	if got := s.StatsSnapshot().WorkersBorrowed; got != 1 {
+		t.Fatalf("compress at the limit: %d workers borrowed, want 1", got)
+	}
+	over := testPayload(core.DPspeed, borrowMaxBytes/8+1, 1)
+	st, blob := tc.mustRoundTrip(t, OpCompress, byte(core.DPspeed), over)
+	if st != StatusOK {
+		t.Fatalf("compress over the limit: status %v", st)
+	}
+	if st, raw := tc.mustRoundTrip(t, OpDecompress, 0, blob); st != StatusOK || !bytes.Equal(raw, over) {
+		t.Fatalf("decompress over the limit: status %v, round trip equal %v", st, bytes.Equal(raw, over))
+	}
+	if got := s.StatsSnapshot().WorkersBorrowed; got != 1 {
+		t.Errorf("after a compress and a decompress over the limit: %d workers borrowed, want 1", got)
+	}
+}
+
 // TestFixedParallelismNeverBorrows: a positive CodecParallelism is the
 // worker count of every request, whatever the pool's idle capacity.
 func TestFixedParallelismNeverBorrows(t *testing.T) {
@@ -155,8 +184,8 @@ func TestFixedParallelismNeverBorrows(t *testing.T) {
 }
 
 // TestBorrowedWorkersReturned: a job gives back every worker it claimed
-// when it fails as when it succeeds. TestCodecPanicBackstop checks the
-// panic path.
+// when it fails as when it succeeds. TestCodecPanicBackstop and
+// TestBorrowedWorkerPanic check the panic path.
 func TestBorrowedWorkersReturned(t *testing.T) {
 	atLeastTwoProcs(t)
 	s, addr := startServer(t, Config{Concurrency: 2})
@@ -214,5 +243,88 @@ func TestBorrowedBytesIdentical(t *testing.T) {
 	}
 	if got, want := s.StatsSnapshot().WorkersBorrowed, uint64(2*len(algs)); got != want {
 		t.Errorf("%d workers borrowed, want %d (one per request)", got, want)
+	}
+}
+
+// pairPanic is a chunk transform whose first two calls, forward or
+// inverse, each panic once both have started. On a request running on
+// two engine workers those calls run on different goroutines, so one of
+// the panics is raised on the worker the engine spawned for the borrowed
+// share.
+type pairPanic struct {
+	transforms.Transform
+	calls *atomic.Int32
+	both  chan struct{}
+}
+
+func newPairPanic(t transforms.Transform) pairPanic {
+	return pairPanic{Transform: t, calls: new(atomic.Int32), both: make(chan struct{})}
+}
+
+func (p pairPanic) hit() {
+	switch p.calls.Add(1) {
+	case 1:
+		select {
+		case <-p.both:
+		case <-time.After(5 * time.Second): // one worker: no second call comes
+		}
+		panic("injected chunk codec bug")
+	case 2:
+		close(p.both)
+		panic("injected chunk codec bug")
+	}
+}
+
+func (p pairPanic) ForwardInto(dst, src []byte) []byte {
+	p.hit()
+	return p.Transform.ForwardInto(dst, src)
+}
+
+func (p pairPanic) InverseInto(dst, src []byte, maxDecoded int) ([]byte, error) {
+	p.hit()
+	return p.Transform.InverseInto(dst, src, maxDecoded)
+}
+
+// TestBorrowedWorkerPanic: a chunk codec that panics on the engine
+// workers of a request that borrowed answers StatusError, compress and
+// decompress alike, returns every worker, and leaves the daemon serving.
+func TestBorrowedWorkerPanic(t *testing.T) {
+	atLeastTwoProcs(t)
+	s, addr := startServer(t, Config{Concurrency: 2})
+	var faulty atomic.Bool
+	s.algHook = func(a *core.Algorithm) {
+		if faulty.Load() {
+			a.Chunked = transforms.Pipeline{newPairPanic(a.Chunked)}
+		}
+	}
+	tc := dialTest(t, addr)
+	a, err := core.New(core.DPspeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := a.Compress(multiChunk, container.Params{})
+	faulty.Store(true)
+	for _, req := range []struct {
+		op      Op
+		alg     byte
+		payload []byte
+	}{
+		{OpCompress, byte(core.DPspeed), multiChunk},
+		{OpDecompress, 0, blob},
+	} {
+		st, msg := tc.mustRoundTrip(t, req.op, req.alg, req.payload)
+		if st != StatusError || !bytes.Contains(msg, []byte("injected chunk codec bug")) {
+			t.Fatalf("%v: status %v (%q), want StatusError naming the panic", req.op, st, msg)
+		}
+	}
+	if got := s.StatsSnapshot().WorkersBorrowed; got != 2 {
+		t.Errorf("workers borrowed: %d, want 2 (each failing request borrows)", got)
+	}
+	if n := s.busyWorkers.Load(); n != 0 {
+		t.Errorf("busy workers after the panics: %d, want 0", n)
+	}
+	faulty.Store(false)
+	if st, got := tc.mustRoundTrip(t, OpCompress, byte(core.DPspeed), multiChunk); st != StatusOK || !bytes.Equal(got, blob) {
+		t.Errorf("compress after the panics: status %v, bytes equal %v", st, bytes.Equal(got, blob))
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"fpcompress/internal/par"
 	"fpcompress/internal/simd"
 	"fpcompress/internal/wordio"
 )
@@ -390,16 +391,22 @@ type fcmStep struct {
 // none starts a step before every block of the one before has finished.
 // A goroutine waiting for those last blocks yields rather than parks, and
 // one that starts late joins at the current step, so a slow thread
-// wake-up costs the team only that thread's help.
+// wake-up costs the team only that thread's help. A block that panics
+// ends the team, whose panic reaches the caller once every goroutine has
+// returned (par.Run); the rest stop waiting for a step it cannot finish.
 func fcmTeam(w int, steps ...fcmStep) {
 	claimed := make([]atomic.Int64, len(steps))
 	done := make([]atomic.Int64, len(steps))
-	run := func(worker int) {
+	var failed atomic.Bool
+	par.Run(w, func(worker int) {
 		for s, st := range steps {
 			for s > 0 && done[s-1].Load() < int64(steps[s-1].blocks) {
+				if failed.Load() {
+					return
+				}
 				runtime.Gosched()
 			}
-			for {
+			for !failed.Load() {
 				b := int(claimed[s].Add(1)) - 1
 				if b >= st.blocks {
 					break
@@ -408,17 +415,7 @@ func fcmTeam(w int, steps ...fcmStep) {
 				done[s].Add(1)
 			}
 		}
-	}
-	var wg sync.WaitGroup
-	for worker := 1; worker < w; worker++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			run(worker)
-		}()
-	}
-	run(0)
-	wg.Wait()
+	}, func() { failed.Store(true) })
 }
 
 // fcmGather writes the output words of a run of indices, whose values

@@ -5,7 +5,9 @@ import (
 	"math"
 	"runtime"
 	"slices"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"fpcompress/internal/sdr"
 	"fpcompress/internal/simd"
@@ -250,5 +252,43 @@ func TestFCMJoinGrows(t *testing.T) {
 	}
 	if !slices.Equal(out[0][0], out[1][0]) || !slices.Equal(out[0][1], out[1][1]) {
 		t.Error("a growing join table changes the encoding")
+	}
+}
+
+// TestFCMTeamPanic: a block that panics on any of the encoder's team
+// goroutines ends the team, with the panic raised on the caller, and no
+// goroutine keeps waiting for the step the block left unfinished.
+func TestFCMTeamPanic(t *testing.T) {
+	both := make(chan struct{})
+	var entered atomic.Int32
+	var after atomic.Int32
+	r := func() (r any) {
+		defer func() { r = recover() }()
+		fcmTeam(2,
+			fcmStep{blocks: 4, do: func(_, b int) {
+				if b > 1 {
+					return
+				}
+				// Blocks 0 and 1 panic once both have started, so one of
+				// the panics is raised on the goroutine fcmTeam spawned.
+				if entered.Add(1) == 2 {
+					close(both)
+				} else {
+					select {
+					case <-both:
+					case <-time.After(5 * time.Second):
+					}
+				}
+				panic("injected")
+			}},
+			fcmStep{blocks: 1, do: func(int, int) { after.Add(1) }},
+		)
+		return nil
+	}()
+	if r != "injected" {
+		t.Fatalf("recovered %v, want the injected panic", r)
+	}
+	if n := after.Load(); n != 0 {
+		t.Errorf("the step after the failed one ran %d blocks, want 0", n)
 	}
 }
