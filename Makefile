@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet check purego noasm crossarm fuzz-smoke corpus-check chaos salvage scrub bench-server bench-core bench-auto bench-transforms bench-smoke fpcd loc clean
+.PHONY: all build test race vet check purego noasm crossarm cross386 fuzz-smoke corpus-check chaos salvage scrub bench-server bench-core bench-auto bench-transforms bench-smoke fpcd loc clean
 
 all: check
 
@@ -127,10 +127,11 @@ bench-transforms:
 	$(GO) test ./internal/transforms/fused -run TestEmitFusedBench -count=1 -v
 
 # One-iteration smoke over every microbenchmark (including the fused
-# kernels): catches benchmarks that panic or fail to build without paying
-# for a full measurement run.
+# kernels and the container's CRC fold): catches benchmarks that panic or
+# fail to build without paying for a full measurement run.
 bench-smoke:
 	$(GO) test ./internal/transforms/... -run '^$$' -bench . -benchtime 1x
+	$(GO) test ./internal/container -run '^$$' -bench . -benchtime 1x
 	$(GO) test . -run '^$$' -bench . -benchtime 1x
 
 # Cross-checks the purego build tag: no unsafe word view is ever granted,
@@ -156,6 +157,18 @@ crossarm:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/simd/
 	GOARCH=arm64 $(GO) test -c -o /dev/null ./internal/simd/
+
+# 32-bit check: builds the whole module for 386 (where int is 32 bits and
+# the amd64 assembly compiles out) and runs the suites of the packages on
+# the container path under it, so a constant that overflows int or a
+# header varint that wraps on conversion is caught. Runs natively on an
+# amd64 Linux host.
+CROSS386_PKGS := . ./internal/container ./internal/core ./internal/server \
+	./internal/selector ./internal/transforms/... ./internal/simd \
+	./internal/wordio ./internal/par
+cross386:
+	GOARCH=386 $(GO) build ./...
+	GOARCH=386 $(GO) test -count=1 $(CROSS386_PKGS)
 
 # Prints the three line counts each change records in CHANGES.md:
 # non-test Go, test Go and assembly, over the files git tracks (stage new

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -748,7 +749,12 @@ func (h *Header) parse(data []byte, lenient bool) error {
 	if h.ChunkSize <= 0 {
 		return fmt.Errorf("%w: zero chunk size", ErrFormat)
 	}
-	want := (h.OriginalLen + h.ChunkSize - 1) / h.ChunkSize
+	// Rounds up without adding ChunkSize-1 first, which would overflow a
+	// length that headerFields clamped to math.MaxInt.
+	want := h.OriginalLen / h.ChunkSize
+	if h.OriginalLen%h.ChunkSize != 0 {
+		want++
+	}
 	if h.ChunkCount != want {
 		return fmt.Errorf("%w: chunk count %d, expected %d", ErrFormat, h.ChunkCount, want)
 	}
@@ -861,7 +867,10 @@ func (h *Header) parse(data []byte, lenient bool) error {
 
 // headerFields reads the three varints after the fixed header and flags
 // byte: the original length, the chunk size and the chunk count. It
-// returns them and the position after them.
+// returns them and the position after them. Each value is clamped to
+// math.MaxInt, so on 32-bit platforms an oversized declared length stays
+// oversized (and fails the budget and chunk-count checks) instead of
+// wrapping.
 func headerFields(data []byte, l layout) (f [3]int, pos int, err error) {
 	pos = 10
 	if l.hasFlagsByte() {
@@ -872,7 +881,7 @@ func headerFields(data []byte, l layout) (f [3]int, pos int, err error) {
 		if n == 0 || v > uint64(1)<<56 {
 			return f, 0, fmt.Errorf("%w: bad header varint", ErrFormat)
 		}
-		f[k] = int(v)
+		f[k] = int(min(v, math.MaxInt))
 		pos += n
 	}
 	return f, pos, nil

@@ -1,98 +1,58 @@
 package container
 
-import "sync"
-
-// This file implements CRC32-C combination (zlib's crc32_combine
-// algorithm): given the CRCs of two byte ranges A and B, the CRC of A||B is
-// shift(crcA, len(B)) ^ crcB, where shift advances a CRC past len(B) zero
-// bytes — a linear operator over GF(2), representable as a 32x32 bit
-// matrix. The engine computes each chunk's CRC concurrently with (de)compressing
-// it, then folds the per-chunk CRCs into the whole-buffer checksum with one
-// 32-word matrix-vector product per chunk, eliminating the second serial
-// pass over the data.
+// This file implements CRC32-C combination the way zlib's
+// crc32_combine_gen/x2nmodp does (zlib >= 1.2.12), over the reflected
+// Castagnoli polynomial P. Given the CRCs of byte ranges A and B, the CRC
+// of A||B is crcA·x^(8·len(B)) mod P, xored with crcB: advancing a CRC past
+// len(B) zero bytes is one multiplication by a power of x in GF(2)[x]/P.
+// The engine computes each chunk's CRC concurrently with (de)compressing
+// it, then folds the per-chunk CRCs into the whole-buffer checksum
+// serially. The fold costs one 32-step multiply per chunk, plus O(log n)
+// multiplies to build the full-chunk and final-chunk shift factors, and
+// never makes a second pass over the data.
 
 // crcCastagnoli is the reflected Castagnoli polynomial, matching
 // crc32.MakeTable(crc32.Castagnoli).
 const crcCastagnoli = 0x82F63B78
 
-// crcOp is a GF(2) 32x32 matrix: column i holds the operator's image of bit
-// i. Applying it to a CRC advances that CRC past a fixed number of zero
-// bytes.
-type crcOp [32]uint32
+// crcOne is the polynomial x^0. The representation is reflected: bit 31
+// holds the coefficient of x^0 and bit 0 that of x^31.
+const crcOne = 1 << 31
 
-// apply multiplies the matrix by vec over GF(2).
-func (m *crcOp) apply(vec uint32) uint32 {
-	var sum uint32
-	for i := 0; vec != 0; i, vec = i+1, vec>>1 {
-		if vec&1 != 0 {
-			sum ^= m[i]
-		}
+// crcMulMod returns a·b mod P. Step k adds b when a holds x^k, then
+// multiplies b by x; both are masks, so the loop has no data-dependent
+// branch.
+func crcMulMod(a, b uint32) uint32 {
+	var p uint32
+	for k := 31; k >= 0; k-- {
+		p ^= b & -(a >> k & 1)
+		b = b>>1 ^ crcCastagnoli&-(b&1)
 	}
-	return sum
+	return p
 }
 
-// gfSquare sets dst = src * src.
-func gfSquare(dst, src *crcOp) {
-	for i := 0; i < 32; i++ {
-		dst[i] = src.apply(src[i])
+// crcX2n[k] is x^(2^k) mod P. For the Castagnoli polynomial x^(2^31) ≡ x,
+// so the powers repeat with period 31 (zlib's IEEE table repeats with
+// period 32) and 31 entries cover every k.
+var crcX2n = func() (t [31]uint32) {
+	p := uint32(crcOne >> 1) // x^1
+	for k := range t {
+		t[k] = p
+		p = crcMulMod(p, p)
 	}
-}
+	return t
+}()
 
-// gfMul sets dst = a * b (apply b, then a; the shift operators commute, so
-// the order is immaterial for this file's use).
-func gfMul(dst, a, b *crcOp) {
-	for i := 0; i < 32; i++ {
-		dst[i] = a.apply(b[i])
-	}
-}
-
-// makeCRCShiftOp builds the operator advancing a CRC32-C past n zero bytes
-// by binary decomposition of n over squared byte-shift operators.
-func makeCRCShiftOp(n int) crcOp {
-	var op crcOp
-	for i := range op {
-		op[i] = 1 << i // identity
-	}
-	if n <= 0 {
-		return op
-	}
-	// One zero *bit*: column 0 is the polynomial, bit i maps to bit i-1.
-	var odd, even crcOp
-	odd[0] = crcCastagnoli
-	for i := 1; i < 32; i++ {
-		odd[i] = 1 << (i - 1)
-	}
-	gfSquare(&even, &odd) // 2 bits
-	gfSquare(&odd, &even) // 4 bits
-	var pow, tmp crcOp
-	gfSquare(&pow, &odd) // 8 bits = 1 byte
-	for {
+// crcShift returns x^(8n) mod P, the factor that advances a CRC past n
+// zero bytes: one multiply per set bit of n. n <= 0 yields x^0.
+func crcShift(n int) uint32 {
+	p := uint32(crcOne)
+	for k := 3; n > 0; n, k = n>>1, k+1 {
 		if n&1 != 0 {
-			gfMul(&tmp, &pow, &op)
-			op = tmp
+			p = crcMulMod(crcX2n[k%len(crcX2n)], p)
 		}
-		n >>= 1
-		if n == 0 {
-			return op
-		}
-		gfSquare(&tmp, &pow)
-		pow = tmp
 	}
-}
-
-// crcOpCache caches shift operators per uniform chunk size. Chunk sizes are
-// configuration values (a handful per process), so the cache stays tiny;
-// the input-length-dependent final-chunk operator is built fresh per call
-// (~20k bit operations, noise next to compressing the chunk).
-var crcOpCache sync.Map // int -> *crcOp
-
-func cachedCRCShiftOp(n int) *crcOp {
-	if v, ok := crcOpCache.Load(n); ok {
-		return v.(*crcOp)
-	}
-	op := makeCRCShiftOp(n)
-	v, _ := crcOpCache.LoadOrStore(n, &op)
-	return v.(*crcOp)
+	return p
 }
 
 // combineChunkCRCs folds per-chunk CRC32-Cs into the CRC of the
@@ -108,13 +68,13 @@ func combineChunkCRCs(crcs []uint32, cs, lastLen int) uint32 {
 	if n == 1 {
 		return c
 	}
-	op := cachedCRCShiftOp(cs)
-	for i := 1; i < n-1; i++ {
-		c = op.apply(c) ^ crcs[i]
+	full := crcShift(cs)
+	for _, v := range crcs[1 : n-1] {
+		c = crcMulMod(full, c) ^ v
 	}
-	if lastLen == cs {
-		return op.apply(c) ^ crcs[n-1]
+	last := full
+	if lastLen != cs {
+		last = crcShift(lastLen)
 	}
-	last := makeCRCShiftOp(lastLen)
-	return last.apply(c) ^ crcs[n-1]
+	return crcMulMod(last, c) ^ crcs[n-1]
 }

@@ -136,7 +136,7 @@ func putHeader(hdr []byte, kind, alg byte, n int) {
 }
 
 func writeMessage(w io.Writer, kind, alg byte, payload []byte) error {
-	if len(payload) > math.MaxUint32 {
+	if uint64(len(payload)) > math.MaxUint32 {
 		return fmt.Errorf("%w: %d-byte payload does not fit the length field", ErrProtocol, len(payload))
 	}
 	var hdr [HeaderSize]byte
