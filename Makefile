@@ -160,12 +160,13 @@ crossarm:
 
 # 32-bit check: builds the whole module for 386 (where int is 32 bits and
 # the amd64 assembly compiles out) and runs the suites of the packages on
-# the container path under it, so a constant that overflows int or a
-# header varint that wraps on conversion is caught. Runs natively on an
+# the container path and of the baseline codecs under it, so a constant
+# that overflows int or a header varint that wraps on conversion is
+# caught. Runs natively on an
 # amd64 Linux host.
 CROSS386_PKGS := . ./internal/container ./internal/core ./internal/server \
 	./internal/selector ./internal/transforms/... ./internal/simd \
-	./internal/wordio ./internal/par
+	./internal/wordio ./internal/par ./internal/baselines/... ./internal/huffman
 cross386:
 	GOARCH=386 $(GO) build ./...
 	GOARCH=386 $(GO) test -count=1 $(CROSS386_PKGS)

@@ -415,4 +415,47 @@ func BenchmarkPublicAPI(b *testing.B) {
 			}
 		})
 	}
+	// Decoding into a fresh output against into a reused one: the gap is
+	// the cost of the fresh output's memory.
+	for _, tc := range []struct {
+		alg  Algorithm
+		data []byte
+	}{
+		{SPspeed, sampleInput(sdr.Single, 8<<20)},
+		{DPratio, sampleInput(sdr.Double, 2<<20)},
+	} {
+		blob, err := Compress(tc.alg, tc.data, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		name := tc.alg.String() + "/" + byteSize(len(tc.data))
+		b.Run(name+"/Decompress", func(b *testing.B) {
+			b.SetBytes(int64(len(tc.data)))
+			for i := 0; i < b.N; i++ {
+				if _, err := Decompress(blob, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(name+"/AppendDecompressReused", func(b *testing.B) {
+			b.SetBytes(int64(len(tc.data)))
+			var out []byte
+			for i := 0; i < b.N; i++ {
+				if out, err = AppendDecompress(out[:0], blob, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// sampleInput repeats the sample files of one precision up to n bytes.
+func sampleInput(prec sdr.Precision, n int) []byte {
+	out := make([]byte, 0, n)
+	for files := sampleFiles(prec); len(out) < n; {
+		for _, f := range files {
+			out = append(out, f[:min(len(f), n-len(out))]...)
+		}
+	}
+	return out
 }

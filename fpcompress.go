@@ -187,7 +187,10 @@ func newAlgorithm(alg Algorithm, opts *Options) (*core.Algorithm, error) {
 // from the block header. data may be arbitrary hostile bytes: corrupt
 // input returns an error (never a panic), and no allocation exceeds the
 // opts.MaxDecodedSize budget (default 64 MiB) plus bounded per-chunk
-// working memory.
+// working memory. The fresh output is allocated while the chunks decode;
+// meanwhile each worker besides the calling goroutine may hold up to
+// 2 MiB of decoded chunks in pooled arena memory. AppendDecompress into a
+// reused buffer skips that allocation and is still the fastest path.
 func Decompress(data []byte, opts *Options) ([]byte, error) {
 	return AppendDecompress(nil, data, opts)
 }

@@ -323,7 +323,7 @@ func (b *BWZ) Decompress(enc []byte) ([]byte, error) {
 		}
 		pos += n
 		packedLen64, n := bitio.Uvarint(enc[pos:])
-		if n == 0 || pos+n+int(packedLen64) > len(enc) {
+		if n == 0 || packedLen64 > uint64(len(enc)-pos-n) {
 			return nil, ErrCorrupt
 		}
 		pos += n
@@ -337,7 +337,7 @@ func (b *BWZ) Decompress(enc []byte) ([]byte, error) {
 			return nil, err
 		}
 		bwt := mtfInverse(mtf)
-		if len(bwt) != int(blockLen64) {
+		if uint64(len(bwt)) != blockLen64 || row64 > blockLen64 {
 			return nil, ErrCorrupt
 		}
 		block, err := bwtInverse(bwt, int(row64))

@@ -193,6 +193,14 @@ func TestQuick(t *testing.T) {
 
 func TestGarbage(t *testing.T) {
 	b := &BWZ{}
+	// Declared length 8, one block of 8 bytes at row 0, then a packed
+	// length of 2^64-1, which wraps to -1 as an int.
+	hostile := [][]byte{{0x08, 0x08, 0x00, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0x00}}
+	for _, enc := range hostile {
+		if _, err := b.Decompress(enc); err == nil {
+			t.Errorf("% x: decoded without error", enc)
+		}
+	}
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 200; i++ {
 		junk := make([]byte, rng.Intn(120))

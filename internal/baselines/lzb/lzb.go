@@ -133,10 +133,11 @@ func (l *LZ) Decompress(enc []byte) ([]byte, error) {
 			return nil, ErrCorrupt
 		}
 		pos += n
-		litLen := int(litLen64)
-		if pos+litLen > len(enc) || len(dst)+litLen > declen {
+		// Bounded as uint64 first: a huge length would wrap negative as int.
+		if litLen64 > uint64(len(enc)-pos) || litLen64 > uint64(declen-len(dst)) {
 			return nil, ErrCorrupt
 		}
+		litLen := int(litLen64)
 		dst = append(dst, enc[pos:pos+litLen]...)
 		pos += litLen
 		if len(dst) == declen && pos == len(enc) {
@@ -149,10 +150,11 @@ func (l *LZ) Decompress(enc []byte) ([]byte, error) {
 		pos += n
 		dist := int(enc[pos]) | int(enc[pos+1])<<8
 		pos += 2
-		mLen := int(mLen64) + minMatch
-		if dist <= 0 || dist > len(dst) || len(dst)+mLen > declen {
+		rem := declen - len(dst)
+		if dist <= 0 || dist > len(dst) || rem < minMatch || mLen64 > uint64(rem-minMatch) {
 			return nil, ErrCorrupt
 		}
+		mLen := int(mLen64) + minMatch
 		for k := 0; k < mLen; k++ {
 			dst = append(dst, dst[len(dst)-dist])
 		}

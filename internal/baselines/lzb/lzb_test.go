@@ -83,6 +83,14 @@ func TestQuick(t *testing.T) {
 
 func TestGarbage(t *testing.T) {
 	l := &LZ{}
+	// Declared length 8, then a literal length of 2^64-1, which wraps to
+	// -1 as an int.
+	hostile := [][]byte{{0x08, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0x00}}
+	for _, enc := range hostile {
+		if _, err := l.Decompress(enc); err == nil {
+			t.Errorf("% x: decoded without error", enc)
+		}
+	}
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 300; i++ {
 		junk := make([]byte, rng.Intn(100))

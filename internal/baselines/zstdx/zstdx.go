@@ -131,7 +131,7 @@ func (z *Zstd) Decompress(enc []byte) ([]byte, error) {
 	}
 	pos := hn
 	litLen64, n := bitio.Uvarint(enc[pos:])
-	if n == 0 || pos+n+int(litLen64) > len(enc) {
+	if n == 0 || litLen64 > uint64(len(enc)-pos-n) {
 		return nil, ErrCorrupt
 	}
 	pos += n
@@ -154,10 +154,11 @@ func (z *Zstd) Decompress(enc []byte) ([]byte, error) {
 			return nil, ErrCorrupt
 		}
 		seqPos += n
-		ll := int(ll64)
-		if litPos+ll > len(lits) || len(dst)+ll > declen {
+		// Bounded as uint64 first: a huge length would wrap negative as int.
+		if ll64 > uint64(len(lits)-litPos) || ll64 > uint64(declen-len(dst)) {
 			return nil, ErrCorrupt
 		}
+		ll := int(ll64)
 		dst = append(dst, lits[litPos:litPos+ll]...)
 		litPos += ll
 		ml64, n := bitio.Uvarint(seq[seqPos:])
@@ -173,11 +174,12 @@ func (z *Zstd) Decompress(enc []byte) ([]byte, error) {
 			return nil, ErrCorrupt
 		}
 		seqPos += n
-		mLen := int(ml64) - 1 + minMatch
-		dist := int(d64)
-		if dist <= 0 || dist > len(dst) || len(dst)+mLen > declen {
+		rem := declen - len(dst)
+		if d64 == 0 || d64 > uint64(len(dst)) || rem < minMatch-1 || ml64 > uint64(rem-minMatch+1) {
 			return nil, ErrCorrupt
 		}
+		mLen := int(ml64) - 1 + minMatch
+		dist := int(d64)
 		for k := 0; k < mLen; k++ {
 			dst = append(dst, dst[len(dst)-dist])
 		}

@@ -371,6 +371,13 @@ type engineState struct {
 	arenas  []arena      // per-worker encode arenas
 	parity  []byte       // concatenated XOR parity blocks (parity encodes only)
 	pcrcs   []uint32     // CRC32-C of each parity block
+
+	// A decode's output (see decode): dst is the caller's slice grown to
+	// hold it, and out the part the chunks decode into. While ready is
+	// open, worker 0 is still growing dst, and the other workers decode
+	// ahead into their arenas.
+	dst, out []byte
+	ready    chan struct{}
 }
 
 var enginePool = sync.Pool{New: func() any { return new(engineState) }}
@@ -408,11 +415,20 @@ func putEngineState(st *engineState) { enginePool.Put(st) }
 // back to back. A block never regrows. When the current one lacks a
 // chunk's worst-case room, the worker moves on to the next, so no chunk
 // is copied to make room for another. The blocks stay with the pooled
-// engineState, and a warm call encodes into them again.
+// engineState, and a warm call encodes into them again. A decode holds
+// the chunks it decodes ahead of its output in them (see decode).
 type arena struct {
 	blocks  [][]byte
 	cur     int // index of the block being filled
-	in, out int // this call's input bytes consumed and encoded bytes kept
+	in, out int // this call's input bytes consumed and encoded (or held) bytes kept
+	held    []heldChunk
+}
+
+// heldChunk is a chunk decoded ahead of its output: its bytes in an
+// arena block, and their offset in the output.
+type heldChunk struct {
+	at  int
+	dec []byte
 }
 
 // reset readies the arena for a new call, keeping its blocks.
@@ -421,6 +437,7 @@ func (a *arena) reset() {
 		a.blocks[i] = a.blocks[i][:0]
 	}
 	a.cur, a.in, a.out = 0, 0, 0
+	a.held = a.held[:0]
 }
 
 // block returns the block the next chunk encodes into, with at least room
@@ -454,6 +471,20 @@ func (a *arena) block(room, rest, nw int) []byte {
 	return b
 }
 
+// hold returns n bytes of block space for a chunk that decodes ahead of
+// its output, and records that they belong at output offset at, of an
+// output end bytes long. The block estimate sees no input consumed, so a
+// new block holds n plus a quarter of what the worker may hold after
+// them: up to the ceiling, and no more than the rest of the output.
+func (a *arena) hold(at, n, end int) []byte {
+	b := a.block(n, min(aheadMax-a.out, end-at)-n, 1)
+	dec := b[len(b) : len(b)+n : len(b)+n]
+	a.blocks[a.cur] = b[:len(b)+n]
+	a.out += n
+	a.held = append(a.held, heldChunk{at, dec})
+	return dec
+}
+
 // chunkRoom is the free block space a chunk of cs bytes may encode into:
 // above every codec's worst-case request (RZE's, the largest, asks about
 // 1.16 cs; TestChunkRoomCoversCodecs pins it), so an encode never regrows
@@ -468,27 +499,43 @@ func chunkRoom(cs int) int { return cs + cs/4 + 64 }
 // index, though calls already running finish. It returns how many indices
 // were claimed: exactly 0..claimed-1, each processed. A call that panics
 // stops the claiming too, and its panic reaches the caller once every
-// worker has returned (par.Run).
-func forEachChunk(nw, n int, fn func(w, i int) bool) (claimed int) {
+// worker has returned (par.Run). The hooks may be nil: lead runs on the
+// calling goroutine before it claims, while the other workers already
+// do, and done(w) runs on worker w after its last claim.
+func forEachChunk(nw, n int, fn func(w, i int) bool, lead func(), done func(w int)) (claimed int) {
 	if nw <= 1 {
+		if lead != nil {
+			lead()
+		}
+		claimed = n
 		for i := 0; i < n; i++ {
 			if !fn(0, i) {
-				return i + 1
+				claimed = i + 1
+				break
 			}
 		}
-		return n
+		if done != nil {
+			done(0)
+		}
+		return claimed
 	}
 	var next atomic.Int64
 	var stop atomic.Bool
 	par.Run(nw, func(w int) {
+		if w == 0 && lead != nil {
+			lead()
+		}
 		for !stop.Load() {
 			i := int(next.Add(1)) - 1
 			if i >= n {
-				return
+				break
 			}
 			if !fn(w, i) {
 				stop.Store(true)
 			}
+		}
+		if done != nil {
+			done(w)
 		}
 	}, func() { stop.Store(true) })
 	return min(int(next.Load()), n)
@@ -568,7 +615,7 @@ func CompressAppend(dst, src []byte, algID byte, codec Codec, p Params) []byte {
 		}
 		a.blocks[a.cur] = block
 		return true
-	})
+	}, nil, nil)
 
 	// Scan: exact payload size and every chunk's payload offset.
 	total := 0
@@ -612,7 +659,7 @@ func CompressAppend(dst, src []byte, algID byte, codec Codec, p Params) []byte {
 		}
 		copy(payload[st.pos[i]:st.pos[i]+st.sizes[i]], from)
 		return true
-	})
+	}, nil, nil)
 	return append(dst, st.parity...)
 }
 
@@ -1040,13 +1087,30 @@ func (h *Header) chunkCorrupt(err error) error {
 	return fmt.Errorf("%w: %w", ErrChunkCorrupt, err)
 }
 
+// aheadMax is the most decoded bytes a worker holds in its arena while a
+// decode's output is still being allocated; a worker at the cap waits for
+// the output.
+const aheadMax = 2 << 20
+
+// aheadGrowHook, when a test sets it, runs on worker 0 just before it
+// grows a decode's output, so that the other workers decode ahead.
+var aheadGrowHook func()
+
 // decode is the one chunk-decode loop, behind strict (rep nil) and partial
 // decodes alike. Each worker decodes its chunks into their spans of the
-// pre-sized output and takes their CRC32-C on the way, checking it against
-// the stored one when the container records it; the per-chunk CRCs fold
-// into the whole-input CRC instead of a second pass over the output. A
-// failed chunk is quarantined. With parity, or in partial mode, every chunk
+// output and takes their CRC32-C on the way, checking it against the
+// stored one when the container records it; the per-chunk CRCs fold into
+// the whole-input CRC instead of a second pass over the output. A failed
+// chunk is quarantined. With parity, or in partial mode, every chunk
 // decodes and the parity groups then repair what they can.
+//
+// A fresh output is zeroed, and its pages faulted in, on the goroutine
+// that allocates it. So when dst lacks the room and more than one worker
+// runs, worker 0 grows dst while the others decode ahead: each holds its
+// chunks in its arena (up to aheadMax bytes) until the output exists, then
+// copies them into place and decodes straight into the output (see
+// engineState.span). Claims, CRCs and chunk states are the same either
+// way.
 //
 // Strict mode fails on the lowest chunk left quarantined, or on a
 // whole-input CRC mismatch. Partial mode fails only on the mismatch of an
@@ -1055,12 +1119,30 @@ func (h *Header) chunkCorrupt(err error) error {
 // ChunkUnverified, and records every outcome in rep.
 func (h *Header) decode(dst []byte, codec Codec, sc SchemeCodec, p Params, rep *Report) ([]byte, error) {
 	base := len(dst)
-	dst = growExact(dst, h.OriginalLen)
-	out := dst[base:]
 	ic, _ := codec.(IntoCodec)
 	nw := p.workers(h.ChunkCount)
 	st := getEngineState(h.ChunkCount, nw)
 	defer putEngineState(st)
+	var lead func()
+	var done func(w int)
+	if nw > 1 && cap(dst)-base < h.OriginalLen {
+		st.dst, st.ready = dst, make(chan struct{})
+		for w := range st.arenas {
+			st.arenas[w].reset()
+		}
+		lead = func() {
+			defer close(st.ready)
+			if aheadGrowHook != nil {
+				aheadGrowHook()
+			}
+			st.dst = growExact(st.dst, h.OriginalLen)
+			st.out = st.dst[base:]
+		}
+		done = st.flush
+	} else {
+		st.dst = growExact(dst, h.OriginalLen)
+		st.out = st.dst[base:]
+	}
 	states := st.states
 	if rep != nil {
 		rep.init(h)
@@ -1071,17 +1153,19 @@ func (h *Header) decode(dst []byte, codec Codec, sc SchemeCodec, p Params, rep *
 	// monotone, so every chunk below that failure has still been decoded:
 	// the lowest failing chunk does not depend on scheduling.
 	decodeAll := rep != nil || h.ParityGroup > 0
-	claimed := forEachChunk(nw, h.ChunkCount, func(_, i int) bool {
+	claimed := forEachChunk(nw, h.ChunkCount, func(w, i int) bool {
 		// Workers write disjoint indices of states, st.crcs and st.errs.
 		lo, hi := h.chunkSpan(i)
-		crc, err := h.verifyChunkInto(i, out[lo:hi], codec, ic, sc, true)
+		crc, err := h.verifyChunkInto(i, st.span(w, lo, hi, h.OriginalLen), codec, ic, sc, true)
 		if err != nil {
 			states[i], st.errs[i] = ChunkQuarantined, err
 			return decodeAll
 		}
 		states[i], st.crcs[i] = ChunkOK, crc
 		return true
-	})
+	}, lead, done)
+	dst, out := st.dst, st.out
+	st.dst, st.out, st.ready = nil, nil, nil // the pool keeps no output
 	if h.ParityGroup > 0 {
 		h.repairGroups(out, states, st)
 	}
@@ -1132,6 +1216,38 @@ func (h *Header) decode(dst []byte, codec Codec, sc SchemeCodec, p Params, rep *
 		}
 	}
 	return dst, nil
+}
+
+// span returns where worker w decodes the chunk that fills [lo, hi) of a
+// decode's output, end bytes long: that span once the output exists, or
+// else room in w's arena, where the chunk is held until it does. A worker
+// holding aheadMax bytes waits for the output instead. Seeing the output,
+// a worker first copies the chunks it holds into place.
+func (st *engineState) span(w, lo, hi, end int) []byte {
+	if st.ready != nil {
+		a := &st.arenas[w]
+		if a.out+hi-lo > aheadMax {
+			<-st.ready
+		}
+		select {
+		case <-st.ready:
+			st.flush(w)
+		default:
+			return a.hold(lo, hi-lo, end)
+		}
+	}
+	return st.out[lo:hi]
+}
+
+// flush waits for a decode's output and copies the chunks worker w holds
+// into place.
+func (st *engineState) flush(w int) {
+	<-st.ready
+	a := &st.arenas[w]
+	for _, c := range a.held {
+		copy(st.out[c.at:], c.dec)
+	}
+	a.held = a.held[:0]
 }
 
 // wholeCRC folds the per-chunk CRC32-Cs of a fully decoded container into

@@ -2,6 +2,7 @@ package container
 
 import (
 	"bytes"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -76,5 +77,32 @@ func TestCodecPanicReachesCaller(t *testing.T) {
 	}
 	if got, err := Decompress(want, shrinkCodec{}, p); err != nil || !bytes.Equal(got, src) {
 		t.Fatalf("decompress after a panic: err %v, round trip equal %v", err, bytes.Equal(got, src))
+	}
+}
+
+// TestCodecPanicAheadReachesCaller: a codec panic on a chunk decoded ahead
+// of the output, while worker 0 still grows it, reaches the caller too,
+// and no engine goroutine outlives the call.
+func TestCodecPanicAheadReachesCaller(t *testing.T) {
+	const cs = 1024
+	src := aheadTestSrc(cs, 12)
+	blob := Compress(src, 1, shrinkCodec{}, Params{ChunkSize: cs})
+	trip(t, blob, 5)
+	base := runtime.NumGoroutine()
+	for _, nw := range []int{2, 4} {
+		c := newTripCodec(true)
+		grows := holdGrow(t, c.tripped)
+		if r := recovered(func() { Decompress(blob, c, Params{ChunkSize: cs, Parallelism: nw}) }); r != "injected" {
+			t.Fatalf("%d workers: recovered %v, want the injected panic", nw, r)
+		}
+		if g := grows.Load(); g != 1 {
+			t.Errorf("%d workers: %d decodes grew their output aside, want 1", nw, g)
+		}
+	}
+	// An exiting goroutine may still count for a moment after the call.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the panics, %d before", runtime.NumGoroutine(), base)
+		}
 	}
 }

@@ -29,9 +29,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"sync"
 
 	"fpcompress/internal/container"
+	"fpcompress/internal/par"
 	"fpcompress/internal/selector"
 	"fpcompress/internal/transforms"
 	"fpcompress/internal/transforms/fused"
@@ -211,19 +214,19 @@ func (a *Algorithm) decompress(dst, data []byte, p container.Params, partial boo
 	if err := a.checkContainer(data); err != nil {
 		return nil, nil, err
 	}
-	chunks := func(dst []byte, p container.Params) ([]byte, *container.Report, error) {
-		if partial {
-			return container.DecompressPartialAppend(dst, data, a.ChunkCodec(), p)
-		}
-		out, err := container.DecompressAppend(dst, data, a.ChunkCodec(), p)
-		return out, nil, err
-	}
 	if a.Pre == nil {
-		return chunks(dst, p)
+		return a.decodeChunks(dst, data, p, partial)
 	}
 	pb := preBufPool.Get().(*[]byte)
 	defer preBufPool.Put(pb)
-	buf, rep, err := chunks((*pb)[:0], a.preParams(p))
+	var buf []byte
+	var rep *container.Report
+	var err error
+	if n := a.preGrowLen(dst, data, p); n > 0 {
+		dst, buf, rep, err = a.decodeGrowing(dst, n, (*pb)[:0], data, a.preParams(p), partial)
+	} else {
+		buf, rep, err = a.decodeChunks((*pb)[:0], data, a.preParams(p), partial)
+	}
 	if err != nil {
 		return nil, rep, err
 	}
@@ -236,6 +239,59 @@ func (a *Algorithm) decompress(dst, data []byte, p container.Params, partial boo
 		return nil, rep, err
 	}
 	return out, rep, nil
+}
+
+// decodeChunks runs the container decode, strict or partial, appending to
+// dst.
+func (a *Algorithm) decodeChunks(dst, data []byte, p container.Params, partial bool) ([]byte, *container.Report, error) {
+	if partial {
+		return container.DecompressPartialAppend(dst, data, a.ChunkCodec(), p)
+	}
+	out, err := container.DecompressAppend(dst, data, a.ChunkCodec(), p)
+	return out, nil, err
+}
+
+// preGrowLen reports how many bytes decompress grows dst by while the
+// chunks decode: the pre-stage output length that the container's
+// declared size implies, once that is within p's decode budget and
+// beyond dst's spare capacity, and more than one worker runs.
+// Otherwise it is 0, and the pre-stage grows dst itself after the chunk
+// decode. The pre-stage's own length prefix stays authoritative: when it
+// disagrees, its decode reallocates or fails exactly as without this.
+func (a *Algorithm) preGrowLen(dst, data []byte, p container.Params) int {
+	workers := p.Parallelism
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers < 2 {
+		return 0
+	}
+	declared, _, err := container.DeclaredSize(data)
+	if err != nil {
+		return 0
+	}
+	// An impossible length reads as -1, which dst always has room for.
+	n := a.Pre.DecodedLen(declared)
+	if budget := p.DecodeBudget(); (budget >= 0 && n > budget) || n <= cap(dst)-len(dst) {
+		return 0
+	}
+	return n
+}
+
+// decodeGrowing is decodeChunks into buf while a second worker grows dst
+// by n bytes for the pre-stage output. Growing a fresh output zeroes it,
+// and faults its pages in, on the goroutine that allocates it; here that
+// overlaps the chunk decode, and the pre-stage's InverseInto then finds
+// the room.
+func (a *Algorithm) decodeGrowing(dst []byte, n int, buf, data []byte, p container.Params, partial bool) (grown, out []byte, rep *container.Report, err error) {
+	par.Run(2, func(w int) {
+		if w == 1 {
+			grown = slices.Grow(dst, n)
+			return
+		}
+		out, rep, err = a.decodeChunks(buf, data, p, partial)
+	}, func() {})
+	return grown, out, rep, err
 }
 
 // preParams scales the container-level decode budget in p by the

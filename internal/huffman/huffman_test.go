@@ -91,7 +91,7 @@ func TestLengthLimiting(t *testing.T) {
 	for s := 0; s < 40; s++ {
 		freqs[s] = a
 		a, b = b, a+b
-		if a > 1<<40 {
+		if int64(a) > 1<<40 {
 			break
 		}
 	}

@@ -95,6 +95,19 @@ func (f FCM) Name() string {
 // the intermediate FCM stream.
 func (FCM) EncodedCap(n int) int { return fcmHeaderLen + 2*n }
 
+// DecodedLen reports the decoded length of an encoded stream of n bytes,
+// or -1 when no stream has that length: a stream of w words and a t-byte
+// tail (t < 8) is 8 + 16w + t bytes and decodes to 8w + t. The stream's
+// own length prefix stays authoritative; a decoder uses this only to size
+// its output before the stream is at hand.
+func (FCM) DecodedLen(n int) int {
+	r := n - fcmHeaderLen
+	if r < 0 || r%16 >= 8 {
+		return -1
+	}
+	return r/16*8 + r%16
+}
+
 // fcmTableBits sizes the direct-mapped last-occurrence table: 1<<12 slots
 // (16 kB of int32) holds a 16 kB chunk's 2048 words with few collisions
 // and clears with one memclr per encode.

@@ -126,6 +126,21 @@ func TestFCMSlotSeedIndependent(t *testing.T) {
 	}
 }
 
+// TestFCMDecodedLen: DecodedLen inverts the encoded length for every
+// tail length, and refuses the lengths no stream has.
+func TestFCMDecodedLen(t *testing.T) {
+	for n := range 50 {
+		if got := (FCM{}).DecodedLen(len(FCM{}.ForwardInto(nil, make([]byte, n)))); got != n {
+			t.Errorf("%d bytes encode to a stream DecodedLen reads as %d", n, got)
+		}
+	}
+	for _, enc := range []int{0, 7, 8 + 8, 8 + 15, 8 + 16 + 12} {
+		if got := (FCM{}).DecodedLen(enc); got != -1 {
+			t.Errorf("DecodedLen(%d) = %d, want -1", enc, got)
+		}
+	}
+}
+
 // TestFCMWorkers pins the encoder's parallel gate: a cap of one worker,
 // or an input below the threshold, runs on one.
 func TestFCMWorkers(t *testing.T) {
