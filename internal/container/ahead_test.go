@@ -182,9 +182,14 @@ func TestDecodeAheadCeiling(t *testing.T) {
 	src := aheadTestSrc(cs, held+8)
 	blob := Compress(src, 1, shrinkCodec{}, Params{ChunkSize: cs})
 	c := countCodec{n: new(atomic.Int32)}
+	var grows atomic.Int32
 	aheadGrowHook = func() {
-		for c.n.Load() < held {
-			time.Sleep(time.Millisecond)
+		grows.Add(1)
+		for deadline := time.Now().Add(5 * time.Second); c.n.Load() < held; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Errorf("%d chunks decoded ahead in 5 s, want %d", c.n.Load(), held)
+				return
+			}
 		}
 		time.Sleep(50 * time.Millisecond) // room for a decode past the ceiling
 		if got := c.n.Load(); got != held {
@@ -195,5 +200,8 @@ func TestDecodeAheadCeiling(t *testing.T) {
 	dec, err := Decompress(blob, c, Params{ChunkSize: cs, Parallelism: 2})
 	if err != nil || !bytes.Equal(dec, src) {
 		t.Fatalf("err %v, round trip equal %v", err, bytes.Equal(dec, src))
+	}
+	if g := grows.Load(); g != 1 {
+		t.Errorf("%d decodes grew their output aside, want 1", g)
 	}
 }

@@ -254,25 +254,31 @@ func (a *Algorithm) decodeChunks(dst, data []byte, p container.Params, partial b
 // preGrowLen reports how many bytes decompress grows dst by while the
 // chunks decode: the pre-stage output length that the container's
 // declared size implies, once that is within p's decode budget and
-// beyond dst's spare capacity, and more than one worker runs.
+// beyond dst's spare capacity, and the container decodes on more than
+// one worker (Parallelism, or GOMAXPROCS, capped at its chunk count).
 // Otherwise it is 0, and the pre-stage grows dst itself after the chunk
-// decode. The pre-stage's own length prefix stays authoritative: when it
-// disagrees, its decode reallocates or fails exactly as without this.
+// decode. Only a container that parses is grown for, so a header that
+// disagrees with its tables or its length fails before anything is
+// allocated, as without this. The pre-stage's own length prefix stays
+// authoritative: when it disagrees, its decode reallocates or fails
+// exactly as without this.
 func (a *Algorithm) preGrowLen(dst, data []byte, p container.Params) int {
 	workers := p.Parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers < 2 {
-		return 0
-	}
-	declared, _, err := container.DeclaredSize(data)
-	if err != nil {
+	declared, chunks, err := container.DeclaredSize(data)
+	if err != nil || min(workers, chunks) < 2 {
 		return 0
 	}
 	// An impossible length reads as -1, which dst always has room for.
 	n := a.Pre.DecodedLen(declared)
 	if budget := p.DecodeBudget(); (budget >= 0 && n > budget) || n <= cap(dst)-len(dst) {
+		return 0
+	}
+	// DeclaredSize reads the header alone; Parse checks it against the
+	// size table and the bytes present.
+	if _, err := container.Parse(data); err != nil {
 		return 0
 	}
 	return n

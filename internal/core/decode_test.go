@@ -99,3 +99,41 @@ func TestPreGrowKeepsErrors(t *testing.T) {
 		t.Errorf("over budget: %d bytes allocated per refused decode", per)
 	}
 }
+
+// TestPreGrowNeedsParse: DPratio grows its output ahead only from a
+// container that parses. A header whose declared length disagrees with
+// its chunk table, or a container cut short, fails with the container's
+// ErrFormat at two workers as at one, under the default budget and
+// without one, and allocates nothing near the declared size.
+func TestPreGrowNeedsParse(t *testing.T) {
+	a, _ := New(DPratio)
+	const declared = 8 + 64<<20 // an FCM stream of 32 MiB of words
+	sizes := []int{8, 8}
+	raw := []bool{false, false}
+	whole := container.Assemble(byte(DPratio), 0, declared, 8+32<<20, sizes, raw, make([]byte, 16))
+	cases := map[string][]byte{
+		// Two chunks of 16 KiB cannot hold 64 MiB.
+		"length disagrees": container.Assemble(byte(DPratio), 0, declared, 16<<10, sizes, raw, make([]byte, 16)),
+		// Two chunks of 32 MiB and 8 bytes hold it, but their bytes are cut short.
+		"truncated": whole[:len(whole)-6],
+	}
+	for name, data := range cases {
+		if _, _, err := container.DeclaredSize(data); err != nil {
+			t.Fatalf("%s: DeclaredSize: %v", name, err)
+		}
+		for _, budget := range []int{0, -1} {
+			_, want := a.Decompress(data, container.Params{Parallelism: 1, MaxDecoded: budget})
+			p := container.Params{Parallelism: 2, MaxDecoded: budget}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := a.Decompress(data, p)
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, container.ErrFormat) || fmt.Sprint(err) != fmt.Sprint(want) {
+				t.Errorf("%s, budget %d: err %v, want %v", name, budget, err, want)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+				t.Errorf("%s, budget %d: %d bytes allocated by a refused decode", name, budget, got)
+			}
+		}
+	}
+}
