@@ -446,6 +446,17 @@ func BenchmarkPublicAPI(b *testing.B) {
 				}
 			}
 		})
+		// One worker: the output is grown before the chunks decode, and
+		// DPratio's FCM stream resolves after each chunk.
+		b.Run(name+"/Decompress1w", func(b *testing.B) {
+			b.SetBytes(int64(len(tc.data)))
+			opts := &Options{Parallelism: 1}
+			for i := 0; i < b.N; i++ {
+				if _, err := Decompress(blob, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

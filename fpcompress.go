@@ -187,10 +187,12 @@ func newAlgorithm(alg Algorithm, opts *Options) (*core.Algorithm, error) {
 // from the block header. data may be arbitrary hostile bytes: corrupt
 // input returns an error (never a panic), and no allocation exceeds the
 // opts.MaxDecodedSize budget (default 64 MiB) plus bounded per-chunk
-// working memory. The fresh output is allocated while the chunks decode;
-// meanwhile each worker besides the calling goroutine may hold up to
-// 2 MiB of decoded chunks in pooled arena memory. AppendDecompress into a
-// reused buffer skips that allocation and is still the fastest path.
+// working memory. The fresh output is allocated while the chunks decode
+// (for DPratio at one worker, just before); meanwhile each worker besides
+// the calling goroutine may hold up to 2 MiB of decoded chunks in pooled
+// arena memory. DPratio's whole-input FCM stage resolves behind the chunk
+// decode, on the workers that decode the chunks. AppendDecompress into a
+// reused buffer skips the allocation and is still the fastest path.
 func Decompress(data []byte, opts *Options) ([]byte, error) {
 	return AppendDecompress(nil, data, opts)
 }

@@ -378,6 +378,63 @@ type engineState struct {
 	// ahead into their arenas.
 	dst, out []byte
 	ready    chan struct{}
+
+	fol follower // a followed decode's progress (see DecompressFollow)
+}
+
+// follower tracks which chunks of a followed decode have landed, that is
+// decoded OK and sit in place in the output, and reports each longer
+// prefix of landed chunks through fn (nil when the decode is not
+// followed).
+type follower struct {
+	fn     func(out []byte, n int)
+	cs     int             // the container's chunk size
+	landed []atomic.Uint32 // chunk i's decodedOK and inPlace bits
+	prefix int             // chunks reported so far
+	busy   atomic.Bool     // the try-lock one report runs under
+}
+
+// The bits of a chunk's landing record; each is added once.
+const (
+	decodedOK = 1 << iota
+	inPlace
+	landedBits = decodedOK | inPlace
+)
+
+// land adds bits to chunk i's landing record in a followed decode and, if
+// the chunk is in place, reports any longer prefix of landed chunks. A
+// worker that finds a report running leaves the step to it; the running
+// one looks again once its report returns, so no landing waits for a
+// later one to be reported, and the caller sees the whole output once the
+// decode returns.
+func (st *engineState) land(i int, bits uint32) {
+	f := &st.fol
+	if f.fn == nil {
+		return
+	}
+	f.landed[i].Add(bits)
+	if bits&inPlace == 0 {
+		return // held ahead of the output: it lands when flushed
+	}
+	for f.busy.CompareAndSwap(false, true) {
+		k := f.prefix
+		for k < len(f.landed) && f.landed[k].Load() == landedBits {
+			k++
+		}
+		if k > f.prefix {
+			// Chunks that landed sit in the output, so st.out is set.
+			f.prefix = k
+			n := len(st.out) // the last chunk may be short
+			if k < len(f.landed) {
+				n = k * f.cs
+			}
+			f.fn(st.out, n)
+		}
+		f.busy.Store(false)
+		if k == len(f.landed) || f.landed[k].Load() != landedBits {
+			return
+		}
+	}
 }
 
 var enginePool = sync.Pool{New: func() any { return new(engineState) }}
@@ -424,11 +481,11 @@ type arena struct {
 	held    []heldChunk
 }
 
-// heldChunk is a chunk decoded ahead of its output: its bytes in an
+// heldChunk is chunk i decoded ahead of its output: its bytes in an
 // arena block, and their offset in the output.
 type heldChunk struct {
-	at  int
-	dec []byte
+	i, at int
+	dec   []byte
 }
 
 // reset readies the arena for a new call, keeping its blocks.
@@ -471,17 +528,17 @@ func (a *arena) block(room, rest, nw int) []byte {
 	return b
 }
 
-// hold returns n bytes of block space for a chunk that decodes ahead of
-// its output, and records that they belong at output offset at, of an
+// hold returns n bytes of block space for chunk i, which decodes ahead
+// of its output, and records that they belong at output offset at, of an
 // output end bytes long. The block estimate sees no input consumed, so a
 // new block holds n plus a quarter of what the worker may hold after
 // them: up to the ceiling, and no more than the rest of the output.
-func (a *arena) hold(at, n, end int) []byte {
+func (a *arena) hold(i, at, n, end int) []byte {
 	b := a.block(n, min(aheadMax-a.out, end-at)-n, 1)
 	dec := b[len(b) : len(b)+n : len(b)+n]
 	a.blocks[a.cur] = b[:len(b)+n]
 	a.out += n
-	a.held = append(a.held, heldChunk{at, dec})
+	a.held = append(a.held, heldChunk{i, at, dec})
 	return dec
 }
 
@@ -992,14 +1049,37 @@ func Decompress(data []byte, codec Codec, p Params) ([]byte, error) {
 // damage from parity; a chunk lost beyond that is a typed ErrChunkCorrupt.
 // A failed decode names the lowest failing chunk.
 func DecompressAppend(dst []byte, data []byte, codec Codec, p Params) ([]byte, error) {
-	return decompress(dst, data, codec, p, nil)
+	return decompress(dst, data, codec, p, nil, nil)
+}
+
+// DecompressFollow is DecompressAppend, or with partial set
+// DecompressPartialAppend, that lets a caller work on the output while
+// the chunks still decode. Each time the chunks that decoded OK (and
+// verified, where the container stores per-chunk CRCs) form a longer
+// prefix of the output, follow(out, n) runs with the whole output and
+// that prefix's length. One call runs at a time, on the decode worker
+// that extended the prefix; the decode's other workers go on meanwhile.
+// Chunks repaired from parity land after the decode, and so do the bytes
+// of a container without per-chunk CRCs whose whole-input CRC then
+// fails, so the caller checks the decode's outcome before trusting out.
+func DecompressFollow(dst, data []byte, codec Codec, p Params, partial bool, follow func(out []byte, n int)) ([]byte, *Report, error) {
+	if !partial {
+		out, err := decompress(dst, data, codec, p, nil, follow)
+		return out, nil, err
+	}
+	rep := new(Report)
+	out, err := decompress(dst, data, codec, p, rep, follow)
+	if err != nil {
+		return nil, nil, err
+	}
+	return out, rep, nil
 }
 
 // decompress is the preamble of both decode entry points: it parses data
 // (leniently for a partial decode, rep non-nil), refuses a declared size
 // beyond p's decode budget before allocating anything, and resolves the
 // codec's scheme routing, then runs the decode loop.
-func decompress(dst, data []byte, codec Codec, p Params, rep *Report) ([]byte, error) {
+func decompress(dst, data []byte, codec Codec, p Params, rep *Report, follow func(out []byte, n int)) ([]byte, error) {
 	h := headerPool.Get().(*Header)
 	defer putHeader(h)
 	if err := h.parse(data, rep != nil); err != nil {
@@ -1012,7 +1092,7 @@ func decompress(dst, data []byte, codec Codec, p Params, rep *Report) ([]byte, e
 	if err != nil {
 		return nil, err
 	}
-	return h.decode(dst, codec, sc, p, rep)
+	return h.decode(dst, codec, sc, p, rep, follow)
 }
 
 // decodeChunkInto decodes chunk i directly into span (its exact
@@ -1112,17 +1192,27 @@ var aheadGrowHook func()
 // engineState.span). Claims, CRCs and chunk states are the same either
 // way.
 //
+// A followed decode (follow non-nil, see DecompressFollow) records each
+// chunk that decodes OK, and each held chunk once it is copied into
+// place, and the worker that records one reports any longer prefix of
+// such chunks (engineState.land).
+//
 // Strict mode fails on the lowest chunk left quarantined, or on a
 // whole-input CRC mismatch. Partial mode fails only on the mismatch of an
 // empty container; otherwise it zero-fills the quarantined chunks,
 // demotes the chunks the whole-input CRC no longer vouches for to
 // ChunkUnverified, and records every outcome in rep.
-func (h *Header) decode(dst []byte, codec Codec, sc SchemeCodec, p Params, rep *Report) ([]byte, error) {
+func (h *Header) decode(dst []byte, codec Codec, sc SchemeCodec, p Params, rep *Report, follow func(out []byte, n int)) ([]byte, error) {
 	base := len(dst)
 	ic, _ := codec.(IntoCodec)
 	nw := p.workers(h.ChunkCount)
 	st := getEngineState(h.ChunkCount, nw)
-	defer putEngineState(st)
+	defer func() {
+		// The pool keeps no output and no follower, not even a panicked
+		// decode's.
+		st.dst, st.out, st.ready, st.fol.fn = nil, nil, nil, nil
+		putEngineState(st)
+	}()
 	var lead func()
 	var done func(w int)
 	if nw > 1 && cap(dst)-base < h.OriginalLen {
@@ -1143,6 +1233,15 @@ func (h *Header) decode(dst []byte, codec Codec, sc SchemeCodec, p Params, rep *
 		st.dst = growExact(dst, h.OriginalLen)
 		st.out = st.dst[base:]
 	}
+	if f := &st.fol; follow != nil {
+		if cap(f.landed) < h.ChunkCount {
+			f.landed = make([]atomic.Uint32, h.ChunkCount)
+		}
+		f.landed = f.landed[:h.ChunkCount]
+		clear(f.landed)
+		f.fn, f.cs, f.prefix = follow, h.ChunkSize, 0
+		f.busy.Store(false) // a report that panicked left it taken
+	}
 	states := st.states
 	if rep != nil {
 		rep.init(h)
@@ -1156,16 +1255,21 @@ func (h *Header) decode(dst []byte, codec Codec, sc SchemeCodec, p Params, rep *
 	claimed := forEachChunk(nw, h.ChunkCount, func(w, i int) bool {
 		// Workers write disjoint indices of states, st.crcs and st.errs.
 		lo, hi := h.chunkSpan(i)
-		crc, err := h.verifyChunkInto(i, st.span(w, lo, hi, h.OriginalLen), codec, ic, sc, true)
+		span, held := st.span(w, i, lo, hi, h.OriginalLen)
+		crc, err := h.verifyChunkInto(i, span, codec, ic, sc, true)
 		if err != nil {
 			states[i], st.errs[i] = ChunkQuarantined, err
 			return decodeAll
 		}
 		states[i], st.crcs[i] = ChunkOK, crc
+		if held {
+			st.land(i, decodedOK)
+		} else {
+			st.land(i, landedBits)
+		}
 		return true
 	}, lead, done)
 	dst, out := st.dst, st.out
-	st.dst, st.out, st.ready = nil, nil, nil // the pool keeps no output
 	if h.ParityGroup > 0 {
 		h.repairGroups(out, states, st)
 	}
@@ -1218,12 +1322,13 @@ func (h *Header) decode(dst []byte, codec Codec, sc SchemeCodec, p Params, rep *
 	return dst, nil
 }
 
-// span returns where worker w decodes the chunk that fills [lo, hi) of a
+// span returns where worker w decodes chunk i, which fills [lo, hi) of a
 // decode's output, end bytes long: that span once the output exists, or
-// else room in w's arena, where the chunk is held until it does. A worker
-// holding aheadMax bytes waits for the output instead. Seeing the output,
-// a worker first copies the chunks it holds into place.
-func (st *engineState) span(w, lo, hi, end int) []byte {
+// else room in w's arena, where the chunk is held until it does (held is
+// then true). A worker holding aheadMax bytes waits for the output
+// instead. Seeing the output, a worker first copies the chunks it holds
+// into place.
+func (st *engineState) span(w, i, lo, hi, end int) (b []byte, held bool) {
 	if st.ready != nil {
 		a := &st.arenas[w]
 		if a.out+hi-lo > aheadMax {
@@ -1233,10 +1338,10 @@ func (st *engineState) span(w, lo, hi, end int) []byte {
 		case <-st.ready:
 			st.flush(w)
 		default:
-			return a.hold(lo, hi-lo, end)
+			return a.hold(i, lo, hi-lo, end), true
 		}
 	}
-	return st.out[lo:hi]
+	return st.out[lo:hi], false
 }
 
 // flush waits for a decode's output and copies the chunks worker w holds
@@ -1246,6 +1351,7 @@ func (st *engineState) flush(w int) {
 	a := &st.arenas[w]
 	for _, c := range a.held {
 		copy(st.out[c.at:], c.dec)
+		st.land(c.i, inPlace)
 	}
 	a.held = a.held[:0]
 }

@@ -359,12 +359,7 @@ func DecompressPartial(data []byte, codec Codec, p Params) ([]byte, *Report, err
 // be nil), with the same append-semantics ownership contract as
 // DecompressAppend.
 func DecompressPartialAppend(dst, data []byte, codec Codec, p Params) ([]byte, *Report, error) {
-	rep := new(Report)
-	out, err := decompress(dst, data, codec, p, rep)
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, rep, nil
+	return DecompressFollow(dst, data, codec, p, true, nil)
 }
 
 // rebuildChunk reconstructs chunk lost into span from its XOR parity

@@ -39,30 +39,44 @@ func TestDecompressAppendDstKinds(t *testing.T) {
 			src []byte
 		}{a, src})
 	}
-	prefix := []byte("prefix")
 	for _, tc := range algs {
 		data := tc.a.Compress(tc.src, container.Params{})
-		for _, w := range []int{1, 2, 4, 8} {
-			dsts := map[string][]byte{
-				"nil":   nil,
-				"short": append(make([]byte, 0, len(prefix)+len(tc.src)/2), prefix...),
-				"warm":  append(make([]byte, 0, len(prefix)+len(tc.src)), prefix...),
-			}
-			for kind, dst := range dsts {
-				got, err := tc.a.DecompressAppend(dst, data, container.Params{Parallelism: w})
-				want := append(dst[:len(dst):len(dst)], tc.src...)
+		for _, w := range decodeWorkers {
+			for _, dst := range dstKinds(len(tc.src)) {
+				got, err := tc.a.DecompressAppend(dst.b, data, container.Params{Parallelism: w})
+				want := append(dst.b[:len(dst.b):len(dst.b)], tc.src...)
 				if err != nil || !bytes.Equal(got, want) {
-					t.Errorf("%s, %d workers, %s dst: err %v, output differs", tc.a.Name(), w, kind, err)
+					t.Errorf("%s, %d workers, %s dst: err %v, output differs", tc.a.Name(), w, dst.name, err)
 				}
 			}
 		}
 	}
 }
 
+// decodeWorkers are the worker counts the decode tests run at.
+var decodeWorkers = []int{1, 2, 4, 8}
+
+// dstKinds are what a decode of n bytes may append to: nothing, a prefix
+// with room for half the output, and a prefix with room for all of it.
+func dstKinds(n int) []struct {
+	name string
+	b    []byte
+} {
+	prefix := []byte("prefix")
+	return []struct {
+		name string
+		b    []byte
+	}{
+		{"nil", nil},
+		{"short", append(make([]byte, 0, len(prefix)+n/2), prefix...)},
+		{"warm", append(make([]byte, 0, len(prefix)+n), prefix...)},
+	}
+}
+
 // TestPreGrowKeepsErrors: sizing DPratio's output from the container's
 // declared length changes no outcome. A stream whose own length prefix
-// disagrees with that length decodes or fails as at one worker, where
-// nothing is grown ahead, and a declared size over the budget fails with
+// disagrees with that length decodes or fails as FCM's InverseInto does
+// on the bare stream, and a declared size over the budget fails with
 // ErrBudget before the output is allocated.
 func TestPreGrowKeepsErrors(t *testing.T) {
 	src := smoothDP(64<<10, 23) // 512 KiB
@@ -72,31 +86,37 @@ func TestPreGrowKeepsErrors(t *testing.T) {
 		bad := append([]byte(nil), stream...)
 		wordio.PutU64(bad, 0, uint64(len(src)+delta))
 		data := container.Compress(bad, byte(DPratio), a.ChunkCodec(), container.Params{})
-		want, wantErr := a.Decompress(data, container.Params{Parallelism: 1})
-		for _, w := range []int{2, 4} {
-			got, err := a.Decompress(data, container.Params{Parallelism: w})
-			if fmt.Sprint(err) != fmt.Sprint(wantErr) || !bytes.Equal(got, want) {
-				t.Errorf("length prefix %+d, %d workers: err %v, want %v", delta, w, err, wantErr)
-			}
-			if delta > 0 && !errors.Is(err, transforms.ErrCorrupt) {
-				t.Errorf("length prefix %+d, %d workers: err %v, want ErrCorrupt", delta, w, err)
+		for _, w := range decodeWorkers {
+			for _, dst := range dstKinds(len(src)) {
+				want, wantErr := a.Pre.InverseInto(dst.b[:len(dst.b):len(dst.b)], bad, container.DefaultMaxDecoded)
+				got, err := a.DecompressAppend(dst.b, data, container.Params{Parallelism: w})
+				if fmt.Sprint(err) != fmt.Sprint(wantErr) || !bytes.Equal(got, want) {
+					t.Errorf("length prefix %+d, %d workers, %s dst: err %v, want %v", delta, w, dst.name, err, wantErr)
+				}
+				if delta > 0 && !errors.Is(err, transforms.ErrCorrupt) {
+					t.Errorf("length prefix %+d, %d workers, %s dst: err %v, want ErrCorrupt", delta, w, dst.name, err)
+				}
 			}
 		}
 	}
 
 	data := a.Compress(src, container.Params{})
-	p := container.Params{Parallelism: 2, MaxDecoded: len(src) / 2}
-	if _, err := a.Decompress(data, p); !errors.Is(err, container.ErrBudget) {
-		t.Fatalf("over budget: err %v, want ErrBudget", err)
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for range 8 {
-		a.Decompress(data, p)
-	}
-	runtime.ReadMemStats(&after)
-	if per := (after.TotalAlloc - before.TotalAlloc) / 8; per > uint64(len(src))/8 {
-		t.Errorf("over budget: %d bytes allocated per refused decode", per)
+	for _, w := range decodeWorkers {
+		for _, dst := range dstKinds(len(src)) {
+			p := container.Params{Parallelism: w, MaxDecoded: len(src) / 2}
+			if _, err := a.DecompressAppend(dst.b, data, p); !errors.Is(err, container.ErrBudget) {
+				t.Fatalf("over budget, %d workers, %s dst: err %v, want ErrBudget", w, dst.name, err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range 8 {
+				a.DecompressAppend(dst.b, data, p)
+			}
+			runtime.ReadMemStats(&after)
+			if per := (after.TotalAlloc - before.TotalAlloc) / 8; per > uint64(len(src))/8 {
+				t.Errorf("over budget, %d workers, %s dst: %d bytes allocated per refused decode", w, dst.name, per)
+			}
+		}
 	}
 }
 

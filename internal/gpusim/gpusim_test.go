@@ -161,7 +161,7 @@ func TestLaunchSimMatchesRooflineOnUniformChunks(t *testing.T) {
 		out[i] = 16384 * 100 / 141
 	}
 	res := RTX4090.SimulateLaunch(k, in, out, Dynamic)
-	flat := RTX4090.ThroughputGBps(k, nChunks*16384, nChunks*16384, nChunks*16384*100/141)
+	flat := RTX4090.ThroughputGBps(k, nChunks*16384, nChunks*16384, nChunks*(16384*100/141))
 	if res.ThroughputGBps < flat*0.7 || res.ThroughputGBps > flat*1.3 {
 		t.Errorf("launch sim %.0f GB/s vs roofline %.0f GB/s", res.ThroughputGBps, flat)
 	}

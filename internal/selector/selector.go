@@ -642,12 +642,3 @@ func Counters() CounterSnapshot {
 	snap.ReencodeKept = reencodeKept.Load()
 	return snap
 }
-
-// ResetCounters zeroes the selection counters (tests only).
-func ResetCounters() {
-	for i := range schemeCounts {
-		schemeCounts[i].Store(0)
-	}
-	reencodeTried.Store(0)
-	reencodeKept.Store(0)
-}

@@ -243,12 +243,21 @@ func TestInverseSchemeErrors(t *testing.T) {
 	}
 }
 
+// resetCounters zeroes the selection counters.
+func resetCounters() {
+	for i := range schemeCounts {
+		schemeCounts[i].Store(0)
+	}
+	reencodeTried.Store(0)
+	reencodeKept.Store(0)
+}
+
 // TestCounters checks the process-wide selection counters: every encoded
 // chunk lands in exactly one per-scheme bucket, and the escape-hatch
 // counters stay ordered.
 func TestCounters(t *testing.T) {
-	ResetCounters()
-	defer ResetCounters()
+	resetCounters()
+	defer resetCounters()
 	s := New(wordio.W64)
 	cs := chunks(corpus(true))
 	for _, chunk := range cs {

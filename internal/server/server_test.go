@@ -212,7 +212,13 @@ func TestStatsOp(t *testing.T) {
 	slow := dialTest(t, addr)
 	slowDone := make(chan struct{})
 	go func() {
-		slow.roundTrip(OpCompress, byte(core.DPratio), src)
+		// The unqueued handoff answers busy until the worker goroutine
+		// first waits for a job, which a loaded host may delay.
+		for {
+			if st, _, err := slow.roundTrip(OpCompress, byte(core.DPratio), src); err != nil || st != StatusBusy {
+				break
+			}
+		}
 		close(slowDone)
 	}()
 	<-entered

@@ -598,59 +598,114 @@ func fcmForwardTable(vw, dw, sw []uint64) {
 }
 
 // InverseInto implements Transform (see the package comment for the dst
-// ownership contract). It resolves the distances in one index-order pass,
-// straight from the encoded value and distance arrays into dst: a match
-// copies an earlier output word, which is already final when reached.
-// (The paper's GPU decoder walks distance chains in parallel instead,
-// union-find style; on a CPU the one pass is faster.) FCM runs over the
-// whole input, so the MaxDecoded chunk cap does not apply; but its decoded
-// length can never exceed its encoded length, so allocation stays
-// intrinsically bounded by the input size even under NoLimit.
+// ownership contract). It is an FCMDecoder's Begin and End over the whole
+// stream: one index-order pass resolves the distances straight from the
+// encoded value and distance arrays into dst, where a match copies an
+// earlier output word, which is already final when reached. (The paper's
+// GPU decoder walks distance chains in parallel instead, union-find style;
+// on a CPU the one pass is faster.) FCM runs over the whole input, so the
+// MaxDecoded chunk cap does not apply; but its decoded length can never
+// exceed its encoded length, so allocation stays intrinsically bounded by
+// the input size even under NoLimit.
 func (FCM) InverseInto(dst, enc []byte, maxDecoded int) ([]byte, error) {
-	if len(enc) < fcmHeaderLen {
-		return nil, Corruptf("FCM: missing length prefix")
+	var d FCMDecoder
+	if _, err := d.Begin(dst, enc, len(enc), maxDecoded); err != nil {
+		return nil, err
+	}
+	return d.End(enc)
+}
+
+// FCMDecoder is FCM's inverse for a stream whose bytes arrive in order,
+// such as one that a chunked container decodes: Begin reads the length
+// prefix, each Resolve resolves the words whose distance word has
+// arrived, and End resolves the rest. Every word a distance refers to
+// lies below it, so the words resolve in index order whatever the
+// arrival steps, and the output is InverseInto's.
+type FCMDecoder struct {
+	dst      []byte // the caller's dst grown by the decoded length
+	n, tail  int    // decoded words and trailing bytes
+	ow       wordio.Span64
+	resolved int // words of ow final so far
+	err      error
+}
+
+// Begin starts decoding a stream of encLen bytes, of which enc holds the
+// first ones (at least the length prefix for the stream to be valid),
+// into dst with InverseInto's ownership contract. It checks the length
+// prefix against encLen and maxDecoded as InverseInto does, grows dst for
+// the decoded bytes, and returns their count. After a nil error, exactly
+// one End or Discard must follow.
+func (d *FCMDecoder) Begin(dst, enc []byte, encLen, maxDecoded int) (int, error) {
+	if len(enc) < fcmHeaderLen || encLen < fcmHeaderLen {
+		return 0, Corruptf("FCM: missing length prefix")
 	}
 	declen64 := wordio.U64(enc, 0)
-	hn := fcmHeaderLen
 	// FCM doubles the data, so the decoded length can never exceed the
 	// encoded length; this also keeps the arithmetic below overflow-free.
-	if declen64 > uint64(len(enc)) {
-		return nil, Corruptf("FCM: decoded length %d exceeds encoded length %d", declen64, len(enc))
+	if declen64 > uint64(encLen) {
+		return 0, Corruptf("FCM: decoded length %d exceeds encoded length %d", declen64, encLen)
 	}
 	if maxDecoded >= 0 && declen64 > uint64(maxDecoded) {
-		return nil, Corruptf("FCM: decoded length %d exceeds budget %d", declen64, maxDecoded)
+		return 0, Corruptf("FCM: decoded length %d exceeds budget %d", declen64, maxDecoded)
 	}
 	declen := int(declen64)
 	n := declen / 8
-	tailLen := declen - n*8
-	if len(enc) < hn+2*n*8+tailLen {
-		return nil, Corruptf("FCM: truncated arrays")
+	tail := declen - n*8
+	if encLen < fcmHeaderLen+2*n*8+tail {
+		return 0, Corruptf("FCM: truncated arrays")
 	}
-
 	base := len(dst)
 	dst = Grow(dst, declen)
-	out := dst[base:]
-	ow := wordio.Out64(out[:n*8])
-	vw := wordio.In64(enc[hn : hn+n*8])
-	dw := wordio.In64(enc[hn+n*8 : hn+2*n*8])
-	err := fcmResolve(ow.W, vw.W, dw.W)
-	dw.Done()
-	vw.Done()
-	ow.Done()
-	if err != nil {
-		return nil, err
-	}
-	copy(out[n*8:], enc[hn+2*n*8:hn+2*n*8+tailLen])
-	return dst, nil
+	*d = FCMDecoder{dst: dst, n: n, tail: tail, ow: wordio.Out64(dst[base : base+n*8])}
+	return declen, nil
 }
 
-// fcmResolve resolves distances in index order into out; every
-// referenced word is already final when reached.
-func fcmResolve(out, vals, dists []uint64) error {
-	out, vals = out[:len(dists)], vals[:len(dists)]
-	for i, d := range dists {
+// Resolve resolves every word whose distance word enc, a longer prefix of
+// the stream each call, holds. The first distance beyond its index stops
+// the decode; End reports it.
+func (d *FCMDecoder) Resolve(enc []byte) {
+	hn := fcmHeaderLen
+	hi := min(d.n, (len(enc)-hn)/8-d.n)
+	lo := d.resolved
+	if d.err != nil || hi <= lo {
+		return
+	}
+	vw := wordio.In64(enc[hn+lo*8 : hn+hi*8])
+	dw := wordio.In64(enc[hn+(d.n+lo)*8 : hn+(d.n+hi)*8])
+	d.err = fcmResolve(d.ow.W, lo, vw.W, dw.W)
+	dw.Done()
+	vw.Done()
+	d.resolved = hi
+}
+
+// End resolves what is left from enc, the whole stream, copies the
+// trailing bytes, and returns dst grown by the decoded bytes.
+func (d *FCMDecoder) End(enc []byte) ([]byte, error) {
+	d.Resolve(enc)
+	d.ow.Done()
+	hn := fcmHeaderLen + 2*d.n*8
+	if d.err == nil && (d.resolved < d.n || len(enc) < hn+d.tail) {
+		d.err = Corruptf("FCM: truncated arrays")
+	}
+	if d.err != nil {
+		return nil, d.err
+	}
+	copy(d.dst[len(d.dst)-d.tail:], enc[hn:hn+d.tail])
+	return d.dst, nil
+}
+
+// Discard ends a decode whose output is not wanted.
+func (d *FCMDecoder) Discard() { d.ow.Done() }
+
+// fcmResolve resolves words lo .. lo+len(dists)-1 of out in index order
+// from their value and distance words; every referenced word is already
+// final when reached, as every word below lo is.
+func fcmResolve(out []uint64, lo int, vals, dists []uint64) error {
+	out, vals = out[:lo+len(dists)], vals[:len(dists)]
+	for j, d := range dists {
+		i := lo + j
 		if d == 0 {
-			out[i] = vals[i]
+			out[i] = vals[j]
 			continue
 		}
 		if d > uint64(i) {
