@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet check purego noasm crossarm cross386 fuzz-smoke corpus-check chaos salvage scrub bench-server bench-core bench-auto bench-transforms bench-smoke fpcd loc clean
+.PHONY: all build test race vet check perfbench-check deadcode purego noasm crossarm cross386 fuzz-smoke corpus-check chaos salvage scrub bench-server bench-core bench-auto bench-transforms bench-smoke fpcd loc clean
 
 all: check
 
@@ -38,12 +38,26 @@ race:
 	$(GO) test -race -count=1 -run 'Client|Stream' .
 	$(GO) test -race -count=1 -run 'TestKernel|TestFused|TestFCM|FuzzFCM' ./internal/transforms/...
 
-check: build vet test race
+# perfbench is a module of its own (it replaces fpcompress with ../), so
+# the root `./...` patterns never build it: vet and test it on its own, or
+# an internal API change could break the benchmark unnoticed.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-# Runs every hostile-input fuzz harness (fpcd's frame reader included),
-# plus the FCM encoder's differential fuzzer, for FUZZTIME each (go's fuzz engine accepts one
-# -fuzz pattern per package invocation, hence the loops). Seeds include
-# the checked-in corpus under testdata/corrupt/.
+check: build vet test race perfbench-check
+
+# Runs the lean test alone: it fails on a package that no non-test code
+# imports, on an exported internal/ function or variable that no non-test
+# code references, and on a stale entry of its allow-list (lean_test.go).
+# `make check` runs it too, as part of `go test ./...`.
+deadcode:
+	$(GO) test -count=1 -run TestLean .
+
+# Runs every hostile-input fuzz harness (fpcd's frame reader and the
+# baseline decoders included), plus the FCM encoder's differential fuzzer,
+# for FUZZTIME each (go's fuzz engine accepts one -fuzz pattern per
+# package invocation, hence the loops). Seeds include the checked-in
+# corpus under testdata/corrupt/.
 FUZZTIME ?= 10s
 TRANSFORM_FUZZERS := FuzzDiffMSInverse FuzzBitInverse FuzzMPLGInverse \
 	FuzzRZEInverse FuzzFCMInverse FuzzFCMForward FuzzRAZEInverse \
@@ -51,6 +65,7 @@ TRANSFORM_FUZZERS := FuzzDiffMSInverse FuzzBitInverse FuzzMPLGInverse \
 FUSED_FUZZERS := FuzzFusedKernels
 CONTAINER_FUZZERS := FuzzParse FuzzDecompressContainer
 SERVER_FUZZERS := FuzzReadRequest FuzzReadResponse
+BASELINE_FUZZERS := FuzzBaselines
 ROOT_FUZZERS := FuzzContainerDecompress FuzzDecompressPartial FuzzDecompress FuzzStreamReader
 
 fuzz-smoke:
@@ -65,6 +80,9 @@ fuzz-smoke:
 	done
 	@for f in $(SERVER_FUZZERS); do \
 		$(GO) test ./internal/server -run '^$$' -fuzz "^$$f$$" -fuzztime $(FUZZTIME) || exit 1; \
+	done
+	@for f in $(BASELINE_FUZZERS); do \
+		$(GO) test ./internal/baselines -run '^$$' -fuzz "^$$f$$" -fuzztime $(FUZZTIME) || exit 1; \
 	done
 	@for f in $(ROOT_FUZZERS); do \
 		$(GO) test . -run '^$$' -fuzz "^$$f$$" -fuzztime $(FUZZTIME) || exit 1; \

@@ -309,7 +309,10 @@ func (b *BWZ) Decompress(enc []byte) ([]byte, error) {
 		return nil, ErrCorrupt
 	}
 	total := int(total64)
-	out := make([]byte, 0, total)
+	// The declared total sizes the output only as far as the input can
+	// back it; beyond that the output grows as blocks decode, so a short
+	// hostile input cannot make the decoder allocate the cap.
+	out := make([]byte, 0, min(total, 4*len(enc)))
 	pos := hn
 	for len(out) < total || total == 0 {
 		blockLen64, n := bitio.Uvarint(enc[pos:])

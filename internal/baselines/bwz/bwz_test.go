@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"fpcompress/internal/bitio"
 )
 
 func TestSuffixArraySortsSuffixes(t *testing.T) {
@@ -196,6 +198,15 @@ func TestGarbage(t *testing.T) {
 	// Declared length 8, one block of 8 bytes at row 0, then a packed
 	// length of 2^64-1, which wraps to -1 as an int.
 	hostile := [][]byte{{0x08, 0x08, 0x00, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0x00}}
+	// One block whose Huffman table gives all 256 symbols 1-bit codes,
+	// far past Kraft's inequality.
+	w := bitio.NewWriterBuf([]byte{0x01})
+	for range 256 {
+		w.WriteBits(1, 5)
+	}
+	packed := append(w.Bytes(), 0)
+	block := bitio.AppendUvarint([]byte{0x01, 0x01, 0x00}, uint64(len(packed)))
+	hostile = append(hostile, append(block, packed...))
 	for _, enc := range hostile {
 		if _, err := b.Decompress(enc); err == nil {
 			t.Errorf("% x: decoded without error", enc)

@@ -143,21 +143,24 @@ func (Cascaded) Decompress(enc []byte) ([]byte, error) {
 	if len(tail) != tailLen {
 		return nil, ErrCorrupt
 	}
+	// The runs must cover exactly the declared words before the output is
+	// allocated, so a short input cannot make it allocate the cap.
+	var words uint64
+	for _, l := range runLens {
+		words += uint64(l)
+	}
+	if words != uint64(n) {
+		return nil, ErrCorrupt
+	}
 	dst := make([]byte, declen)
 	idx := 0
 	prev := uint32(0)
 	for r := range runVals {
 		prev += wordio.UnZigZag32(runVals[r])
 		for k := uint32(0); k < runLens[r]; k++ {
-			if idx >= n {
-				return nil, ErrCorrupt
-			}
 			wordio.PutU32(dst, idx, prev)
 			idx++
 		}
-	}
-	if idx != n {
-		return nil, ErrCorrupt
 	}
 	copy(dst[n*4:], tail)
 	return dst, nil

@@ -280,7 +280,8 @@ func (p *PFPC) Decompress(enc []byte) ([]byte, error) {
 	total := 0
 	for i := range sizes {
 		v, n := bitio.Uvarint(enc[pos:])
-		if n == 0 {
+		// Bounded as uint64 first: a huge size would wrap as int.
+		if n == 0 || v > uint64(len(enc)) {
 			return nil, ErrCorrupt
 		}
 		sizes[i] = int(v)

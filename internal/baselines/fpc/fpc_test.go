@@ -101,6 +101,15 @@ func TestFPCRejectsGarbage(t *testing.T) {
 		rng.Read(junk)
 		f.Decompress(junk) // must not panic
 	}
+	// pFPC: two chunks whose sizes, 2^63 and 2^63+1, wrap as int to a sum
+	// of 1, the one byte that follows them.
+	wrap := []byte{0x02}
+	wrap = append(wrap, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01)
+	wrap = append(wrap, 0x81, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01)
+	wrap = append(wrap, 0x00)
+	if _, err := (&PFPC{}).Decompress(wrap); err == nil {
+		t.Error("wrapping chunk sizes decoded without error")
+	}
 }
 
 func TestPFPCRoundtrip(t *testing.T) {

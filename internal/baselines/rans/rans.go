@@ -138,7 +138,9 @@ func decodeBlock(enc []byte) ([]byte, int, error) {
 	for s := 0; s < 256; s++ {
 		cum[s+1] = cum[s] + freqs[s]
 	}
-	if n > 0 && cum[256] != probScale {
+	// An empty block's table is all zeros; a table past probScale would
+	// index past the slot table below.
+	if cum[256] > probScale || (n > 0 && cum[256] != probScale) {
 		return nil, 0, ErrCorrupt
 	}
 	// Slot-to-symbol lookup.

@@ -108,6 +108,13 @@ func TestQuick(t *testing.T) {
 
 func TestGarbage(t *testing.T) {
 	a := ANS{}
+	// An empty stream whose one empty block carries a frequency table
+	// summing to probScale+1, one past the slot table.
+	hostile := []byte{0x00, 0x00, 0x80, 0x20, 0x01}
+	hostile = append(hostile, make([]byte, 254+4)...)
+	if _, err := a.Decompress(hostile); err == nil {
+		t.Errorf("% x: decoded without error", hostile[:5])
+	}
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 300; i++ {
 		junk := make([]byte, rng.Intn(120))

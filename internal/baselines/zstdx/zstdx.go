@@ -10,6 +10,7 @@ package zstdx
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"fpcompress/internal/baselines/rans"
 	"fpcompress/internal/bitio"
@@ -126,7 +127,7 @@ func (z *Zstd) Compress(src []byte) ([]byte, error) {
 // Decompress implements baselines.Compressor.
 func (z *Zstd) Decompress(enc []byte) ([]byte, error) {
 	declen64, hn := bitio.Uvarint(enc)
-	if hn == 0 || declen64 > 1<<31 {
+	if hn == 0 || declen64 > math.MaxInt32 {
 		return nil, ErrCorrupt
 	}
 	pos := hn
@@ -146,7 +147,10 @@ func (z *Zstd) Decompress(enc []byte) ([]byte, error) {
 	}
 
 	declen := int(declen64)
-	dst := make([]byte, 0, declen)
+	// The declared length sizes the output only as far as the input can
+	// back it; long matches grow it, so a short hostile input cannot make
+	// the decoder allocate the cap.
+	dst := make([]byte, 0, min(declen, 4*len(enc)))
 	litPos, seqPos := 0, 0
 	for {
 		ll64, n := bitio.Uvarint(seq[seqPos:])

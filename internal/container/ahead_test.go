@@ -85,13 +85,13 @@ func TestDecodeAheadFaults(t *testing.T) {
 		p := Params{ChunkSize: cs, Parallelism: nw}
 
 		// Strict: chunks 5 and 9 fail; the error names 5.
-		blob := Compress(src, 1, shrinkCodec{}, Params{ChunkSize: cs, Integrity: true})
+		blob := CompressAppend(nil, src, 1, shrinkCodec{}, Params{ChunkSize: cs, Integrity: true})
 		trip(t, blob, 5)
 		trip(t, blob, 9)
-		_, want := Decompress(blob, shrinkCodec{}, Params{ChunkSize: cs, Parallelism: 1})
+		_, want := DecompressAppend(nil, blob, shrinkCodec{}, Params{ChunkSize: cs, Parallelism: 1})
 		c := newTripCodec(false)
 		grows := holdGrow(t, c.tripped)
-		_, err := Decompress(blob, c, p)
+		_, err := DecompressAppend(nil, blob, c, p)
 		if g := grows.Load(); g != 1 {
 			t.Errorf("%d workers, strict: %d decodes grew their output aside, want 1", nw, g)
 		}
@@ -102,9 +102,9 @@ func TestDecodeAheadFaults(t *testing.T) {
 		// Partial: chunk 5 is quarantined and zero-filled.
 		c = newTripCodec(false)
 		grows = holdGrow(t, c.tripped)
-		blob = Compress(src, 1, shrinkCodec{}, Params{ChunkSize: cs, Integrity: true})
+		blob = CompressAppend(nil, src, 1, shrinkCodec{}, Params{ChunkSize: cs, Integrity: true})
 		trip(t, blob, 5)
-		dec, rep, err := DecompressPartial(blob, c, p)
+		dec, rep, err := DecompressFollow(nil, blob, c, p, true, nil)
 		if err != nil || grows.Load() != 1 {
 			t.Fatalf("%d workers, partial: err %v, %d outputs grown aside", nw, err, grows.Load())
 		}
@@ -119,9 +119,9 @@ func TestDecodeAheadFaults(t *testing.T) {
 		// Parity: chunk 5 is rebuilt from its group.
 		c = newTripCodec(false)
 		grows = holdGrow(t, c.tripped)
-		blob = Compress(src, 1, shrinkCodec{}, Params{ChunkSize: cs, Parity: 4})
+		blob = CompressAppend(nil, src, 1, shrinkCodec{}, Params{ChunkSize: cs, Parity: 4})
 		trip(t, blob, 5)
-		dec, err = Decompress(blob, c, p)
+		dec, err = DecompressAppend(nil, blob, c, p)
 		if err != nil || !bytes.Equal(dec, src) || grows.Load() != 1 {
 			t.Errorf("%d workers, parity: err %v, repaired output equal %v, %d outputs grown aside", nw, err, bytes.Equal(dec, src), grows.Load())
 		}
@@ -148,7 +148,7 @@ func TestDecodeAheadIdentity(t *testing.T) {
 		{"IntoCodec", transformCodec{transforms.Pipeline{transforms.RAZE{}}}},
 		{"SchemeCodec", schemeTestCodec{}},
 	} {
-		blob := Compress(src, 1, tc.codec, Params{ChunkSize: cs})
+		blob := CompressAppend(nil, src, 1, tc.codec, Params{ChunkSize: cs})
 		for _, nw := range []int{2, 4, 8} {
 			prefix := []byte("prefix")
 			out, err := DecompressAppend(prefix[:len(prefix):len(prefix)], blob, tc.codec, Params{ChunkSize: cs, Parallelism: nw})
@@ -180,7 +180,7 @@ func TestDecodeAheadCeiling(t *testing.T) {
 	const cs = 64 << 10
 	const held = aheadMax / cs // chunks one worker may hold
 	src := aheadTestSrc(cs, held+8)
-	blob := Compress(src, 1, shrinkCodec{}, Params{ChunkSize: cs})
+	blob := CompressAppend(nil, src, 1, shrinkCodec{}, Params{ChunkSize: cs})
 	c := countCodec{n: new(atomic.Int32)}
 	var grows atomic.Int32
 	aheadGrowHook = func() {
@@ -197,7 +197,7 @@ func TestDecodeAheadCeiling(t *testing.T) {
 		}
 	}
 	defer func() { aheadGrowHook = nil }()
-	dec, err := Decompress(blob, c, Params{ChunkSize: cs, Parallelism: 2})
+	dec, err := DecompressAppend(nil, blob, c, Params{ChunkSize: cs, Parallelism: 2})
 	if err != nil || !bytes.Equal(dec, src) {
 		t.Fatalf("err %v, round trip equal %v", err, bytes.Equal(dec, src))
 	}

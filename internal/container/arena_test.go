@@ -68,7 +68,7 @@ func TestChunkRoomCoversCodecs(t *testing.T) {
 	}
 }
 
-// TestColdCompressAlloc pins what one cold Compress allocates, with the
+// TestColdCompressAlloc pins what one cold CompressAppend allocates, with the
 // engine's and the transforms' pools emptied by two collections: the
 // container itself (0.86 B/B here) plus arena blocks sized from the call
 // and never regrown. An arena regrown by appending copies its encoded
@@ -91,7 +91,7 @@ func TestColdCompressAlloc(t *testing.T) {
 		runtime.GC()
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		out := Compress(src, 9, codec, Params{Parallelism: par})
+		out := CompressAppend(nil, src, 9, codec, Params{Parallelism: par})
 		runtime.ReadMemStats(&after)
 		perByte := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(src))
 		t.Logf("p=%d: cold compress of %d bytes to %d allocated %.2f B/B", par, len(src), len(out), perByte)

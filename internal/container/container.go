@@ -190,7 +190,7 @@ func inverse(codec Codec, enc []byte, maxDecoded int) ([]byte, error) {
 }
 
 // DefaultMaxDecoded is the decode budget applied when Params.MaxDecoded is
-// zero: the most bytes Decompress will allocate for the reconstructed
+// zero: the most bytes a decode will allocate for the reconstructed
 // output of one container. It matches the streaming layer's default frame
 // cap so a single malformed header cannot OOM a worker.
 const DefaultMaxDecoded = 64 << 20
@@ -201,7 +201,7 @@ type Params struct {
 	ChunkSize int
 	// Parallelism is the worker count; 0 means GOMAXPROCS.
 	Parallelism int
-	// MaxDecoded bounds the bytes Decompress will allocate for one
+	// MaxDecoded bounds the bytes a decode will allocate for one
 	// container's output, validated against the header's declared original
 	// length before any allocation. 0 means DefaultMaxDecoded; negative
 	// means no bound (trusted input only).
@@ -603,20 +603,15 @@ func forEachChunk(nw, n int, fn func(w, i int) bool, lead func(), done func(w in
 // outgrows the caches.
 const scatterMinBytes = 256 << 10
 
-// Compress runs codec over every chunk of src in parallel and assembles the
-// container. algID is recorded so Decompress can route to the right codec.
-func Compress(src []byte, algID byte, codec Codec, p Params) []byte {
-	return CompressAppend(nil, src, algID, codec, p)
-}
-
-// CompressAppend is Compress appending the container to dst (which may be
-// nil) and returning the extended slice, with the same append-semantics
-// ownership contract as the transforms' *Into APIs. Workers encode chunks
-// into pooled per-worker arenas while computing each chunk's CRC32-C; the
-// payload is then sized exactly from the recorded chunk sizes, chunk
-// offsets come from a prefix-sum scan, and workers scatter their outputs
-// into the payload in parallel. The resulting bytes are identical to the
-// serial Assemble path.
+// CompressAppend runs codec over every chunk of src in parallel and appends
+// the container to dst (which may be nil), returning the extended slice,
+// with the same append-semantics ownership contract as the transforms'
+// *Into APIs. algID is recorded so a decode can route to the right codec.
+// Workers encode chunks into pooled per-worker arenas while computing each
+// chunk's CRC32-C; the payload is then sized exactly from the recorded
+// chunk sizes, chunk offsets come from a prefix-sum scan, and workers
+// scatter their outputs into the payload in parallel. The bytes do not
+// depend on the worker count.
 func CompressAppend(dst, src []byte, algID byte, codec Codec, p Params) []byte {
 	cs := p.chunkSize()
 	nChunks := (len(src) + cs - 1) / cs
@@ -757,27 +752,7 @@ func (st *engineState) appendMeta(dst []byte, l layout, algID byte, crc uint32, 
 	return dst
 }
 
-// Assemble builds the plain (version 1) container from already-compressed
-// chunk data through the same appendMeta as CompressAppend, then appends
-// the payload (the chunks concatenated in order). The SIMT-structured
-// kernels in internal/simt scatter their chunk outputs into the payload at
-// offsets from a decoupled-look-back scan and assemble through it, so both
-// engines produce byte-identical containers.
-func Assemble(algID byte, crc uint32, srcLen, chunkSize int, sizes []int, rawFlags []bool, payload []byte) []byte {
-	st := getEngineState(len(sizes), 1)
-	defer putEngineState(st)
-	copy(st.sizes, sizes)
-	for i, raw := range rawFlags {
-		st.flags[i] = 1
-		if raw {
-			st.flags[i] = 0
-		}
-	}
-	out := st.appendMeta(make([]byte, 0, len(payload)+len(sizes)*3+32), layout{}, algID, crc, srcLen, chunkSize, 0)
-	return append(out, payload...)
-}
-
-// ChecksumOf exposes the container's CRC32-C for external assemblers.
+// ChecksumOf returns the CRC32-C a container records for src.
 func ChecksumOf(src []byte) uint32 { return crc32.Checksum(src, crcTable) }
 
 // Parse validates the container layout and returns its header without
@@ -1031,18 +1006,14 @@ func (h *Header) schemeCodecFor(codec Codec) (SchemeCodec, error) {
 	return nil, nil
 }
 
-// Decompress reverses Compress. The codec must match the one recorded under
-// the container's algorithm ID (the caller routes via h.Algorithm). The
-// output allocation is validated against p's decode budget before it is
-// made, and every chunk decodes under a budget equal to its known size, so
-// corrupt input fails with an error instead of exhausting memory.
-func Decompress(data []byte, codec Codec, p Params) ([]byte, error) {
-	return DecompressAppend(nil, data, codec, p)
-}
-
-// DecompressAppend is Decompress appending the reconstructed bytes to dst
-// (which may be nil) and returning the extended slice, with the same
-// append-semantics ownership contract as the transforms' *Into APIs.
+// DecompressAppend reverses CompressAppend, appending the reconstructed
+// bytes to dst (which may be nil) and returning the extended slice, with
+// the same append-semantics ownership contract as the transforms' *Into
+// APIs. The codec must match the one recorded under the container's
+// algorithm ID (the caller routes via h.Algorithm). The output allocation
+// is validated against p's decode budget before it is made, and every
+// chunk decodes under a budget equal to its known size, so corrupt input
+// fails with an error instead of exhausting memory.
 // Chunks decode directly into their final position in the pre-sized
 // output. A container with integrity tables verifies every chunk against
 // its stored CRC32-C and transparently repairs single-chunk-per-group
@@ -1052,16 +1023,27 @@ func DecompressAppend(dst []byte, data []byte, codec Codec, p Params) ([]byte, e
 	return decompress(dst, data, codec, p, nil, nil)
 }
 
-// DecompressFollow is DecompressAppend, or with partial set
-// DecompressPartialAppend, that lets a caller work on the output while
-// the chunks still decode. Each time the chunks that decoded OK (and
-// verified, where the container stores per-chunk CRCs) form a longer
-// prefix of the output, follow(out, n) runs with the whole output and
-// that prefix's length. One call runs at a time, on the decode worker
-// that extended the prefix; the decode's other workers go on meanwhile.
-// Chunks repaired from parity land after the decode, and so do the bytes
-// of a container without per-chunk CRCs whose whole-input CRC then
-// fails, so the caller checks the decode's outcome before trusting out.
+// DecompressFollow is DecompressAppend with a partial mode and a follower.
+//
+// With partial set it is the degraded-decode entry point: it decodes as
+// much of a (possibly damaged) container as it can, verifying chunk by
+// chunk, repairing from parity where possible, and zero-filling what it
+// cannot recover. It returns the decoded bytes together with a per-chunk
+// Report instead of one fatal error; the error is non-nil only when the
+// container is unusable outright (unparseable or checksum-failed
+// metadata, decode budget exceeded, a codec that cannot route the
+// container's chunks, or an empty container whose whole-input CRC
+// fails). A strict decode (partial unset) returns a nil Report.
+//
+// A non-nil follow lets the caller work on the output while the chunks
+// still decode. Each time the chunks that decoded OK (and verified, where
+// the container stores per-chunk CRCs) form a longer prefix of the
+// output, follow(out, n) runs with the whole output and that prefix's
+// length. One call runs at a time, on the decode worker that extended the
+// prefix; the decode's other workers go on meanwhile. Chunks repaired
+// from parity land after the decode, and so do the bytes of a container
+// without per-chunk CRCs whose whole-input CRC then fails, so the caller
+// checks the decode's outcome before trusting out.
 func DecompressFollow(dst, data []byte, codec Codec, p Params, partial bool, follow func(out []byte, n int)) ([]byte, *Report, error) {
 	if !partial {
 		out, err := decompress(dst, data, codec, p, nil, follow)
@@ -1386,7 +1368,7 @@ func (h *Header) ChunkPayload(i int) ([]byte, bool, error) {
 // chunk whose span exceeds maxDecoded bytes is refused before any
 // allocation (maxDecoded < 0 means no bound). No whole-data checksum can be
 // verified on a single chunk; containers with integrity tables check the
-// chunk's own CRC32-C, others need Decompress for end-to-end integrity.
+// chunk's own CRC32-C, others need DecompressAppend for end-to-end integrity.
 // O(1) chunk lookup via the offsets cached in Parse.
 func (h *Header) DecompressChunkLimit(i int, codec Codec, maxDecoded int) ([]byte, error) {
 	if i < 0 || i >= h.ChunkCount {

@@ -69,7 +69,7 @@ func (shrinkCodec) Inverse(enc []byte) ([]byte, error) {
 func TestRawFallback(t *testing.T) {
 	src := make([]byte, 100000)
 	rand.New(rand.NewSource(1)).Read(src)
-	blob := Compress(src, 7, xorCodec{}, Params{})
+	blob := CompressAppend(nil, src, 7, xorCodec{}, Params{})
 	h, err := Parse(blob)
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +83,7 @@ func TestRawFallback(t *testing.T) {
 	if len(blob) > len(src)+len(src)/1000+64 {
 		t.Errorf("expansion too large: %d -> %d", len(src), len(blob))
 	}
-	dec, err := Decompress(blob, xorCodec{}, Params{})
+	dec, err := DecompressAppend(nil, blob, xorCodec{}, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,11 +97,11 @@ func TestCompressedPath(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		src[i] = byte(i + 1)
 	}
-	blob := Compress(src, 3, shrinkCodec{}, Params{})
+	blob := CompressAppend(nil, src, 3, shrinkCodec{}, Params{})
 	if len(blob) >= len(src)/10 {
 		t.Errorf("expected strong compression, got %d -> %d", len(src), len(blob))
 	}
-	dec, err := Decompress(blob, shrinkCodec{}, Params{})
+	dec, err := DecompressAppend(nil, blob, shrinkCodec{}, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestCompressedPath(t *testing.T) {
 }
 
 func TestEmptyInput(t *testing.T) {
-	blob := Compress(nil, 1, xorCodec{}, Params{})
+	blob := CompressAppend(nil, nil, 1, xorCodec{}, Params{})
 	h, err := Parse(blob)
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +122,7 @@ func TestEmptyInput(t *testing.T) {
 	if h.ChunkCount != 0 || h.OriginalLen != 0 {
 		t.Errorf("empty input: count=%d len=%d", h.ChunkCount, h.OriginalLen)
 	}
-	dec, err := Decompress(blob, xorCodec{}, Params{})
+	dec, err := DecompressAppend(nil, blob, xorCodec{}, Params{})
 	if err != nil || len(dec) != 0 {
 		t.Errorf("empty roundtrip: %v, %d bytes", err, len(dec))
 	}
@@ -132,8 +132,8 @@ func TestChunkSizes(t *testing.T) {
 	src := make([]byte, 50001)
 	rand.New(rand.NewSource(2)).Read(src)
 	for _, cs := range []int{1, 7, 512, 16384, 65536, 100000} {
-		blob := Compress(src, 1, shrinkCodec{}, Params{ChunkSize: cs})
-		dec, err := Decompress(blob, shrinkCodec{}, Params{})
+		blob := CompressAppend(nil, src, 1, shrinkCodec{}, Params{ChunkSize: cs})
+		dec, err := DecompressAppend(nil, blob, shrinkCodec{}, Params{})
 		if err != nil {
 			t.Fatalf("chunk size %d: %v", cs, err)
 		}
@@ -146,9 +146,9 @@ func TestChunkSizes(t *testing.T) {
 func TestParallelismDeterminism(t *testing.T) {
 	src := make([]byte, 300000)
 	rand.New(rand.NewSource(3)).Read(src)
-	ref := Compress(src, 1, shrinkCodec{}, Params{Parallelism: 1})
+	ref := CompressAppend(nil, src, 1, shrinkCodec{}, Params{Parallelism: 1})
 	for _, par := range []int{2, 4, 16} {
-		got := Compress(src, 1, shrinkCodec{}, Params{Parallelism: par})
+		got := CompressAppend(nil, src, 1, shrinkCodec{}, Params{Parallelism: par})
 		if !bytes.Equal(ref, got) {
 			t.Fatalf("output differs between 1 and %d workers", par)
 		}
@@ -157,7 +157,7 @@ func TestParallelismDeterminism(t *testing.T) {
 
 func TestParseRejectsCorruption(t *testing.T) {
 	src := make([]byte, 40000)
-	blob := Compress(src, 1, shrinkCodec{}, Params{})
+	blob := CompressAppend(nil, src, 1, shrinkCodec{}, Params{})
 
 	cases := map[string]func([]byte) []byte{
 		"bad magic":       func(b []byte) []byte { b[0] = 'X'; return b },
@@ -176,7 +176,7 @@ func TestParseRejectsCorruption(t *testing.T) {
 
 func TestDecompressSurfacesChunkErrors(t *testing.T) {
 	src := make([]byte, 100000)
-	blob := Compress(src, 1, shrinkCodec{}, Params{})
+	blob := CompressAppend(nil, src, 1, shrinkCodec{}, Params{})
 	h, err := Parse(blob)
 	if err != nil {
 		t.Fatal(err)
@@ -184,7 +184,7 @@ func TestDecompressSurfacesChunkErrors(t *testing.T) {
 	// Flip a payload byte inside some compressed chunk.
 	off := len(blob) - h.CompressedPayloadLen() + 1
 	blob[off] ^= 0xFF
-	if _, err := Decompress(blob, shrinkCodec{}, Params{}); err == nil {
+	if _, err := DecompressAppend(nil, blob, shrinkCodec{}, Params{}); err == nil {
 		t.Error("payload corruption not detected")
 	}
 }
@@ -227,7 +227,7 @@ func TestDecompressLowestChunkError(t *testing.T) {
 		src[i*cs], src[i*cs+1] = byte(i+1), 0xA5 // first byte marks the chunk
 	}
 	for _, p := range []Params{{ChunkSize: cs}, {ChunkSize: cs, Integrity: true}} {
-		blob := Compress(src, 1, shrinkCodec{}, p)
+		blob := CompressAppend(nil, src, 1, shrinkCodec{}, p)
 		for _, i := range []int{low, high} {
 			lo, _ := chunkStoredRange(t, blob, i)
 			copy(blob[lo:lo+4], []byte{0xFF, 0xFF, 0xFF, 0xFF}) // length field: bad length
@@ -238,7 +238,7 @@ func TestDecompressLowestChunkError(t *testing.T) {
 			if workers > 1 {
 				codec.highFailed, codec.once = make(chan struct{}), new(sync.Once)
 			}
-			_, err := Decompress(blob, codec, Params{Parallelism: workers})
+			_, err := DecompressAppend(nil, blob, codec, Params{Parallelism: workers})
 			if err == nil {
 				t.Fatalf("integrity %v, %d workers: corrupt chunks decoded", p.Integrity, workers)
 			}
@@ -260,8 +260,8 @@ func TestDecompressLowestChunkError(t *testing.T) {
 func TestQuickRoundtrip(t *testing.T) {
 	f := func(src []byte, par uint8) bool {
 		p := Params{Parallelism: int(par%8) + 1, ChunkSize: 777}
-		blob := Compress(src, 9, shrinkCodec{}, p)
-		dec, err := Decompress(blob, shrinkCodec{}, Params{})
+		blob := CompressAppend(nil, src, 9, shrinkCodec{}, p)
+		dec, err := DecompressAppend(nil, blob, shrinkCodec{}, Params{})
 		return err == nil && bytes.Equal(dec, src)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -271,7 +271,7 @@ func TestQuickRoundtrip(t *testing.T) {
 
 func TestHeaderOverheadSmall(t *testing.T) {
 	src := make([]byte, 1<<20)
-	blob := Compress(src, 1, shrinkCodec{}, Params{})
+	blob := CompressAppend(nil, src, 1, shrinkCodec{}, Params{})
 	h, err := Parse(blob)
 	if err != nil {
 		t.Fatal(err)
@@ -288,14 +288,14 @@ func TestChecksumCatchesSilentCorruption(t *testing.T) {
 	// still reject the result.
 	src := make([]byte, 100000)
 	rand.New(rand.NewSource(9)).Read(src)
-	blob := Compress(src, 1, xorCodec{}, Params{}) // expands -> all raw chunks
+	blob := CompressAppend(nil, src, 1, xorCodec{}, Params{}) // expands -> all raw chunks
 	h, err := Parse(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
 	off := len(blob) - h.CompressedPayloadLen() + 5
 	blob[off] ^= 0x01
-	_, err = Decompress(blob, xorCodec{}, Params{})
+	_, err = DecompressAppend(nil, blob, xorCodec{}, Params{})
 	if !errors.Is(err, ErrChecksum) {
 		t.Errorf("want ErrChecksum, got %v", err)
 	}
@@ -303,7 +303,7 @@ func TestChecksumCatchesSilentCorruption(t *testing.T) {
 
 func TestHeaderCRCRecorded(t *testing.T) {
 	src := []byte("some original data to checksum")
-	blob := Compress(src, 1, shrinkCodec{}, Params{})
+	blob := CompressAppend(nil, src, 1, shrinkCodec{}, Params{})
 	h, err := Parse(blob)
 	if err != nil {
 		t.Fatal(err)
@@ -311,18 +311,18 @@ func TestHeaderCRCRecorded(t *testing.T) {
 	if h.CRC == 0 {
 		t.Error("CRC not recorded")
 	}
-	dec, err := Decompress(blob, shrinkCodec{}, Params{})
+	dec, err := DecompressAppend(nil, blob, shrinkCodec{}, Params{})
 	if err != nil || !bytes.Equal(dec, src) {
 		t.Fatal("roundtrip with CRC failed")
 	}
 }
 
 func TestAssembleMatchesCompress(t *testing.T) {
-	// Assemble must reproduce exactly what Compress emits when fed the
-	// same chunk results — the contract the SIMT kernels rely on.
+	// assemble must reproduce exactly what CompressAppend emits when fed
+	// the same chunk results — the contract legacyCompress relies on.
 	src := make([]byte, 70000)
 	rand.New(rand.NewSource(11)).Read(src)
-	blob := Compress(src, 5, shrinkCodec{}, Params{})
+	blob := CompressAppend(nil, src, 5, shrinkCodec{}, Params{})
 	h, err := Parse(blob)
 	if err != nil {
 		t.Fatal(err)
@@ -339,14 +339,14 @@ func TestAssembleMatchesCompress(t *testing.T) {
 		raw[i] = isRaw
 		payload = append(payload, p...)
 	}
-	rebuilt := Assemble(5, h.CRC, h.OriginalLen, h.ChunkSize, sizes, raw, payload)
+	rebuilt := assemble(5, h.CRC, h.OriginalLen, h.ChunkSize, sizes, raw, payload)
 	if !bytes.Equal(rebuilt, blob) {
-		t.Error("Assemble output differs from Compress output")
+		t.Error("assemble output differs from CompressAppend output")
 	}
 }
 
 func TestChunkPayloadBounds(t *testing.T) {
-	blob := Compress(make([]byte, 40000), 1, shrinkCodec{}, Params{})
+	blob := CompressAppend(nil, make([]byte, 40000), 1, shrinkCodec{}, Params{})
 	h, _ := Parse(blob)
 	if _, _, err := h.ChunkPayload(-1); err == nil {
 		t.Error("negative index accepted")

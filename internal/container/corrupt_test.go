@@ -17,7 +17,7 @@ func buildValid(t testing.TB, n, chunkSize int) []byte {
 			src[i] = byte(i / 4)
 		}
 	}
-	return Compress(src, 7, shrinkCodec{}, Params{ChunkSize: chunkSize})
+	return CompressAppend(nil, src, 7, shrinkCodec{}, Params{ChunkSize: chunkSize})
 }
 
 // header returns a hand-assembled container prefix with full control over
@@ -82,18 +82,18 @@ func TestParseCorruptHeaders(t *testing.T) {
 // declaring more than the budget is refused before the allocation.
 func TestDecompressBudget(t *testing.T) {
 	blob := buildValid(t, 100_000, 4096)
-	if _, err := Decompress(blob, shrinkCodec{}, Params{MaxDecoded: 1024}); !errors.Is(err, ErrBudget) {
+	if _, err := DecompressAppend(nil, blob, shrinkCodec{}, Params{MaxDecoded: 1024}); !errors.Is(err, ErrBudget) {
 		t.Fatalf("100 kB container under 1 kB budget: got %v, want ErrBudget", err)
 	}
 	for _, p := range []Params{{}, {MaxDecoded: 100_000}, {MaxDecoded: -1}} {
-		if _, err := Decompress(blob, shrinkCodec{}, p); err != nil {
+		if _, err := DecompressAppend(nil, blob, shrinkCodec{}, p); err != nil {
 			t.Fatalf("budget %d rejected valid container: %v", p.MaxDecoded, err)
 		}
 	}
 	// A tiny container *claiming* a huge original length must fail at the
 	// budget gate even though its chunk table is self-consistent.
 	huge := rawContainer(1<<40, 1<<40, 1, []uint64{4 << 1}, []byte{1, 2, 3, 4})
-	if _, err := Decompress(huge, shrinkCodec{}, Params{}); !errors.Is(err, ErrBudget) {
+	if _, err := DecompressAppend(nil, huge, shrinkCodec{}, Params{}); !errors.Is(err, ErrBudget) {
 		t.Fatalf("declared 1 TiB output under default budget: got %v, want ErrBudget", err)
 	}
 }
@@ -149,7 +149,7 @@ func TestOffsetsCache(t *testing.T) {
 
 // FuzzParse feeds arbitrary bytes to the header parser: it must never
 // panic, and any header it accepts must satisfy the structural invariants
-// that Decompress and the random-access paths rely on.
+// that DecompressAppend and the random-access paths rely on.
 func FuzzParse(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("FPCZ"))
@@ -184,15 +184,15 @@ func FuzzParse(f *testing.F) {
 func FuzzDecompressContainer(f *testing.F) {
 	f.Add(buildValid(f, 1000, 256))
 	f.Add(buildValid(f, 100_000, 4096))
-	f.Add(Compress(schemeTestSrc(256, 9), 9, schemeTestCodec{}, Params{ChunkSize: 256}))
-	f.Add(Compress(schemeTestSrc(512, 30), 9, schemeTestCodec{}, Params{ChunkSize: 512}))
-	f.Add(Compress(schemeTestSrc(512, 30), 9, schemeTestCodec{}, Params{ChunkSize: 512, Windowed: true}))
+	f.Add(CompressAppend(nil, schemeTestSrc(256, 9), 9, schemeTestCodec{}, Params{ChunkSize: 256}))
+	f.Add(CompressAppend(nil, schemeTestSrc(512, 30), 9, schemeTestCodec{}, Params{ChunkSize: 512}))
+	f.Add(CompressAppend(nil, schemeTestSrc(512, 30), 9, schemeTestCodec{}, Params{ChunkSize: 512, Windowed: true}))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dec, err := Decompress(data, shrinkCodec{}, Params{MaxDecoded: 1 << 20, Parallelism: 2})
+		dec, err := DecompressAppend(nil, data, shrinkCodec{}, Params{MaxDecoded: 1 << 20, Parallelism: 2})
 		if err == nil && len(dec) > 1<<20 {
 			t.Fatalf("decoded %d bytes past the 1 MiB budget", len(dec))
 		}
-		dec, err = Decompress(data, schemeTestCodec{}, Params{MaxDecoded: 1 << 20, Parallelism: 2})
+		dec, err = DecompressAppend(nil, data, schemeTestCodec{}, Params{MaxDecoded: 1 << 20, Parallelism: 2})
 		if err == nil && len(dec) > 1<<20 {
 			t.Fatalf("scheme decode produced %d bytes past the 1 MiB budget", len(dec))
 		}

@@ -51,7 +51,7 @@ func TestDecompressFollow(t *testing.T) {
 	src := aheadTestSrc(cs, n)[:n*cs-100]
 	aheadGrowHook = func() { time.Sleep(2 * time.Millisecond) } // the other workers decode ahead meanwhile
 	defer func() { aheadGrowHook = nil }()
-	clean := Compress(src, 1, shrinkCodec{}, Params{ChunkSize: cs, Integrity: true})
+	clean := CompressAppend(nil, src, 1, shrinkCodec{}, Params{ChunkSize: cs, Integrity: true})
 	tripped := bytes.Clone(clean)
 	trip(t, tripped, 7)
 	trip(t, tripped, 12)
@@ -89,7 +89,7 @@ func TestDecompressFollow(t *testing.T) {
 func TestFollowPanic(t *testing.T) {
 	const cs = 1024
 	src := aheadTestSrc(cs, 8)
-	blob := Compress(src, 1, shrinkCodec{}, Params{ChunkSize: cs})
+	blob := CompressAppend(nil, src, 1, shrinkCodec{}, Params{ChunkSize: cs})
 	tripped := bytes.Clone(blob)
 	trip(t, tripped, 5)
 	p := Params{ChunkSize: cs, Parallelism: 1}
@@ -110,7 +110,7 @@ func TestFollowPanic(t *testing.T) {
 				t.Fatalf("%s: recovered %v, want the injected panic", tc.name, r)
 			}
 			reports := stale.Load()
-			if out, err := Decompress(blob, shrinkCodec{}, p); err != nil || !bytes.Equal(out, src) || stale.Load() != reports {
+			if out, err := DecompressAppend(nil, blob, shrinkCodec{}, p); err != nil || !bytes.Equal(out, src) || stale.Load() != reports {
 				t.Fatalf("%s: unfollowed decode after the panic: err %v, %d reports to the old follower", tc.name, err, stale.Load()-reports)
 			}
 			l := &followLog{t: t, name: tc.name + ": followed decode after the panic", src: src}

@@ -27,7 +27,7 @@ func (c transformCodec) InverseLimit(enc []byte, maxDecoded int) ([]byte, error)
 // legacyCompress is the reference construction the parallel engine must
 // match byte for byte: encode every chunk serially with the plain Forward
 // API, concatenate the payloads in order, checksum the input in one pass,
-// and lay the container out with Assemble. Any divergence in CompressAppend
+// and lay the container out with assemble. Any divergence in CompressAppend
 // (arena bookkeeping, prefix-sum scatter, combined per-chunk CRCs) shows up
 // as a byte mismatch here.
 func legacyCompress(src []byte, algID byte, codec Codec, p Params) []byte {
@@ -53,7 +53,24 @@ func legacyCompress(src []byte, algID byte, codec Codec, p Params) []byte {
 			payload = append(payload, chunk...)
 		}
 	}
-	return Assemble(algID, crc32.Checksum(src, crcTable), len(src), cs, sizes, rawFlags, payload)
+	return assemble(algID, crc32.Checksum(src, crcTable), len(src), cs, sizes, rawFlags, payload)
+}
+
+// assemble builds the plain (version 1) container from already-compressed
+// chunk data through the same appendMeta as CompressAppend, then appends
+// the payload (the chunks concatenated in order).
+func assemble(algID byte, crc uint32, srcLen, chunkSize int, sizes []int, rawFlags []bool, payload []byte) []byte {
+	st := getEngineState(len(sizes), 1)
+	defer putEngineState(st)
+	copy(st.sizes, sizes)
+	for i, raw := range rawFlags {
+		st.flags[i] = 1
+		if raw {
+			st.flags[i] = 0
+		}
+	}
+	out := st.appendMeta(make([]byte, 0, len(payload)+len(sizes)*3+32), layout{}, algID, crc, srcLen, chunkSize, 0)
+	return append(out, payload...)
 }
 
 // identityInputs builds the edge-case corpus: empty, single byte, exact
@@ -125,13 +142,13 @@ func TestCompressByteIdentity(t *testing.T) {
 				want := legacyCompress(src, 9, codec, Params{ChunkSize: cs})
 				for _, par := range []int{1, 4, 0} {
 					name := fmt.Sprintf("cs=%d/%s/%s/p=%d", cs, cname, iname, par)
-					got := Compress(src, 9, codec, Params{ChunkSize: cs, Parallelism: par})
+					got := CompressAppend(nil, src, 9, codec, Params{ChunkSize: cs, Parallelism: par})
 					if !bytes.Equal(got, want) {
 						t.Errorf("%s: engine output differs from serial reference (%d vs %d bytes)", name, len(got), len(want))
 						continue
 					}
 					// And the container still round-trips.
-					dec, err := Decompress(got, codec, Params{ChunkSize: cs, Parallelism: par, MaxDecoded: -1})
+					dec, err := DecompressAppend(nil, got, codec, Params{ChunkSize: cs, Parallelism: par, MaxDecoded: -1})
 					if err != nil {
 						t.Errorf("%s: roundtrip: %v", name, err)
 					} else if !bytes.Equal(dec, src) {
@@ -149,7 +166,7 @@ func TestCompressByteIdentity(t *testing.T) {
 func TestCompressAppendPrefix(t *testing.T) {
 	src := identityInputs(1024)["smooth"]
 	p := Params{ChunkSize: 1024}
-	standalone := Compress(src, 9, shrinkCodec{}, p)
+	standalone := CompressAppend(nil, src, 9, shrinkCodec{}, p)
 	prefix := []byte("existing-bytes")
 	got := CompressAppend(append([]byte(nil), prefix...), src, 9, shrinkCodec{}, p)
 	if !bytes.HasPrefix(got, prefix) {

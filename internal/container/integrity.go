@@ -11,9 +11,9 @@ package container
 // chunks — so any single lost or corrupt chunk per group is reconstructed
 // at decode time without re-encoding anything.
 //
-// On top of the layout this file holds the degraded-decode entry points
-// and the parity repair. DecompressPartial runs the same decode loop as a
-// strict decode (container.go's decode): it verifies chunk by chunk,
+// On top of the layout this file holds the parity repair. The degraded
+// decode (DecompressFollow with partial set) runs the same decode loop as
+// a strict decode (container.go's decode): it verifies chunk by chunk,
 // repairs from parity where possible, quarantines (zero-fills) what it
 // cannot, and reports per-chunk outcomes instead of one fatal error. One
 // parity rebuild (rebuildChunk) serves the whole-container repair and the
@@ -35,7 +35,7 @@ var ErrHeaderChecksum = fmt.Errorf("%w: metadata checksum mismatch", ErrFormat)
 
 // ErrChunkCorrupt reports a chunk that failed verification and could not
 // be repaired from parity. Strict decode fails with it, wrapping the
-// lowest such chunk's cause; the degraded path (DecompressPartial)
+// lowest such chunk's cause; the degraded path (a partial DecompressFollow)
 // quarantines instead.
 var ErrChunkCorrupt = errors.New("container: chunk corrupt beyond repair")
 
@@ -341,25 +341,6 @@ func (st *engineState) buildParity(src []byte, cs, n int) {
 		}
 		st.pcrcs[g] = crc32.Checksum(block, crcTable)
 	}
-}
-
-// DecompressPartial is the degraded-decode entry point: it decodes as much
-// of a (possibly damaged) container as it can, verifying chunk by chunk,
-// repairing from parity where possible, and zero-filling what it cannot
-// recover. It returns the decoded bytes together with a per-chunk Report
-// instead of one fatal error; the error is non-nil only when the container
-// is unusable outright (unparseable or checksum-failed metadata, decode
-// budget exceeded, a codec that cannot route the container's chunks, or an
-// empty container whose whole-input CRC fails).
-func DecompressPartial(data []byte, codec Codec, p Params) ([]byte, *Report, error) {
-	return DecompressPartialAppend(nil, data, codec, p)
-}
-
-// DecompressPartialAppend is DecompressPartial appending to dst (which may
-// be nil), with the same append-semantics ownership contract as
-// DecompressAppend.
-func DecompressPartialAppend(dst, data []byte, codec Codec, p Params) ([]byte, *Report, error) {
-	return DecompressFollow(dst, data, codec, p, true, nil)
 }
 
 // rebuildChunk reconstructs chunk lost into span from its XOR parity

@@ -58,7 +58,7 @@ func TestV3RoundTrip(t *testing.T) {
 		{"scheme-parity", schemeTestCodec{}, Params{ChunkSize: 128, Parity: 4}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			blob := Compress(src, 9, tc.codec, tc.p)
+			blob := CompressAppend(nil, src, 9, tc.codec, tc.p)
 			h, err := Parse(blob)
 			if err != nil {
 				t.Fatal(err)
@@ -72,7 +72,7 @@ func TestV3RoundTrip(t *testing.T) {
 			if _, ok := h.ChunkCRC(0); !ok {
 				t.Fatal("v3 header reports no chunk CRCs")
 			}
-			dec, err := Decompress(blob, tc.codec, Params{})
+			dec, err := DecompressAppend(nil, blob, tc.codec, Params{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -81,7 +81,7 @@ func TestV3RoundTrip(t *testing.T) {
 			}
 			// A clean container decodes partially with every chunk OK and
 			// identical bytes.
-			pdec, rep, err := DecompressPartial(blob, tc.codec, Params{})
+			pdec, rep, err := DecompressFollow(nil, blob, tc.codec, Params{}, true, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -102,7 +102,7 @@ func TestV3RoundTrip(t *testing.T) {
 func TestV3ParityRepair(t *testing.T) {
 	src := integrityTestSrc(128, 10)
 	const parity = 3
-	blob := Compress(src, 9, shrinkCodec{}, Params{ChunkSize: 128, Parity: parity})
+	blob := CompressAppend(nil, src, 9, shrinkCodec{}, Params{ChunkSize: 128, Parity: parity})
 	h, err := Parse(blob)
 	if err != nil {
 		t.Fatal(err)
@@ -114,14 +114,14 @@ func TestV3ParityRepair(t *testing.T) {
 		}
 		corruptChunk(t, blob, victim)
 	}
-	dec, err := Decompress(blob, shrinkCodec{}, Params{})
+	dec, err := DecompressAppend(nil, blob, shrinkCodec{}, Params{})
 	if err != nil {
 		t.Fatalf("strict decode did not self-heal: %v", err)
 	}
 	if !bytes.Equal(dec, src) {
 		t.Fatal("self-healed decode mismatch")
 	}
-	pdec, rep, err := DecompressPartial(blob, shrinkCodec{}, Params{})
+	pdec, rep, err := DecompressFollow(nil, blob, shrinkCodec{}, Params{}, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,14 +138,14 @@ func TestV3ParityRepair(t *testing.T) {
 // chunk's bytes are exact.
 func TestV3PartialQuarantine(t *testing.T) {
 	src := integrityTestSrc(128, 10)
-	blob := Compress(src, 9, shrinkCodec{}, Params{ChunkSize: 128, Integrity: true})
+	blob := CompressAppend(nil, src, 9, shrinkCodec{}, Params{ChunkSize: 128, Integrity: true})
 	const victim = 4
 	corruptChunk(t, blob, victim)
 
-	if _, err := Decompress(blob, shrinkCodec{}, Params{}); !errors.Is(err, ErrChunkCorrupt) {
+	if _, err := DecompressAppend(nil, blob, shrinkCodec{}, Params{}); !errors.Is(err, ErrChunkCorrupt) {
 		t.Fatalf("strict decode error = %v, want ErrChunkCorrupt", err)
 	}
-	dec, rep, err := DecompressPartial(blob, shrinkCodec{}, Params{})
+	dec, rep, err := DecompressFollow(nil, blob, shrinkCodec{}, Params{}, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,13 +178,13 @@ func TestV3PartialQuarantine(t *testing.T) {
 // single-loss repair; both are quarantined, the rest byte-exact.
 func TestV3DoubleLossInGroup(t *testing.T) {
 	src := integrityTestSrc(128, 10)
-	blob := Compress(src, 9, shrinkCodec{}, Params{ChunkSize: 128, Parity: 4})
+	blob := CompressAppend(nil, src, 9, shrinkCodec{}, Params{ChunkSize: 128, Parity: 4})
 	corruptChunk(t, blob, 0)
 	corruptChunk(t, blob, 2) // same group of 4
-	if _, err := Decompress(blob, shrinkCodec{}, Params{}); !errors.Is(err, ErrChunkCorrupt) {
+	if _, err := DecompressAppend(nil, blob, shrinkCodec{}, Params{}); !errors.Is(err, ErrChunkCorrupt) {
 		t.Fatalf("strict decode error = %v, want ErrChunkCorrupt", err)
 	}
-	dec, rep, err := DecompressPartial(blob, shrinkCodec{}, Params{})
+	dec, rep, err := DecompressFollow(nil, blob, shrinkCodec{}, Params{}, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,21 +202,21 @@ func TestV3DoubleLossInGroup(t *testing.T) {
 // chunk in its group is also lost.
 func TestV3ParityBlockDamage(t *testing.T) {
 	src := integrityTestSrc(128, 10)
-	blob := Compress(src, 9, shrinkCodec{}, Params{ChunkSize: 128, Parity: 4})
+	blob := CompressAppend(nil, src, 9, shrinkCodec{}, Params{ChunkSize: 128, Parity: 4})
 	h, err := Parse(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Flip a byte of parity group 0's block (the first parity byte).
 	blob[len(blob)-h.ParityPayloadLen()] ^= 0xFF
-	dec, err := Decompress(blob, shrinkCodec{}, Params{})
+	dec, err := DecompressAppend(nil, blob, shrinkCodec{}, Params{})
 	if err != nil || !bytes.Equal(dec, src) {
 		t.Fatalf("clean data chunks must decode despite parity damage: %v", err)
 	}
 	// Now also lose a data chunk in group 0: repair must fail verification,
 	// not fabricate bytes.
 	corruptChunk(t, blob, 1)
-	pdec, rep, err := DecompressPartial(blob, shrinkCodec{}, Params{})
+	pdec, rep, err := DecompressFollow(nil, blob, shrinkCodec{}, Params{}, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestV3ParityBlockDamage(t *testing.T) {
 // chunks wholly before the cut decode clean, the rest quarantine.
 func TestV3TornTail(t *testing.T) {
 	src := integrityTestSrc(128, 10)
-	blob := Compress(src, 9, shrinkCodec{}, Params{ChunkSize: 128, Integrity: true})
+	blob := CompressAppend(nil, src, 9, shrinkCodec{}, Params{ChunkSize: 128, Integrity: true})
 	h, err := Parse(blob)
 	if err != nil {
 		t.Fatal(err)
@@ -247,7 +247,7 @@ func TestV3TornTail(t *testing.T) {
 	if _, err := ParseSalvage(torn); err != nil {
 		t.Fatalf("salvage parse: %v", err)
 	}
-	dec, rep, err := DecompressPartial(torn, shrinkCodec{}, Params{})
+	dec, rep, err := DecompressFollow(nil, torn, shrinkCodec{}, Params{}, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestV3TornTail(t *testing.T) {
 // offsets until some downstream check happened to trip.
 func TestV3MetadataChecksum(t *testing.T) {
 	src := integrityTestSrc(128, 10)
-	pristine := Compress(src, 9, shrinkCodec{}, Params{ChunkSize: 128, Parity: 3})
+	pristine := CompressAppend(nil, src, 9, shrinkCodec{}, Params{ChunkSize: 128, Parity: 3})
 	// Locate the size table: fixed header (10) + flags byte + the three
 	// header varints + the parity-group varint.
 	pos := 11
@@ -293,7 +293,7 @@ func TestV3MetadataChecksum(t *testing.T) {
 			if _, err := ParseSalvage(blob); !errors.Is(err, ErrHeaderChecksum) {
 				t.Fatalf("salvage parse error = %v, want ErrHeaderChecksum", err)
 			}
-			if _, _, err := DecompressPartial(blob, shrinkCodec{}, Params{}); !errors.Is(err, ErrHeaderChecksum) {
+			if _, _, err := DecompressFollow(nil, blob, shrinkCodec{}, Params{}, true, nil); !errors.Is(err, ErrHeaderChecksum) {
 				t.Fatalf("partial decode error = %v, want ErrHeaderChecksum", err)
 			}
 		})
@@ -325,7 +325,7 @@ func uvarintLen(b []byte) (uint64, int) {
 
 func TestV3UnknownFlags(t *testing.T) {
 	src := integrityTestSrc(128, 4)
-	blob := Compress(src, 9, shrinkCodec{}, Params{ChunkSize: 128, Integrity: true})
+	blob := CompressAppend(nil, src, 9, shrinkCodec{}, Params{ChunkSize: 128, Integrity: true})
 	blob[10] |= 1 << 5
 	if _, err := Parse(blob); !errors.Is(err, ErrFormat) {
 		t.Fatalf("unknown flag bits: %v, want ErrFormat", err)
@@ -333,12 +333,12 @@ func TestV3UnknownFlags(t *testing.T) {
 }
 
 func TestV3Empty(t *testing.T) {
-	blob := Compress(nil, 9, shrinkCodec{}, Params{Integrity: true, Parity: 2})
-	dec, err := Decompress(blob, shrinkCodec{}, Params{})
+	blob := CompressAppend(nil, nil, 9, shrinkCodec{}, Params{Integrity: true, Parity: 2})
+	dec, err := DecompressAppend(nil, blob, shrinkCodec{}, Params{})
 	if err != nil || len(dec) != 0 {
 		t.Fatalf("empty v3 decode: %v (%d bytes)", err, len(dec))
 	}
-	pdec, rep, err := DecompressPartial(blob, shrinkCodec{}, Params{})
+	pdec, rep, err := DecompressFollow(nil, blob, shrinkCodec{}, Params{}, true, nil)
 	if err != nil || len(pdec) != 0 || len(rep.States) != 0 {
 		t.Fatalf("empty v3 partial decode: %v", err)
 	}
@@ -348,7 +348,7 @@ func TestV3Empty(t *testing.T) {
 // standalone parity reconstruction used by ranged access.
 func TestV3ChunkRepairRandomAccess(t *testing.T) {
 	src := integrityTestSrc(128, 10)
-	blob := Compress(src, 9, shrinkCodec{}, Params{ChunkSize: 128, Parity: 3})
+	blob := CompressAppend(nil, src, 9, shrinkCodec{}, Params{ChunkSize: 128, Parity: 3})
 	h, err := Parse(blob)
 	if err != nil {
 		t.Fatal(err)
@@ -385,11 +385,11 @@ func TestV3ChunkRepairRandomAccess(t *testing.T) {
 // integrity signal, damage demotes survivors to unverified.
 func TestPartialV1V2(t *testing.T) {
 	src := integrityTestSrc(128, 10)
-	blob := Compress(src, 9, shrinkCodec{}, Params{ChunkSize: 128})
+	blob := CompressAppend(nil, src, 9, shrinkCodec{}, Params{ChunkSize: 128})
 	if blob[4] != 1 {
 		t.Fatalf("fixed codec emitted v%d", blob[4])
 	}
-	dec, rep, err := DecompressPartial(blob, shrinkCodec{}, Params{})
+	dec, rep, err := DecompressFollow(nil, blob, shrinkCodec{}, Params{}, true, nil)
 	if err != nil || !bytes.Equal(dec, src) {
 		t.Fatalf("clean v1 partial decode: %v", err)
 	}
@@ -400,7 +400,7 @@ func TestPartialV1V2(t *testing.T) {
 	// (quarantined) or decodes to wrong bytes — in both cases the whole-CRC
 	// can no longer vouch for anyone.
 	corruptChunk(t, blob, 3)
-	_, rep, err = DecompressPartial(blob, shrinkCodec{}, Params{})
+	_, rep, err = DecompressFollow(nil, blob, shrinkCodec{}, Params{}, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,9 +413,9 @@ func TestPartialV1V2(t *testing.T) {
 func TestV3CountersAdvance(t *testing.T) {
 	before := Counters()
 	src := integrityTestSrc(128, 10)
-	blob := Compress(src, 9, shrinkCodec{}, Params{ChunkSize: 128, Parity: 3})
+	blob := CompressAppend(nil, src, 9, shrinkCodec{}, Params{ChunkSize: 128, Parity: 3})
 	corruptChunk(t, blob, 1)
-	if _, _, err := DecompressPartial(blob, shrinkCodec{}, Params{}); err != nil {
+	if _, _, err := DecompressFollow(nil, blob, shrinkCodec{}, Params{}, true, nil); err != nil {
 		t.Fatal(err)
 	}
 	after := Counters()

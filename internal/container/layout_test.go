@@ -123,7 +123,7 @@ func TestLayoutWriters(t *testing.T) {
 					t.Fatalf("%s/%s/windowed=%v: report integrity=%v windowed=%v parity=%d",
 						c.name, m.name, windowed, rep.Integrity, rep.Windowed, rep.ParityGroup)
 				}
-				dec, err := Decompress(blob, c.codec, Params{})
+				dec, err := DecompressAppend(nil, blob, c.codec, Params{})
 				if err != nil || !bytes.Equal(dec, src) {
 					t.Fatalf("%s/%s/windowed=%v: round trip failed: %v", c.name, m.name, windowed, err)
 				}

@@ -64,18 +64,18 @@ func TestCodecPanicReachesCaller(t *testing.T) {
 		copy(src[i:], "chunk data")
 	}
 	p := Params{ChunkSize: 1024, Parallelism: 2}
-	want := Compress(src, 1, shrinkCodec{}, Params{ChunkSize: 1024, Parallelism: 1})
+	want := CompressAppend(nil, src, 1, shrinkCodec{}, Params{ChunkSize: 1024, Parallelism: 1})
 
-	if r := recovered(func() { Compress(src, 1, newPairPanicCodec(), p) }); r != "injected" {
+	if r := recovered(func() { CompressAppend(nil, src, 1, newPairPanicCodec(), p) }); r != "injected" {
 		t.Fatalf("compress: recovered %v, want the injected panic", r)
 	}
-	if got := Compress(src, 1, shrinkCodec{}, p); !bytes.Equal(got, want) {
+	if got := CompressAppend(nil, src, 1, shrinkCodec{}, p); !bytes.Equal(got, want) {
 		t.Fatal("compress after a panic: container differs from the one-worker one")
 	}
-	if r := recovered(func() { Decompress(want, newPairPanicCodec(), p) }); r != "injected" {
+	if r := recovered(func() { DecompressAppend(nil, want, newPairPanicCodec(), p) }); r != "injected" {
 		t.Fatalf("decompress: recovered %v, want the injected panic", r)
 	}
-	if got, err := Decompress(want, shrinkCodec{}, p); err != nil || !bytes.Equal(got, src) {
+	if got, err := DecompressAppend(nil, want, shrinkCodec{}, p); err != nil || !bytes.Equal(got, src) {
 		t.Fatalf("decompress after a panic: err %v, round trip equal %v", err, bytes.Equal(got, src))
 	}
 }
@@ -86,13 +86,13 @@ func TestCodecPanicReachesCaller(t *testing.T) {
 func TestCodecPanicAheadReachesCaller(t *testing.T) {
 	const cs = 1024
 	src := aheadTestSrc(cs, 12)
-	blob := Compress(src, 1, shrinkCodec{}, Params{ChunkSize: cs})
+	blob := CompressAppend(nil, src, 1, shrinkCodec{}, Params{ChunkSize: cs})
 	trip(t, blob, 5)
 	base := runtime.NumGoroutine()
 	for _, nw := range []int{2, 4} {
 		c := newTripCodec(true)
 		grows := holdGrow(t, c.tripped)
-		if r := recovered(func() { Decompress(blob, c, Params{ChunkSize: cs, Parallelism: nw}) }); r != "injected" {
+		if r := recovered(func() { DecompressAppend(nil, blob, c, Params{ChunkSize: cs, Parallelism: nw}) }); r != "injected" {
 			t.Fatalf("%d workers: recovered %v, want the injected panic", nw, r)
 		}
 		if g := grows.Load(); g != 1 {

@@ -105,7 +105,7 @@ func schemeTestSrc(chunkSize, chunks int) []byte {
 // the encoding that produced it, mixing schemes within one container.
 func TestSchemeRoundtrip(t *testing.T) {
 	src := schemeTestSrc(256, 9)
-	blob := Compress(src, 9, schemeTestCodec{}, Params{ChunkSize: 256})
+	blob := CompressAppend(nil, src, 9, schemeTestCodec{}, Params{ChunkSize: 256})
 	if blob[4] != 2 {
 		t.Fatalf("scheme codec emitted container version %d, want 2", blob[4])
 	}
@@ -128,7 +128,7 @@ func TestSchemeRoundtrip(t *testing.T) {
 			t.Errorf("chunk %d scheme %d, want %d", i, got, want)
 		}
 	}
-	dec, err := Decompress(blob, schemeTestCodec{}, Params{})
+	dec, err := DecompressAppend(nil, blob, schemeTestCodec{}, Params{})
 	if err != nil || !bytes.Equal(dec, src) {
 		t.Fatalf("v2 roundtrip failed: %v", err)
 	}
@@ -146,13 +146,13 @@ func TestSchemeRoundtrip(t *testing.T) {
 // and a scheme codec cannot decode a v1 container (no table to route by).
 func TestSchemeCodecVersionMismatch(t *testing.T) {
 	src := schemeTestSrc(256, 6)
-	v2 := Compress(src, 9, schemeTestCodec{}, Params{ChunkSize: 256})
-	v1 := Compress(src, 9, shrinkCodec{}, Params{ChunkSize: 256})
+	v2 := CompressAppend(nil, src, 9, schemeTestCodec{}, Params{ChunkSize: 256})
+	v1 := CompressAppend(nil, src, 9, shrinkCodec{}, Params{ChunkSize: 256})
 
-	if _, err := Decompress(v2, shrinkCodec{}, Params{}); !errors.Is(err, ErrFormat) {
+	if _, err := DecompressAppend(nil, v2, shrinkCodec{}, Params{}); !errors.Is(err, ErrFormat) {
 		t.Errorf("v2 container through scheme-less codec: got %v, want ErrFormat", err)
 	}
-	if _, err := Decompress(v1, schemeTestCodec{}, Params{}); !errors.Is(err, ErrFormat) {
+	if _, err := DecompressAppend(nil, v1, schemeTestCodec{}, Params{}); !errors.Is(err, ErrFormat) {
 		t.Errorf("v1 container through scheme codec: got %v, want ErrFormat", err)
 	}
 	h2, err := Parse(v2)
@@ -190,7 +190,7 @@ func rawContainerV2(originalLen, chunkSize, chunkCount uint64, entries []uint64,
 // the decode budget respected), never a panic.
 func TestHostileSchemeTable(t *testing.T) {
 	src := schemeTestSrc(256, 9)
-	valid := Compress(src, 9, schemeTestCodec{}, Params{ChunkSize: 256})
+	valid := CompressAppend(nil, src, 9, schemeTestCodec{}, Params{ChunkSize: 256})
 	h, err := Parse(valid)
 	if err != nil {
 		t.Fatal(err)
@@ -210,7 +210,7 @@ func TestHostileSchemeTable(t *testing.T) {
 
 	t.Run("unknown scheme id", func(t *testing.T) {
 		blob := mutate(compressedIdx, 99)
-		if _, err := Decompress(blob, schemeTestCodec{}, Params{}); !errors.Is(err, errUnknownTestScheme) {
+		if _, err := DecompressAppend(nil, blob, schemeTestCodec{}, Params{}); !errors.Is(err, errUnknownTestScheme) {
 			t.Errorf("got %v, want the codec's unknown-scheme error", err)
 		}
 	})
@@ -234,7 +234,7 @@ func TestHostileSchemeTable(t *testing.T) {
 		}
 	})
 	t.Run("budget respected", func(t *testing.T) {
-		if _, err := Decompress(valid, schemeTestCodec{}, Params{MaxDecoded: 100}); !errors.Is(err, ErrBudget) {
+		if _, err := DecompressAppend(nil, valid, schemeTestCodec{}, Params{MaxDecoded: 100}); !errors.Is(err, ErrBudget) {
 			t.Errorf("got %v, want ErrBudget", err)
 		}
 	})

@@ -45,7 +45,7 @@ func TestAllocGateChunkPipeline(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	const ceiling = 4.0 // allocs per compress+decompress chunk round-trip
-	for _, a := range AllExtended() {
+	for _, a := range allExtended() {
 		t.Run(a.Name(), func(t *testing.T) {
 			for _, off := range []int{0, 1} {
 				t.Run(fmt.Sprintf("offset%d", off), func(t *testing.T) {
@@ -99,7 +99,7 @@ func TestAllocGateDecompressOnly(t *testing.T) {
 		wordio.PutU64(src[i:], 0, math.Float64bits(2000+math.Cos(float64(i)/384)))
 	}
 	p := container.Params{Parallelism: 1, MaxDecoded: -1}
-	for _, a := range AllExtended() {
+	for _, a := range allExtended() {
 		t.Run(a.Name(), func(t *testing.T) {
 			blob := a.Compress(src, p)
 			var back []byte
@@ -142,7 +142,7 @@ func TestAllocGateContainerRoundTrip(t *testing.T) {
 		wordio.PutU64(src[i:], 0, math.Float64bits(2000+math.Cos(float64(i)/384)))
 	}
 	p := container.Params{Parallelism: 1, MaxDecoded: -1}
-	for _, a := range AllExtended() {
+	for _, a := range allExtended() {
 		t.Run(a.Name(), func(t *testing.T) {
 			var blob, back []byte
 			var err error

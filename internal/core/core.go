@@ -436,7 +436,7 @@ var ErrPreStagePartial = errors.New("core: whole-input pre-stage cannot decode a
 
 // DecompressPartial is the degraded-decode entry point: best-effort
 // decoding of a damaged container with a per-chunk container.Report. See
-// container.DecompressPartial for the chunk semantics; for pre-stage
+// container.DecompressFollow for the chunk semantics; for pre-stage
 // algorithms the report must come back fully intact (repairs included) or
 // the decode fails with ErrPreStagePartial.
 func (a *Algorithm) DecompressPartial(data []byte, p container.Params) ([]byte, *container.Report, error) {
@@ -581,12 +581,6 @@ func NewWindowed(id ID) (*Algorithm, error) {
 // All returns the paper's four algorithms in paper order.
 func All() []*Algorithm {
 	return build(SPspeed, SPratio, DPspeed, DPratio)
-}
-
-// AllExtended returns the paper's algorithms plus the repository's
-// lcsynth-derived extensions and the adaptive auto modes.
-func AllExtended() []*Algorithm {
-	return build(SPspeed, SPratio, DPspeed, DPratio, SPbalance, DPbalance, Auto32, Auto64)
 }
 
 func build(ids ...ID) []*Algorithm {

@@ -246,11 +246,17 @@ func TestPreStageDecodeParallelism(t *testing.T) {
 	}
 }
 
+// allExtended returns the paper's algorithms plus the repository's
+// lcsynth-derived extensions and the adaptive auto modes.
+func allExtended() []*Algorithm {
+	return build(SPspeed, SPratio, DPspeed, DPratio, SPbalance, DPbalance, Auto32, Auto64)
+}
+
 // TestExtensionAlgorithms covers the repository's lcsynth-derived
 // SPbalance/DPbalance pipelines: they must roundtrip, and on smooth data
 // land between the paper's speed and ratio modes on compression ratio.
 func TestExtensionAlgorithms(t *testing.T) {
-	if len(AllExtended()) != 8 || len(All()) != 4 {
+	if len(allExtended()) != 8 || len(All()) != 4 {
 		t.Fatal("algorithm set sizes wrong")
 	}
 	sp := smoothSP(1<<17, 31)

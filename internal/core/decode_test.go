@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
@@ -85,7 +86,7 @@ func TestPreGrowKeepsErrors(t *testing.T) {
 	for _, delta := range []int{-8, -1, 1, 8, 4096} {
 		bad := append([]byte(nil), stream...)
 		wordio.PutU64(bad, 0, uint64(len(src)+delta))
-		data := container.Compress(bad, byte(DPratio), a.ChunkCodec(), container.Params{})
+		data := container.CompressAppend(nil, bad, byte(DPratio), a.ChunkCodec(), container.Params{})
 		for _, w := range decodeWorkers {
 			for _, dst := range dstKinds(len(src)) {
 				want, wantErr := a.Pre.InverseInto(dst.b[:len(dst.b):len(dst.b)], bad, container.DefaultMaxDecoded)
@@ -120,6 +121,18 @@ func TestPreGrowKeepsErrors(t *testing.T) {
 	}
 }
 
+// twoChunkV1 lays out by hand, as FORMAT.md gives version 1, a DPratio
+// container that declares length bytes in chunks of cs bytes, with a zero
+// CRC and two encoded chunks of 8 zero bytes each: a header the engine
+// never writes.
+func twoChunkV1(length, cs int) []byte {
+	b := append([]byte("FPCZ"), 1, byte(DPratio), 0, 0, 0, 0)
+	for _, v := range []int{length, cs, 2, 8<<1 | 1, 8<<1 | 1} {
+		b = binary.AppendUvarint(b, uint64(v))
+	}
+	return append(b, make([]byte, 16)...)
+}
+
 // TestPreGrowNeedsParse: DPratio grows its output ahead only from a
 // container that parses. A header whose declared length disagrees with
 // its chunk table, or a container cut short, fails with the container's
@@ -128,12 +141,10 @@ func TestPreGrowKeepsErrors(t *testing.T) {
 func TestPreGrowNeedsParse(t *testing.T) {
 	a, _ := New(DPratio)
 	const declared = 8 + 64<<20 // an FCM stream of 32 MiB of words
-	sizes := []int{8, 8}
-	raw := []bool{false, false}
-	whole := container.Assemble(byte(DPratio), 0, declared, 8+32<<20, sizes, raw, make([]byte, 16))
+	whole := twoChunkV1(declared, 8+32<<20)
 	cases := map[string][]byte{
 		// Two chunks of 16 KiB cannot hold 64 MiB.
-		"length disagrees": container.Assemble(byte(DPratio), 0, declared, 16<<10, sizes, raw, make([]byte, 16)),
+		"length disagrees": twoChunkV1(declared, 16<<10),
 		// Two chunks of 32 MiB and 8 bytes hold it, but their bytes are cut short.
 		"truncated": whole[:len(whole)-6],
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
@@ -67,32 +68,26 @@ func TestPreFollowKeepsErrors(t *testing.T) {
 		t.Fatalf("FCM error %v, want ErrCorrupt", fcmErr)
 	}
 	integrity := container.Params{Integrity: true}
-	behindBad := container.Compress(bad, byte(DPratio), a.ChunkCodec(), integrity)
+	behindBad := container.CompressAppend(nil, bad, byte(DPratio), a.ChunkCodec(), integrity)
 	corruptChunks(t, behindBad, 40, 60)
-	behindGood := container.Compress(stream, byte(DPratio), a.ChunkCodec(), integrity)
+	behindGood := container.CompressAppend(nil, stream, byte(DPratio), a.ChunkCodec(), integrity)
 	corruptChunks(t, behindGood, 40, 60)
-	_, chunkErr := container.Decompress(behindGood, a.ChunkCodec(), container.Params{Parallelism: 1, MaxDecoded: -1})
+	_, chunkErr := container.DecompressAppend(nil, behindGood, a.ChunkCodec(), container.Params{Parallelism: 1, MaxDecoded: -1})
 	if !errors.Is(chunkErr, container.ErrChunkCorrupt) || !strings.Contains(chunkErr.Error(), "chunk 40") {
 		t.Fatalf("container error %v, want chunk 40 corrupt", chunkErr)
 	}
 
-	// v1, chunks stored raw: every chunk decodes, the CRC is the clean
+	// v1: every chunk decodes, the CRC (header bytes 6–9) is the clean
 	// stream's.
-	cs := container.DefaultChunkSize
-	var sizes []int
-	var raw []bool
-	for lo := 0; lo < len(bad); lo += cs {
-		sizes = append(sizes, min(cs, len(bad)-lo))
-		raw = append(raw, true)
-	}
-	crcBad := container.Assemble(byte(DPratio), container.ChecksumOf(stream), len(bad), cs, sizes, raw, bad)
+	crcBad := container.CompressAppend(nil, bad, byte(DPratio), a.ChunkCodec(), container.Params{})
+	binary.LittleEndian.PutUint32(crcBad[6:], container.ChecksumOf(stream))
 
 	for _, tc := range []struct {
 		name string
 		data []byte
 		want error
 	}{
-		{"distance error", container.Compress(bad, byte(DPratio), a.ChunkCodec(), integrity), fcmErr},
+		{"distance error", container.CompressAppend(nil, bad, byte(DPratio), a.ChunkCodec(), integrity), fcmErr},
 		{"chunks 40 and 60 corrupt", behindGood, chunkErr},
 		{"chunks 40 and 60 corrupt, distance error", behindBad, chunkErr},
 		{"v1 CRC mismatch, distance error", crcBad, container.ErrChecksum},
@@ -117,9 +112,9 @@ func TestPreFollowKeepsErrors(t *testing.T) {
 // lands only after the chunk decode, still decodes to the source.
 func TestPreFollowRepairs(t *testing.T) {
 	a, src, stream := followSrc(t)
-	damaged := container.Compress(stream, byte(DPratio), a.ChunkCodec(), container.Params{Integrity: true})
+	damaged := container.CompressAppend(nil, stream, byte(DPratio), a.ChunkCodec(), container.Params{Integrity: true})
 	corruptChunks(t, damaged, 40)
-	repairable := container.Compress(stream, byte(DPratio), a.ChunkCodec(), container.Params{Parity: 4})
+	repairable := container.CompressAppend(nil, stream, byte(DPratio), a.ChunkCodec(), container.Params{Parity: 4})
 	corruptChunks(t, repairable, 40)
 	for _, w := range decodeWorkers {
 		p := container.Params{Parallelism: w}

@@ -196,6 +196,18 @@ func Decode(enc []byte) ([]byte, error) {
 	if n64 > 0 && maxLen == 0 {
 		return nil, ErrCorrupt
 	}
+	// Canonical codes fit in maxLen bits only when the lengths satisfy
+	// Kraft's inequality; lengths that oversubscribe it would index past
+	// the lookup table below.
+	var kraft uint64
+	for _, l := range lengths {
+		if l > 0 {
+			kraft += 1 << (maxLen - l)
+		}
+	}
+	if kraft > 1<<maxLen {
+		return nil, ErrCorrupt
+	}
 	codes := canonicalCodes(&lengths)
 	// Build a full lookup table at maxLen bits: every prefix maps to
 	// (symbol, length).

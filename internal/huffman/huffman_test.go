@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"fpcompress/internal/bitio"
 )
 
 func TestRoundtrip(t *testing.T) {
@@ -124,7 +126,20 @@ func TestQuick(t *testing.T) {
 	}
 }
 
+// oversubscribed is a one-symbol stream whose code-length table gives all
+// 256 symbols 1-bit codes, far past Kraft's inequality.
+func oversubscribed() []byte {
+	w := bitio.NewWriterBuf([]byte{0x01})
+	for range 256 {
+		w.WriteBits(1, 5)
+	}
+	return append(w.Bytes(), 0)
+}
+
 func TestGarbage(t *testing.T) {
+	if _, err := Decode(oversubscribed()); err == nil {
+		t.Error("oversubscribed code lengths decoded without error")
+	}
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 300; i++ {
 		junk := make([]byte, rng.Intn(300))

@@ -176,13 +176,13 @@ type Selector struct {
 }
 
 // speedKernel is the fused speed-pipeline encoder the hot path runs: a
-// fused.Kernel that also accumulates the speed-wins gate's statistics
+// transform that also accumulates the speed-wins gate's statistics
 // (group ORs for the exact BIT32→RZE price, the leading-zero histogram for
 // the RAZE→RARE model) during its single pass, so the gate never has to
 // materialize or re-read the DIFFMS stream. Both fused speed kernels
 // implement it.
 type speedKernel interface {
-	fused.Kernel
+	transforms.Transform
 	ForwardStatsInto(dst, src []byte, gs *fused.GateStats) []byte
 }
 

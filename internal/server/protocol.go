@@ -216,11 +216,15 @@ func ReadRequest(r io.Reader, maxPayload int) (Op, byte, []byte, error) {
 }
 
 // ReadResponse reads one response from r. Payload allocation is bounded by
-// maxPayload (<= 0 selects DefaultMaxPayload).
+// maxPayload (<= 0 selects DefaultMaxPayload). A response's algorithm byte
+// is 0; any other value is a protocol error.
 func ReadResponse(r io.Reader, maxPayload int) (Status, []byte, error) {
-	kind, _, n, err := readHeader(r, maxPayload)
+	kind, alg, n, err := readHeader(r, maxPayload)
 	if err != nil {
 		return 0, nil, err
+	}
+	if alg != 0 {
+		return 0, nil, fmt.Errorf("%w: algorithm byte %d in a response", ErrProtocol, alg)
 	}
 	payload, err := readPayload(r, n)
 	if err != nil {

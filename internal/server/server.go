@@ -522,6 +522,9 @@ func (s *Server) failRequest(c net.Conn, bw *bufio.Writer, err error) {
 // bounded pool. It blocks until the job's result is ready (each
 // connection is serial by protocol).
 func (s *Server) dispatch(op Op, alg byte, payload []byte) jobResult {
+	if (op == OpDecompress || op == OpStats) && alg != 0 {
+		return jobResult{status: StatusBadRequest, payload: []byte(fmt.Sprintf("server: %s request with algorithm byte %d, want 0", op, alg))}
+	}
 	switch op {
 	case OpStats:
 		start := time.Now()

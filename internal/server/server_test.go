@@ -300,6 +300,28 @@ func TestErrorStatuses(t *testing.T) {
 			t.Errorf("status %v, want StatusBadRequest", st)
 		}
 	})
+	// The algorithm byte is 0 in every request but a compress. A nonzero
+	// one is a bad request that leaves the connection framed and open.
+	for _, op := range []Op{OpDecompress, OpStats} {
+		t.Run("algorithm byte on "+op.String(), func(t *testing.T) {
+			tc := dialTest(t, addr)
+			if st, msg := tc.mustRoundTrip(t, op, byte(core.SPspeed), nil); st != StatusBadRequest {
+				t.Errorf("status %v (%q), want StatusBadRequest", st, msg)
+			}
+			if st, _ := tc.mustRoundTrip(t, OpStats, 0, nil); st != StatusOK {
+				t.Errorf("stats after the refused request: status %v", st)
+			}
+		})
+	}
+	t.Run("algorithm byte in a response", func(t *testing.T) {
+		var b bytes.Buffer
+		if err := writeMessage(&b, byte(StatusOK), byte(core.SPspeed), []byte{1}); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := ReadResponse(&b, 0); !errors.Is(err, ErrProtocol) {
+			t.Errorf("err %v, want ErrProtocol", err)
+		}
+	})
 	t.Run("corrupt container", func(t *testing.T) {
 		tc := dialTest(t, addr)
 		st, _ := tc.mustRoundTrip(t, OpDecompress, 0, []byte("FPCZ not a container"))

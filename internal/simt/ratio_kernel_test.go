@@ -1,9 +1,6 @@
 package simt
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"fpcompress/internal/bitio"
 	"fpcompress/internal/container"
 	"fpcompress/internal/core"
@@ -18,61 +15,13 @@ import (
 // groups of 8 bytes, count their non-zero bytes, obtain write offsets with
 // a block-wide prefix sum, and scatter ("they output their non-zero bytes
 // at the location determined by the prefix sum. Similar steps are executed
-// repeatedly to compress the bitmap."). The output container is
-// byte-identical to the CPU engine's.
+// repeatedly to compress the bitmap."). It stores exactly the chunks of
+// the CPU engine's SPratio container.
 
 // KernelCompressSPratio compresses src as a simulated GPU launch of the
 // SPratio encoder.
-func KernelCompressSPratio(src []byte, blocks int) ([]byte, error) {
-	if blocks <= 0 {
-		blocks = 8
-	}
-	cs := container.DefaultChunkSize
-	nChunks := (len(src) + cs - 1) / cs
-	results := make([][]byte, nChunks)
-	rawFlags := make([]bool, nChunks)
-
-	var worklist atomic.Int64
-	var wg sync.WaitGroup
-	for b := 0; b < blocks; b++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(worklist.Add(1)) - 1
-				if i >= nChunks {
-					return
-				}
-				lo, hi := i*cs, (i+1)*cs
-				if hi > len(src) {
-					hi = len(src)
-				}
-				enc := blockEncodeSPratio(src[lo:hi])
-				if len(enc) >= hi-lo {
-					results[i] = src[lo:hi]
-					rawFlags[i] = true
-				} else {
-					results[i] = enc
-				}
-			}
-		}()
-	}
-	wg.Wait()
-
-	sizes := make([]int, nChunks)
-	for i, r := range results {
-		sizes[i] = len(r)
-	}
-	offsets := DecoupledLookback(sizes)
-	total := 0
-	if nChunks > 0 {
-		total = offsets[nChunks-1] + sizes[nChunks-1]
-	}
-	payload := make([]byte, total)
-	for i, r := range results {
-		copy(payload[offsets[i]:], r)
-	}
-	return container.Assemble(byte(core.SPratio), container.ChecksumOf(src), len(src), cs, sizes, rawFlags, payload), nil
+func KernelCompressSPratio(src []byte, blocks int) kernelLaunch {
+	return launch(src, blocks, blockEncodeSPratio)
 }
 
 // KernelDecompressSPratio decodes an SPratio container with §3.2's decoder
@@ -87,56 +36,7 @@ func KernelDecompressSPratio(data []byte, blocks int) ([]byte, error) {
 	if core.ID(h.Algorithm) != core.SPratio {
 		return nil, ErrKernelAlgorithm
 	}
-	if blocks <= 0 {
-		blocks = 8
-	}
-	dst := make([]byte, h.OriginalLen)
-	var firstErr atomic.Pointer[error]
-	var worklist atomic.Int64
-	var wg sync.WaitGroup
-	for b := 0; b < blocks; b++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(worklist.Add(1)) - 1
-				if i >= h.ChunkCount || firstErr.Load() != nil {
-					return
-				}
-				chunk, raw, err := h.ChunkPayload(i)
-				if err != nil {
-					firstErr.CompareAndSwap(nil, &err)
-					return
-				}
-				lo := i * h.ChunkSize
-				hi := lo + h.ChunkSize
-				if hi > h.OriginalLen {
-					hi = h.OriginalLen
-				}
-				var dec []byte
-				if raw {
-					dec = chunk
-				} else {
-					dec, err = blockDecodeSPratio(chunk)
-					if err != nil {
-						firstErr.CompareAndSwap(nil, &err)
-						return
-					}
-				}
-				if len(dec) != hi-lo {
-					err := errBadChunkLen
-					firstErr.CompareAndSwap(nil, &err)
-					return
-				}
-				copy(dst[lo:], dec)
-			}
-		}()
-	}
-	wg.Wait()
-	if ep := firstErr.Load(); ep != nil {
-		return nil, *ep
-	}
-	return dst, nil
+	return decodeLaunch(h, blocks, blockDecodeSPratio)
 }
 
 // blockDecodeSPratio inverts RZE (count + scan + scatter), BIT (warp
@@ -245,6 +145,39 @@ func blockEncodeSPratio(chunk []byte) []byte {
 	// with the repeated scheme.
 	bitmap, nonzero := CompactNonZero(trans)
 	out := bitio.AppendUvarint(nil, uint64(len(trans)))
-	out = transforms.EncodeRepeatBitmap(bitmap, out)
+	out = repeatBitmap(out, bitmap)
 	return append(out, nonzero...)
+}
+
+// repeatFloor is the bitmap length at and below which RZE stores a
+// bitmap level verbatim instead of compressing it further.
+const repeatFloor = 4
+
+// repeatBitmap appends RZE's recursive encoding of bitmap level b with
+// the same lane schedule, one level at a time: a lane map XORs every byte
+// with its predecessor (the first with zero), so that CompactNonZero's
+// count, scan and scatter yield the level's change bitmap, and the bytes
+// that differ from their predecessor are gathered at those positions.
+// The change bitmap is encoded the same way first, down to a level of at
+// most repeatFloor bytes, which is stored verbatim.
+func repeatBitmap(out, b []byte) []byte {
+	if len(b) <= repeatFloor {
+		return append(out, b...)
+	}
+	changed := make([]byte, len(b))
+	for i := range b { // lane map
+		var prev byte
+		if i > 0 {
+			prev = b[i-1]
+		}
+		changed[i] = b[i] ^ prev
+	}
+	bm, _ := CompactNonZero(changed)
+	out = repeatBitmap(out, bm)
+	for i, c := range b {
+		if bm[i>>3]&(0x80>>(i&7)) != 0 {
+			out = append(out, c)
+		}
+	}
+	return out
 }

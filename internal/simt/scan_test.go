@@ -1,17 +1,20 @@
-// Package simt functionally emulates the GPU parallelization the paper
-// describes in §3: block-level parallel prefix sums built from warp-style
-// log-step scans (for DIFFMS decoding and RZE compaction), warp-shuffle
-// bit transposition (for BIT), parallel max reductions (for MPLG), and
-// Merrill & Garland's decoupled look-back scan (for communicating chunk
-// write positions between thread blocks). FCM's parallel "find" decoder
-// is modelled in the tests only (fcm_test.go).
+// Package simt is a test-only functional model of the GPU
+// parallelization the paper describes in §3: block-level parallel prefix
+// sums built from warp-style log-step scans (for DIFFMS decoding and RZE
+// compaction), warp-shuffle bit transposition (for BIT), parallel max
+// reductions (for MPLG), and Merrill & Garland's decoupled look-back scan
+// (for communicating chunk write positions between thread blocks), with
+// the SPspeed/DPspeed and SPratio kernels built from them
+// (speed_kernel_test.go, ratio_kernel_test.go) and FCM's parallel "find"
+// decoder (fcm_test.go). Every file is a _test.go file, so none of it
+// enters a build.
 //
 // Every routine here is a *parallel formulation* — data flows exactly as
 // it would between GPU lanes, in log-step rounds — and is cross-checked in
 // the tests against the sequential implementations in internal/transforms
-// and internal/container, byte for byte. That equivalence is the
-// substance behind the paper's CPU/GPU compatibility claim: both devices
-// must produce and accept identical bit streams.
+// and the chunks of internal/container's CPU engine, byte for byte. That
+// equivalence is the substance behind the paper's CPU/GPU compatibility
+// claim: both devices must produce and accept identical bit streams.
 package simt
 
 import (

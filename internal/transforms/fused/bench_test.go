@@ -58,43 +58,28 @@ var dpRatioChunk = sync.OnceValue(func() []byte {
 	return stream[mid-benchChunk/2 : mid+benchChunk/2]
 })
 
-type benchFused struct {
-	k    Kernel
-	word wordio.WordSize
-}
-
-func benchKernels() []benchFused {
-	return []benchFused{
-		{NewSpeed32(), wordio.W32},
-		{NewSpeed64(), wordio.W64},
-		{NewRatio32(), wordio.W32},
-		{NewRatio64(), wordio.W64},
-		{NewFCMRatio64(), wordio.W64},
-	}
-}
-
 // benchOffsets are the byte offsets the microbenchmarks place their input
 // (and their dst append position) at: 0 aliases the buffers' words, 1
 // measures the copy-in/copy-out scratch route misaligned callers take.
 var benchOffsets = []int{0, 1}
 
 func BenchmarkFusedForward(b *testing.B) {
-	for _, f := range benchKernels() {
+	for _, f := range kernels() {
 		for _, off := range benchOffsets {
-			b.Run(fmt.Sprintf("%s/offset%d", f.k.Name(), off), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/offset%d", f.Name(), off), func(b *testing.B) {
 				src := atOffset(benchData(f.word), off)
 				dst := make([]byte, off)
 				b.SetBytes(benchChunk)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					dst = f.k.ForwardInto(dst[:off], src)
+					dst = f.ForwardInto(dst[:off], src)
 				}
 			})
 		}
-		b.Run(f.k.Name()+"/reference", func(b *testing.B) {
+		b.Run(f.Name()+"/reference", func(b *testing.B) {
 			src := benchData(f.word)
-			ref := f.k.Pipeline()
+			ref := f.ref
 			var dst []byte
 			b.SetBytes(benchChunk)
 			b.ReportAllocs()
@@ -117,17 +102,17 @@ func BenchmarkFusedForward(b *testing.B) {
 }
 
 func BenchmarkFusedInverse(b *testing.B) {
-	for _, f := range benchKernels() {
+	for _, f := range kernels() {
 		for _, off := range benchOffsets {
-			b.Run(fmt.Sprintf("%s/offset%d", f.k.Name(), off), func(b *testing.B) {
-				enc := atOffset(f.k.ForwardInto(nil, benchData(f.word)), off)
+			b.Run(fmt.Sprintf("%s/offset%d", f.Name(), off), func(b *testing.B) {
+				enc := atOffset(f.ForwardInto(nil, benchData(f.word)), off)
 				dst := make([]byte, off)
 				var err error
 				b.SetBytes(benchChunk)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if dst, err = f.k.InverseInto(dst[:off], enc, benchChunk); err != nil {
+					if dst, err = f.InverseInto(dst[:off], enc, benchChunk); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -224,29 +209,29 @@ func TestEmitFusedBench(t *testing.T) {
 		} else {
 			simd.Enable()
 		}
-		for _, f := range benchKernels() {
+		for _, f := range kernels() {
 			src := benchData(f.word)
-			enc := f.k.ForwardInto(nil, src)
+			enc := f.ForwardInto(nil, src)
 			var dst []byte
 			var err error
 
-			mbps, ops := measureKernel(func() { dst = f.k.ForwardInto(dst[:0], src) })
+			mbps, ops := measureKernel(func() { dst = f.ForwardInto(dst[:0], src) })
 			report.Results = append(report.Results, transformBenchResult{
-				Transform: f.k.Name(), Op: "forward", ChunkBytes: benchChunk, Ops: ops,
+				Transform: f.Name(), Op: "forward", ChunkBytes: benchChunk, Ops: ops,
 				Path: path, MBPerS: mbps, EncodedBytes: len(enc),
 			})
-			t.Logf("%s forward (%s): %.1f MB/s", f.k.Name(), path, mbps)
+			t.Logf("%s forward (%s): %.1f MB/s", f.Name(), path, mbps)
 
 			mbps, ops = measureKernel(func() {
-				if dst, err = f.k.InverseInto(dst[:0], enc, benchChunk); err != nil {
+				if dst, err = f.InverseInto(dst[:0], enc, benchChunk); err != nil {
 					t.Fatal(err)
 				}
 			})
 			report.Results = append(report.Results, transformBenchResult{
-				Transform: f.k.Name(), Op: "inverse", ChunkBytes: benchChunk, Ops: ops,
+				Transform: f.Name(), Op: "inverse", ChunkBytes: benchChunk, Ops: ops,
 				Path: path, MBPerS: mbps,
 			})
-			t.Logf("%s inverse (%s): %.1f MB/s", f.k.Name(), path, mbps)
+			t.Logf("%s inverse (%s): %.1f MB/s", f.Name(), path, mbps)
 		}
 	}
 	simd.Enable()

@@ -33,10 +33,9 @@
 // exactly the same encodings. The single pass is the only path: it takes
 // its words through wordio's copy-in/copy-out, so misaligned buffers and
 // purego or big-endian builds run the same loop on pooled scratch.
-// Pipeline() returns the stage-by-stage composition purely as the test
-// oracle: fused_test.go (offsets 0-7, odd lengths, -race) and
-// FuzzFusedKernels pin the kernels to its bytes and its corrupt-input
-// error behavior.
+// fused_test.go (offsets 0-7, odd lengths, -race) and FuzzFusedKernels
+// pin each kernel to the bytes and the corrupt-input error behavior of
+// its stage-by-stage transforms.Pipeline, taken from a table in the test.
 //
 // # Ownership and budgets
 //
@@ -53,19 +52,6 @@ import (
 	"fpcompress/internal/transforms"
 	"fpcompress/internal/wordio"
 )
-
-// Kernel is one fused single-pass pipeline. Implementations are safe for
-// concurrent use (all per-call state is pooled or stack-resident). As a
-// transforms.Transform, its Name identifies the fusion (e.g.
-// "FUSED(DIFFMS32+MPLG32)"), its ForwardInto is byte-identical to the
-// unfused pipeline's, and its InverseInto follows the pipeline budget
-// rules (see the package comment).
-type Kernel interface {
-	transforms.Transform
-	// Pipeline returns the equivalent stage-by-stage pipeline, the oracle
-	// the kernel's tests compare against.
-	Pipeline() transforms.Pipeline
-}
 
 // Match resolves p to the transform that runs it: the fused kernel when the
 // stage sequence (with default stage parameters) is a known fusion — a
@@ -118,14 +104,15 @@ func Match(p transforms.Pipeline) transforms.Transform {
 	return p
 }
 
-// Shared immutable kernel instances (the kernels hold only their oracle
-// pipelines, so one instance serves every caller).
+// Shared immutable kernel instances. Every kernel is safe for concurrent
+// use (all per-call state is pooled or stack-resident), so one instance
+// serves every caller.
 var (
-	sharedSpeed32    = NewSpeed32()
-	sharedSpeed64    = NewSpeed64()
-	sharedRatio32    = NewRatio32()
-	sharedRatio64    = NewRatio64()
-	sharedFCMRatio64 = NewFCMRatio64()
+	sharedSpeed32    = &Speed32{}
+	sharedSpeed64    = &Speed64{}
+	sharedRatio32    = &Ratio32{}
+	sharedRatio64    = &Ratio64{}
+	sharedFCMRatio64 = &FCMRatio64{fcm: transforms.FCM{Table: true}}
 )
 
 // mplgSubchunkWords32/64 is the paper's 512-byte MPLG subchunk in words.

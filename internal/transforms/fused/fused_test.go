@@ -20,8 +20,32 @@ import (
 // the reference pipeline on both its aliased words (offset 0) and its
 // copy-in/copy-out scratch (misaligned offsets).
 
-func kernels() []Kernel {
-	return []Kernel{NewSpeed32(), NewSpeed64(), NewRatio32(), NewRatio64(), NewFCMRatio64()}
+// The stage-by-stage pipelines the kernels must match: the oracle of
+// every test here.
+var (
+	refSpeed32    = transforms.Pipeline{transforms.DiffMS{Word: wordio.W32}, transforms.MPLG{Word: wordio.W32}}
+	refSpeed64    = transforms.Pipeline{transforms.DiffMS{Word: wordio.W64}, transforms.MPLG{Word: wordio.W64}}
+	refRatio32    = transforms.Pipeline{transforms.DiffMS{Word: wordio.W32}, transforms.Bit{Word: wordio.W32}, transforms.RZE{}}
+	refRatio64    = transforms.Pipeline{transforms.DiffMS{Word: wordio.W64}, transforms.RAZE{}, transforms.RARE{}}
+	refFCMRatio64 = transforms.Pipeline{transforms.FCMW{}}
+)
+
+// fusedKernel pairs a fused kernel with its reference pipeline and the
+// word size of the data it is built for.
+type fusedKernel struct {
+	transforms.Transform
+	ref  transforms.Pipeline
+	word wordio.WordSize
+}
+
+func kernels() []fusedKernel {
+	return []fusedKernel{
+		{sharedSpeed32, refSpeed32, wordio.W32},
+		{sharedSpeed64, refSpeed64, wordio.W64},
+		{sharedRatio32, refRatio32, wordio.W32},
+		{sharedRatio64, refRatio64, wordio.W64},
+		{sharedFCMRatio64, refFCMRatio64, wordio.W64},
+	}
 }
 
 // kernelData builds n bytes mixing the regimes the kernels special-case:
@@ -64,7 +88,7 @@ func atOffset(data []byte, off int) []byte {
 func TestFusedForwardOffsets(t *testing.T) {
 	for _, k := range kernels() {
 		t.Run(k.Name(), func(t *testing.T) {
-			ref := k.Pipeline()
+			ref := k.ref
 			for _, n := range kernelLengths {
 				data := kernelData(n)
 				want := ref.ForwardInto(nil, data)
@@ -87,7 +111,7 @@ func TestFusedForwardOffsets(t *testing.T) {
 func TestFusedInverseOffsets(t *testing.T) {
 	for _, k := range kernels() {
 		t.Run(k.Name(), func(t *testing.T) {
-			ref := k.Pipeline()
+			ref := k.ref
 			for _, n := range kernelLengths {
 				data := kernelData(n)
 				enc := ref.ForwardInto(nil, data)
@@ -130,7 +154,7 @@ func TestFusedForwardAppend(t *testing.T) {
 		t.Run(k.Name(), func(t *testing.T) {
 			for _, n := range []int{0, 11, 515, 16387} {
 				data := kernelData(n)
-				want := k.Pipeline().ForwardInto(nil, data)
+				want := k.ref.ForwardInto(nil, data)
 				for p := 0; p <= 7; p++ {
 					back := make([]byte, p, p+len(want)+64)
 					for i := range back {
@@ -170,7 +194,7 @@ func TestFusedBudgets(t *testing.T) {
 					t.Fatalf("len %d: budget n-1 accepted (err=%v)", n, err)
 				}
 				refErr := func(e []byte, budget int) bool {
-					_, err := k.Pipeline().InverseInto(nil, e, budget)
+					_, err := k.ref.InverseInto(nil, e, budget)
 					return err != nil
 				}
 				// Truncations must fail on both paths (never panic, never
@@ -225,7 +249,7 @@ func TestFusedMatch(t *testing.T) {
 			}
 			continue
 		}
-		if k, ok := tr.(Kernel); !ok || k.Name() != c.want {
+		if _, ok := tr.(transforms.Pipeline); ok || tr.Name() != c.want {
 			t.Fatalf("case %d: pipeline %v resolved to %s, want %s", i, c.p.Names(), tr.Name(), c.want)
 		}
 	}
@@ -239,10 +263,10 @@ func TestFusedGateStats(t *testing.T) {
 	for _, n := range kernelLengths {
 		data := kernelData(n)
 
-		k32 := NewSpeed32()
+		k32 := sharedSpeed32
 		var gs GateStats
 		enc := k32.ForwardStatsInto(nil, data, &gs)
-		if want := k32.Pipeline().ForwardInto(nil, data); !bytes.Equal(enc, want) {
+		if want := refSpeed32.ForwardInto(nil, data); !bytes.Equal(enc, want) {
 			t.Fatalf("len %d: stats forward differs from reference", n)
 		}
 		diff := (transforms.DiffMS{Word: wordio.W32}).ForwardInto(nil, data)
@@ -274,10 +298,10 @@ func TestFusedGateStats(t *testing.T) {
 			t.Fatalf("len %d: gs.Tail differs from diff tail", n)
 		}
 
-		k64 := NewSpeed64()
+		k64 := sharedSpeed64
 		var gs64 GateStats
 		enc64 := k64.ForwardStatsInto(nil, data, &gs64)
-		if want := k64.Pipeline().ForwardInto(nil, data); !bytes.Equal(enc64, want) {
+		if want := refSpeed64.ForwardInto(nil, data); !bytes.Equal(enc64, want) {
 			t.Fatalf("len %d: 64-bit stats forward differs from reference", n)
 		}
 		diff64 := (transforms.DiffMS{Word: wordio.W64}).ForwardInto(nil, data)
@@ -296,8 +320,8 @@ func TestFusedGateStats(t *testing.T) {
 
 		// Ratio64 keeps no gate statistics; its encode over the same diff
 		// stream must still be reference-identical.
-		kr := NewRatio64()
-		if enc, want := kr.ForwardInto(nil, data), kr.Pipeline().ForwardInto(nil, data); !bytes.Equal(enc, want) {
+		kr := sharedRatio64
+		if enc, want := kr.ForwardInto(nil, data), refRatio64.ForwardInto(nil, data); !bytes.Equal(enc, want) {
 			t.Fatalf("len %d: ratio64 forward differs from reference", n)
 		}
 	}
@@ -319,7 +343,7 @@ func FuzzFusedKernels(f *testing.F) {
 			chunk = chunk[:1<<20]
 		}
 		for _, k := range kernels() {
-			ref := k.Pipeline()
+			ref := k.ref
 			enc := k.ForwardInto(nil, chunk)
 			if want := ref.ForwardInto(nil, chunk); !bytes.Equal(enc, want) {
 				t.Fatalf("%s: fused forward differs from reference", k.Name())

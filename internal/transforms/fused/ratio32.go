@@ -12,29 +12,15 @@ import (
 // no DIFFMS byte stage is ever built; the plane-major layout is global to
 // the chunk, so one pooled scratch buffer holds it and RZE's exact
 // encoder (transforms.RZE) consumes it in place.
-type Ratio32 struct {
-	ref transforms.Pipeline
-}
+type Ratio32 struct{}
 
-// NewRatio32 returns the fused SPratio kernel.
-func NewRatio32() *Ratio32 {
-	return &Ratio32{ref: transforms.Pipeline{
-		transforms.DiffMS{Word: wordio.W32},
-		transforms.Bit{Word: wordio.W32},
-		transforms.RZE{},
-	}}
-}
-
-// Name implements Kernel.
+// Name implements transforms.Transform.
 func (k *Ratio32) Name() string { return "FUSED(DIFFMS32+BIT32+RZE)" }
 
-// Pipeline implements Kernel.
-func (k *Ratio32) Pipeline() transforms.Pipeline { return k.ref }
-
-// ForwardInto implements Kernel: difference+zigzag the chunk into a pooled
-// word stream, run the strided block transpose over it into the pooled
-// plane-major buffer, copy diff words past the last full block and
-// trailing bytes verbatim (BIT32's layout), then RZE encodes the buffer
+// ForwardInto implements transforms.Transform: difference+zigzag the chunk
+// into a pooled word stream, run the strided block transpose over it into
+// the pooled plane-major buffer, copy diff words past the last full block
+// and trailing bytes verbatim (BIT32's layout), then RZE encodes the buffer
 // into dst.
 func (k *Ratio32) ForwardInto(dst, src []byte) []byte {
 	in := wordio.In32(src)
@@ -58,10 +44,11 @@ func (k *Ratio32) ForwardInto(dst, src []byte) []byte {
 	return transforms.RZE{}.ForwardInto(dst, scratch)
 }
 
-// InverseInto implements Kernel: RZE's exact decoder reconstructs the
-// plane-major stream into pooled scratch (under the pipeline's interior
-// stage budget), the gathered block transposes rebuild the DIFFMS stream
-// into a pooled buffer, and one un-zigzag + prefix-sum pass fills dst.
+// InverseInto implements transforms.Transform: RZE's exact decoder
+// reconstructs the plane-major stream into pooled scratch (under the
+// pipeline's interior stage budget), the gathered block transposes rebuild
+// the DIFFMS stream into a pooled buffer, and one un-zigzag + prefix-sum
+// pass fills dst.
 func (k *Ratio32) InverseInto(dst, enc []byte, maxDecoded int) ([]byte, error) {
 	sp := transforms.GetBuf()
 	defer transforms.PutBuf(sp)

@@ -15,26 +15,12 @@ import (
 // byte stream never materializes; RARE must see RAZE's complete output
 // (its split k depends on the whole stream), so that stage remains
 // composed, reading the pooled RAZE bytes.
-type Ratio64 struct {
-	ref transforms.Pipeline
-}
+type Ratio64 struct{}
 
-// NewRatio64 returns the fused DPratio chunk kernel.
-func NewRatio64() *Ratio64 {
-	return &Ratio64{ref: transforms.Pipeline{
-		transforms.DiffMS{Word: wordio.W64},
-		transforms.RAZE{},
-		transforms.RARE{},
-	}}
-}
-
-// Name implements Kernel.
+// Name implements transforms.Transform.
 func (k *Ratio64) Name() string { return "FUSED(DIFFMS64+RAZE+RARE)" }
 
-// Pipeline implements Kernel.
-func (k *Ratio64) Pipeline() transforms.Pipeline { return k.ref }
-
-// ForwardInto implements Kernel.
+// ForwardInto implements transforms.Transform.
 func (k *Ratio64) ForwardInto(dst, src []byte) []byte {
 	in := wordio.In64(src)
 	defer in.Done()
@@ -57,9 +43,9 @@ func ratio64Forward(dst []byte, sw []uint64, tail []byte) []byte {
 	return transforms.RARE{}.ForwardInto(dst, razed)
 }
 
-// InverseInto implements Kernel: ratio64Inverse decodes under the
-// pipeline's interior stage budget, and the decoded length is then checked
-// against maxDecoded exactly, as Pipeline.InverseInto does.
+// InverseInto implements transforms.Transform: ratio64Inverse decodes under
+// the pipeline's interior stage budget, and the decoded length is then
+// checked against maxDecoded exactly, as Pipeline.InverseInto does.
 func (k *Ratio64) InverseInto(dst, enc []byte, maxDecoded int) ([]byte, error) {
 	out, err := ratio64Inverse(dst, enc, transforms.StageBudget(maxDecoded))
 	if err != nil {
@@ -103,25 +89,12 @@ func ratio64Inverse(dst, enc []byte, sb int) ([]byte, error) {
 // matches (and therefore the bytes) depend on it.
 type FCMRatio64 struct {
 	fcm transforms.FCM
-	ref transforms.Pipeline
 }
 
-// NewFCMRatio64 returns the fused windowed-DPratio chunk kernel with the
-// FCM pre-stage.
-func NewFCMRatio64() *FCMRatio64 {
-	return &FCMRatio64{
-		fcm: transforms.FCM{Table: true},
-		ref: transforms.Pipeline{transforms.FCMW{}},
-	}
-}
-
-// Name implements Kernel.
+// Name implements transforms.Transform.
 func (k *FCMRatio64) Name() string { return "FUSED(FCMW64)" }
 
-// Pipeline implements Kernel.
-func (k *FCMRatio64) Pipeline() transforms.Pipeline { return k.ref }
-
-// ForwardInto implements Kernel.
+// ForwardInto implements transforms.Transform.
 func (k *FCMRatio64) ForwardInto(dst, src []byte) []byte {
 	fp := transforms.GetBuf()
 	defer transforms.PutBuf(fp)
@@ -142,11 +115,11 @@ func (k *FCMRatio64) ForwardInto(dst, src []byte) []byte {
 	return ratio64Forward(dst, fw[splitW:], fcmOut[len(fw)*8:])
 }
 
-// InverseInto implements Kernel: each segment's Ratio64 stages decode
-// under interior budgets into pooled scratch (FCM's value/distance stream
-// is at most 2*decoded+8 bytes, within the interior headroom), then FCM's
-// resolver writes the final words into dst and the decoded length is
-// checked against maxDecoded exactly.
+// InverseInto implements transforms.Transform: each segment's Ratio64
+// stages decode under interior budgets into pooled scratch (FCM's
+// value/distance stream is at most 2*decoded+8 bytes, within the interior
+// headroom), then FCM's resolver writes the final words into dst and the
+// decoded length is checked against maxDecoded exactly.
 func (k *FCMRatio64) InverseInto(dst, enc []byte, maxDecoded int) ([]byte, error) {
 	lenA, m := bitio.Uvarint(enc)
 	if m <= 0 || lenA > uint64(len(enc)-m) {

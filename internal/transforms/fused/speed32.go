@@ -16,25 +16,12 @@ import (
 // subchunk through a stack tile, so the DIFFMS stream never exists outside
 // registers/L1; the inverse unpacks, un-zigzags twice, and prefix-sums in
 // one pass the same way.
-type Speed32 struct {
-	ref transforms.Pipeline
-}
+type Speed32 struct{}
 
-// NewSpeed32 returns the fused SPspeed kernel.
-func NewSpeed32() *Speed32 {
-	return &Speed32{ref: transforms.Pipeline{
-		transforms.DiffMS{Word: wordio.W32},
-		transforms.MPLG{Word: wordio.W32},
-	}}
-}
-
-// Name implements Kernel.
+// Name implements transforms.Transform.
 func (k *Speed32) Name() string { return "FUSED(DIFFMS32+MPLG32)" }
 
-// Pipeline implements Kernel.
-func (k *Speed32) Pipeline() transforms.Pipeline { return k.ref }
-
-// ForwardInto implements Kernel.
+// ForwardInto implements transforms.Transform.
 func (k *Speed32) ForwardInto(dst, src []byte) []byte {
 	return k.ForwardStatsInto(dst, src, nil)
 }
@@ -126,10 +113,10 @@ func (k *Speed32) ForwardStatsInto(dst, src []byte, gs *GateStats) []byte {
 	return append(dst[:bp], tail...)
 }
 
-// InverseInto implements Kernel: unpack each subchunk's words from the bit
-// stream into the stack tile and run the un-zigzag + prefix-sum
-// reconstruction over it, exactly composing MPLG32's and DIFFMS32's
-// inverses.
+// InverseInto implements transforms.Transform: unpack each subchunk's words
+// from the bit stream into the stack tile and run the un-zigzag +
+// prefix-sum reconstruction over it, exactly composing MPLG32's and
+// DIFFMS32's inverses.
 func (k *Speed32) InverseInto(dst, enc []byte, maxDecoded int) ([]byte, error) {
 	declen64, n := bitio.Uvarint(enc)
 	if n == 0 {

@@ -14,25 +14,12 @@ import (
 // auto modes' 64-bit speed candidate): the 64-word-subchunk analogue of
 // Speed32, with MPLG64's 8-bit subchunk headers and split packing for
 // kept widths above 32 bits.
-type Speed64 struct {
-	ref transforms.Pipeline
-}
+type Speed64 struct{}
 
-// NewSpeed64 returns the fused DPspeed kernel.
-func NewSpeed64() *Speed64 {
-	return &Speed64{ref: transforms.Pipeline{
-		transforms.DiffMS{Word: wordio.W64},
-		transforms.MPLG{Word: wordio.W64},
-	}}
-}
-
-// Name implements Kernel.
+// Name implements transforms.Transform.
 func (k *Speed64) Name() string { return "FUSED(DIFFMS64+MPLG64)" }
 
-// Pipeline implements Kernel.
-func (k *Speed64) Pipeline() transforms.Pipeline { return k.ref }
-
-// ForwardInto implements Kernel.
+// ForwardInto implements transforms.Transform.
 func (k *Speed64) ForwardInto(dst, src []byte) []byte {
 	return k.ForwardStatsInto(dst, src, nil)
 }
@@ -100,9 +87,9 @@ func (k *Speed64) ForwardStatsInto(dst, src []byte, gs *GateStats) []byte {
 	return append(dst[:bp], tail...)
 }
 
-// InverseInto implements Kernel: MPLG64 unpack and DIFFMS64 prefix-sum
-// reconstruction fused per subchunk through the stack tile, mirroring
-// transforms.MPLG's 64-bit decoder's bit stream handling exactly.
+// InverseInto implements transforms.Transform: MPLG64 unpack and DIFFMS64
+// prefix-sum reconstruction fused per subchunk through the stack tile,
+// mirroring transforms.MPLG's 64-bit decoder's bit stream handling exactly.
 func (k *Speed64) InverseInto(dst, enc []byte, maxDecoded int) ([]byte, error) {
 	declen64, n := bitio.Uvarint(enc)
 	if n == 0 {

@@ -58,13 +58,6 @@ func (z RZE) Name() string {
 	return fmt.Sprintf("RZE%d", z.unit()*8)
 }
 
-// EncodeRepeatBitmap appends the repeat-eliminated recursive bitmap
-// encoding of b to out (exported for the SIMT kernels in internal/simt,
-// which must reproduce RZE's exact byte layout).
-func EncodeRepeatBitmap(b []byte, out []byte) []byte {
-	return appendRepeatBitmap(out, b)
-}
-
 // appendNonRepeats appends the bytes of lvl that differ from their
 // predecessor (the byte before lvl[0] is taken as zero), classifying
 // 8-byte groups with the SWAR changed mask.
@@ -146,7 +139,7 @@ func appendRepeatBitmap(out, b []byte) []byte {
 	return out
 }
 
-// RepeatBitmapLen returns len(EncodeRepeatBitmap(b, nil)) without
+// RepeatBitmapLen returns len(appendRepeatBitmap(nil, b)) without
 // materializing the encoding: each level contributes exactly the popcount
 // of its change bitmap (the bytes appendNonRepeats would emit), plus the
 // deepest level verbatim. The auto-mode selector prices RZE stages by size

@@ -276,7 +276,7 @@ func TestRepeatBitmapLen(t *testing.T) {
 	}
 	cases = append(cases, runs, runs[1:], runs[3:500])
 	for i, bm := range cases {
-		want := len(EncodeRepeatBitmap(bm, nil))
+		want := len(appendRepeatBitmap(nil, bm))
 		if got := RepeatBitmapLen(bm); got != want {
 			t.Errorf("case %d (len %d): RepeatBitmapLen = %d, encoder emits %d", i, len(bm), got, want)
 		}

@@ -68,17 +68,6 @@ func U64(b []byte, i int) uint64 { return binary.LittleEndian.Uint64(b[i*8:]) }
 // PutU64 writes the i-th little-endian 64-bit word of b.
 func PutU64(b []byte, i int, v uint64) { binary.LittleEndian.PutUint64(b[i*8:], v) }
 
-// Words32 reinterprets b as a fresh []uint32. The slice length is
-// len(b)/4; trailing bytes that do not fill a word are ignored.
-func Words32(b []byte) []uint32 {
-	n := len(b) / 4
-	w := make([]uint32, n)
-	for i := 0; i < n; i++ {
-		w[i] = binary.LittleEndian.Uint32(b[i*4:])
-	}
-	return w
-}
-
 // Words64 reinterprets b as a fresh []uint64, zero-padding a trailing
 // partial word if pad is true (otherwise partial bytes are ignored).
 func Words64(b []byte, pad bool) []uint64 {
@@ -98,15 +87,6 @@ func Words64(b []byte, pad bool) []uint64 {
 		w[n] = binary.LittleEndian.Uint64(last[:])
 	}
 	return w
-}
-
-// Bytes32 serializes words back to little-endian bytes.
-func Bytes32(w []uint32) []byte {
-	b := make([]byte, len(w)*4)
-	for i, v := range w {
-		binary.LittleEndian.PutUint32(b[i*4:], v)
-	}
-	return b
 }
 
 // Bytes64 serializes words back to little-endian bytes, truncated to n bytes.

